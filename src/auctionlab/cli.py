@@ -37,11 +37,7 @@ def _fraction(text: str) -> Fraction:
 
 
 def _mechanism_spec(mech_id: str, args) -> MechanismSpec:
-    source = args.reserve_source
-    if source and source.startswith("fixed:"):
-        values = [Fraction(x) for x in source[len("fixed:"):].split(",")]
-        source = dict(enumerate(values, start=1))
-    return MechanismSpec(mech_id, reserve_source=source or "none",
+    return MechanismSpec(mech_id, reserve_source=args.reserve_source or "none",
                          event_mode=args.reserve_conditioning)
 
 
@@ -52,7 +48,8 @@ def _add_common(p):
     p.add_argument("--arithmetic", choices=["rational", "double"], default=None)
     p.add_argument("--reserve-source", default=None,
                    help="none | monopoly | conditional | fixed:r1,r2,... | "
-                        "single-sample | unsafe-own-value")
+                        "single-sample | unsafe-own-value; fixed reserves "
+                        "follow the agent order of the instance file")
     p.add_argument("--reserve-conditioning", default="winner_conditioned",
                    choices=["winner_conditioned", "unconditioned"],
                    help="reserve event conditioning in the randomized variants")

@@ -102,9 +102,6 @@ class ScalarDistribution:
     def prob_at_least(self, threshold):
         return sum((p for v, p in self if v >= threshold), 0)
 
-    def expectation(self):
-        return sum((v * p for v, p in self), 0)
-
     def map_values(self, fn) -> "ScalarDistribution":
         """Push the pmf through a strictly increasing value map."""
         mapped = [(fn(v), p) for v, p in self]
@@ -310,15 +307,3 @@ class JointDistribution:
 
     def total_mass(self):
         return sum(p for _, p in self.enumerate_support())
-
-
-def conditional_signal(dist: JointDistribution, agent, others: Mapping) -> ScalarDistribution:
-    return dist.conditional_signal(agent, others)
-
-
-def enumerate_support(dist: JointDistribution):
-    return dist.enumerate_support()
-
-
-def sample(dist: JointDistribution, rng) -> tuple:
-    return dist.sample(rng)

@@ -46,7 +46,3 @@ def maximum_bipartite_matching(
             augment(u, set())
 
     return match_left
-
-
-def is_perfect_on(matching: Mapping, left: Iterable[Hashable]) -> bool:
-    return all(u in matching for u in left)

@@ -20,7 +20,7 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import valuations
 from .distributions import (
@@ -41,10 +41,6 @@ from .matroid import (
 from .valuations import ValuationProfile, value
 
 log = logging.getLogger(__name__)
-
-MECHANISM_IDS = ("gvcg", "gvcg-lazy", "lookahead", "rand-single", "rand-matroid", "vcg-eager")
-RESERVE_SOURCES = ("none", "monopoly", "conditional", "fixed", "single-sample",
-                   "unsafe-own-value")
 
 NEVER_WINS = None  # threshold-signal marker; threshold value becomes +inf
 
@@ -164,10 +160,6 @@ class AuctionOutcome:
     w_reference: frozenset        # welfare-max set over all agents
 
     @property
-    def t_prime(self) -> frozenset:
-        return self.tentative - self.w_reference
-
-    @property
     def revenue(self):
         return sum((self.payment[a] for a in self.served), 0)
 
@@ -245,7 +237,6 @@ class ReserveQuote:
     agent: object
     price: object
     expected_revenue: object
-    conditioning: str
     fallback: str = ""
 
 
@@ -253,7 +244,11 @@ def conditional_value_distribution(instance: Instance, agent, s: Sequence):
     """Distribution of v_agent given every other signal, as a value pmf."""
     others = {a: s[instance.grid.index_of(a)]
               for a in instance.agents if a != agent}
-    signal_dist = instance.dist.conditional_signal(agent, others)
+    return _own_values(instance, agent, s, instance.dist.conditional_signal(agent, others))
+
+
+def _own_values(instance: Instance, agent, s: Sequence, signal_dist):
+    """Push a pmf of the agent's own signal through v_agent(., s_-agent)."""
     idx = instance.grid.index_of(agent)
 
     def to_value(t):
@@ -278,20 +273,10 @@ def conditional_monopoly_reserve(instance: Instance, agent, s: Sequence, *,
     if active is None:
         active = frozenset(instance.agents)
     fallback = ""
-    fixed = ", ".join(f"{a}={s[instance.grid.index_of(a)]}"
-                      for a in instance.agents if a != agent)
     try:
         vdist = conditional_value_distribution(instance, agent, s)
-        conditioning = f"signals fixed: {fixed}"
     except ConditioningError:
-        idx = instance.grid.index_of(agent)
-
-        def to_value(t):
-            st = tuple(s[:idx]) + (t,) + tuple(s[idx + 1:])
-            return value(instance.vp, agent, st)
-
-        vdist = instance.dist.marginal(agent).map_values(to_value)
-        conditioning = f"prior marginal (profile {fixed} off-support)"
+        vdist = _own_values(instance, agent, s, instance.dist.marginal(agent))
         fallback = "prior-marginal"
         log.debug("reserve fallback to prior marginal for agent %r", agent)
 
@@ -303,7 +288,6 @@ def conditional_monopoly_reserve(instance: Instance, agent, s: Sequence, *,
         else:
             try:
                 vdist = truncate_above(vdist, t_val)
-                conditioning += f"; winner within {sorted(map(str, active))} (value >= {t_val})"
             except ConditioningError:
                 fallback = fallback or "unconditioned"
                 log.debug("no conditional mass above threshold for agent %r", agent)
@@ -311,7 +295,7 @@ def conditional_monopoly_reserve(instance: Instance, agent, s: Sequence, *,
         raise MechanismError(f"unknown reserve event mode {event_mode!r}")
 
     price, revenue = monopoly_price(vdist)
-    return ReserveQuote(agent, price, revenue, conditioning, fallback)
+    return ReserveQuote(agent, price, revenue, fallback)
 
 
 class SignalView:
@@ -337,13 +321,19 @@ def resolve_reserves(instance: Instance, s: Sequence, agents, source,
                      event_mode: str = "winner_conditioned") -> dict:
     """Per-agent reserve prices from a named source, a map, or a callback.
 
-    Callables receive (agent, masked profile view); reading the agent's own
-    coordinate raises :class:`ReserveAuditError`.
+    ``fixed:r1,r2,...`` lists one reserve per agent in the order of
+    ``instance.agents``.  Callables receive (agent, masked profile view);
+    reading the agent's own coordinate raises :class:`ReserveAuditError`.
     """
     zero = Fraction(0) if instance.arithmetic == RATIONAL else 0.0
     if source is None or source == "none":
         return {a: zero for a in agents}
+    if isinstance(source, str) and source.startswith("fixed:"):
+        source = _fixed_reserves(instance, source)
     if isinstance(source, Mapping):
+        unknown = set(source) - set(instance.agents)
+        if unknown:
+            raise MechanismError(f"reserves given for unknown agents {sorted(map(str, unknown))}")
         return {a: source.get(a, zero) for a in agents}
     if callable(source):
         out = {}
@@ -364,6 +354,17 @@ def resolve_reserves(instance: Instance, s: Sequence, agents, source,
         raise MechanismError("single-sample reserves are integrated over by "
                              "expected_revenue, not resolved per run")
     raise MechanismError(f"unknown reserve source {source!r}")
+
+
+def _fixed_reserves(instance: Instance, source: str) -> dict:
+    try:
+        values = [Fraction(x) for x in source[len("fixed:"):].split(",")]
+    except ValueError as exc:
+        raise MechanismError(f"bad fixed reserves {source!r}: {exc}") from exc
+    if len(values) != len(instance.agents):
+        raise MechanismError(f"{source!r} lists {len(values)} reserves for "
+                             f"{len(instance.agents)} agents")
+    return dict(zip(instance.agents, values))
 
 
 # ----------------------------------------------------------------------
@@ -405,48 +406,46 @@ def lookahead(instance: Instance, s: Sequence) -> AuctionOutcome:
 
 
 def randomized_single_item(instance: Instance, s: Sequence,
-                           admission, *, rng=None,
+                           admission, *,
                            event_mode: str = "winner_conditioned") -> AuctionOutcome:
-    """Single-item variant: admit each agent with probability 2/3, then run
-    the lazy auction inside the admitted set; reserves still condition on
-    every other agent's signal, admitted or not."""
+    """Single-item variant: run the lazy auction inside the admitted set
+    (drawn by the admission law in :data:`MECHANISMS`); reserves still
+    condition on every other agent's signal, admitted or not."""
     feas = instance.feas
     single_item = (feas.is_matroid
                    and all(feas.is_independent({a}) for a in feas.ground)
                    and not any(len(f) > 1 for f in feas.feasible_sets()))
     if not single_item:
         raise WrongVariantError("the single-item variant needs a 1-uniform system")
-    z = _resolve_admission(instance, admission, rng, Fraction(2, 3))
+    z = _admitted(instance, admission)
     return gvcg_lazy(instance, s, "conditional", active=z, admitted=z,
                      event_mode=event_mode)
 
 
 def randomized_matroid(instance: Instance, s: Sequence, branch,
-                       admission=None, *, rng=None,
+                       admission=None, *,
                        event_mode: str = "winner_conditioned") -> AuctionOutcome:
-    """Matroid variant: with probability 1/2 admit everyone, otherwise admit
-    each agent independently with probability 1/2."""
+    """Matroid variant: the ``all`` branch admits everyone, the ``subsample``
+    branch the given set; :data:`MECHANISMS` holds the law that picks them."""
     if not instance.feas.is_matroid:
         raise WrongVariantError("the matroid variant needs a matroid system")
     if branch == "all":
         z = frozenset(instance.agents)
     elif branch == "subsample":
-        z = _resolve_admission(instance, admission, rng, Fraction(1, 2))
+        z = _admitted(instance, admission)
     else:
         raise MechanismError(f"unknown branch {branch!r}; use 'all' or 'subsample'")
     return gvcg_lazy(instance, s, "conditional", active=z, admitted=z,
                      event_mode=event_mode)
 
 
-def _resolve_admission(instance, admission, rng, p_in) -> frozenset:
-    if admission is not None:
-        z = frozenset(admission)
-        if not z <= set(instance.agents):
-            raise MechanismError("admission set mentions unknown agents")
-        return z
-    if rng is None:
-        raise MechanismError("need an explicit admission set or an rng")
-    return frozenset(a for a in instance.agents if rng.random() < float(p_in))
+def _admitted(instance, admission) -> frozenset:
+    if admission is None:
+        raise MechanismError("need an explicit admission set")
+    z = frozenset(admission)
+    if not z <= set(instance.agents):
+        raise MechanismError("admission set mentions unknown agents")
+    return z
 
 
 def vcg_eager(instance: Instance, s: Sequence, reserves) -> AuctionOutcome:
@@ -541,6 +540,45 @@ def threshold_matching(instance: Instance, s: Sequence, w: frozenset,
 
 
 @dataclass(frozen=True)
+class Admission:
+    """Admit everyone with probability ``p_all``, otherwise admit each agent
+    independently with probability ``p_in``."""
+
+    p_all: Fraction
+    p_in: Fraction
+
+    def weight(self, z: frozenset, agents: tuple) -> Fraction:
+        k = len(z)
+        w = (1 - self.p_all) * self.p_in ** k * (1 - self.p_in) ** (len(agents) - k)
+        return w + self.p_all if k == len(agents) else w
+
+
+@dataclass(frozen=True)
+class Mechanism:
+    """Entry point run(instance, spec, s, admitted) and admission law; a
+    deterministic mechanism has no law and runs with ``admitted=None``."""
+
+    run: Callable
+    admission: Admission | None = None
+
+
+MECHANISMS = {
+    "gvcg": Mechanism(lambda inst, spec, s, z: gvcg(inst, s)),
+    "gvcg-lazy": Mechanism(lambda inst, spec, s, z: gvcg_lazy(inst, s, spec.reserve_source)),
+    "lookahead": Mechanism(lambda inst, spec, s, z: lookahead(inst, s)),
+    "rand-single": Mechanism(
+        lambda inst, spec, s, z: randomized_single_item(inst, s, z, event_mode=spec.event_mode),
+        Admission(p_all=Fraction(0), p_in=Fraction(2, 3))),
+    "rand-matroid": Mechanism(
+        lambda inst, spec, s, z: randomized_matroid(inst, s, "subsample", z,
+                                                    event_mode=spec.event_mode),
+        Admission(p_all=Fraction(1, 2), p_in=Fraction(1, 2))),
+    "vcg-eager": Mechanism(lambda inst, spec, s, z: vcg_eager(inst, s, spec.reserve_source)),
+}
+MECHANISM_IDS = tuple(MECHANISMS)
+
+
+@dataclass(frozen=True)
 class MechanismSpec:
     """A runnable mechanism: id plus reserve configuration."""
 
@@ -549,68 +587,43 @@ class MechanismSpec:
     event_mode: str = "winner_conditioned"
 
     def __post_init__(self):
-        if self.mech_id not in MECHANISM_IDS:
+        if self.mech_id not in MECHANISMS:
             raise MechanismError(f"unknown mechanism {self.mech_id!r}")
 
 
 def realizations(instance: Instance, spec: MechanismSpec):
     """Every internal-randomness outcome with its probability.
 
-    Deterministic mechanisms yield one realization.  The single-item variant
-    yields every admission set with product 2/3 weights; the matroid variant
-    adds the all-agents branch at probability 1/2.
+    A realization is the admitted set, or None for a deterministic
+    mechanism.  Under an admission law every subset of the agents is one
+    realization; the all-agents set carries the law's ``p_all`` as well.
     """
+    law = MECHANISMS[spec.mech_id].admission
+    if law is None:
+        yield None, Fraction(1)
+        return
     agents = tuple(instance.agents)
-    one = Fraction(1)
-    if spec.mech_id == "rand-single":
-        p = Fraction(2, 3)
-        for z in _all_subsets(agents):
-            weight = (p ** len(z)) * ((1 - p) ** (len(agents) - len(z)))
-            yield ("admit", z), weight
-    elif spec.mech_id == "rand-matroid":
-        yield ("all", None), Fraction(1, 2)
-        p = Fraction(1, 2)
-        for z in _all_subsets(agents):
-            weight = Fraction(1, 2) * (p ** len(agents))
-            yield ("admit", z), weight
-    else:
-        yield ("deterministic", None), one
-
-
-def _all_subsets(agents):
     for r in range(len(agents) + 1):
         for combo in itertools.combinations(agents, r):
-            yield frozenset(combo)
+            z = frozenset(combo)
+            yield z, law.weight(z, agents)
 
 
 def run_realized(instance: Instance, spec: MechanismSpec, s: Sequence,
                  realization) -> AuctionOutcome:
-    kind, z = realization
-    if spec.mech_id == "gvcg":
-        return gvcg(instance, s)
-    if spec.mech_id == "gvcg-lazy":
-        return gvcg_lazy(instance, s, spec.reserve_source)
-    if spec.mech_id == "lookahead":
-        return lookahead(instance, s)
-    if spec.mech_id == "vcg-eager":
-        return vcg_eager(instance, s, spec.reserve_source)
-    if spec.mech_id == "rand-single":
-        return randomized_single_item(instance, s, z, event_mode=spec.event_mode)
-    if kind == "all":
-        return randomized_matroid(instance, s, "all", event_mode=spec.event_mode)
-    return randomized_matroid(instance, s, "subsample", z, event_mode=spec.event_mode)
+    return MECHANISMS[spec.mech_id].run(instance, spec, s, realization)
 
 
 def sample_realization(instance: Instance, spec: MechanismSpec, rng):
-    if spec.mech_id == "rand-single":
-        z = frozenset(a for a in instance.agents if rng.random() < 2 / 3)
-        return ("admit", z)
-    if spec.mech_id == "rand-matroid":
-        if rng.random() < 1 / 2:
-            return ("all", None)
-        z = frozenset(a for a in instance.agents if rng.random() < 1 / 2)
-        return ("admit", z)
-    return ("deterministic", None)
+    """Draw one realization from the caller's stream: one draw for the
+    all-agents branch when the law has one, then one draw per agent."""
+    law = MECHANISMS[spec.mech_id].admission
+    if law is None:
+        return None
+    if law.p_all and rng.random() < float(law.p_all):
+        return frozenset(instance.agents)
+    p_in = float(law.p_in)
+    return frozenset(a for a in instance.agents if rng.random() < p_in)
 
 
 # ----------------------------------------------------------------------

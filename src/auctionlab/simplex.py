@@ -24,6 +24,9 @@ import numpy as np
 
 STALL_LIMIT = 40
 MAX_PIVOTS = 100_000
+# Dense tableau cells either kernel may allocate: 2**25 cells are 256 MiB of
+# float64, or of object pointers before the integers they point to.
+MAX_TABLEAU_CELLS = 2 ** 25
 
 
 class SimplexError(RuntimeError):
@@ -76,6 +79,11 @@ def solve(lp: LinearProgram, arithmetic: str = "rational", *,
     if lp.n_vars == 0 and not lp.rows:
         return SimplexResult("optimal", Fraction(0) if arithmetic == "rational" else 0.0,
                              [], 0)
+    rows = len(lp.rows) + 1
+    cols = lp.n_vars + sum(1 for r in lp.rows if r.kind == "le") + 1
+    if rows * cols > MAX_TABLEAU_CELLS:
+        raise SimplexError(f"a {rows} x {cols} tableau has {rows * cols} cells "
+                           f"(cap {MAX_TABLEAU_CELLS})")
     if arithmetic == "rational":
         return _solve_rational(lp)
     if arithmetic == "double":

@@ -64,6 +64,20 @@ def test_compare_nonmat_reversal(capsys):
     assert "6/5 vs 7/10" in out
 
 
+def test_fixed_reserves_map_onto_named_agents(tmp_path, capsys):
+    text = fixture_path("tiny1").read_text()
+    for old, new in (("\n- 1\n- 2\n", "\n- alice\n- bob\n"),
+                     ("\n  1:\n", "\n  alice:\n"), ("\n  2:\n", "\n  bob:\n"),
+                     ("\n    1:\n", "\n    alice:\n"), ("\n    2:\n", "\n    bob:\n")):
+        text = text.replace(old, new)
+    path = tmp_path / "named.yaml"
+    path.write_text(text)
+    args = ["run", "--instance", str(path), "--mechanism", "gvcg-lazy",
+            "--no-oracle", "--no-upper-bound", "--reserve-source"]
+    assert main(args + ["fixed:3,3"]) == 0
+    assert "tiny1,gvcg-lazy,\"fixed:3,3\",exact,0," in capsys.readouterr().out
+
+
 def test_audit_defaults_to_corpus(capsys):
     rc = main(["audit", "--mechanism", "gvcg"])
     out = capsys.readouterr().out

@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 
 from auctionlab.distributions import JointDistribution, ScalarDistribution, SignalGrid
+from auctionlab.instances import load_fixture
 from auctionlab.matroid import FeasibilitySystem
 from auctionlab.mechanisms import (
     AssumptionError,
     Instance,
+    MechanismError,
     MechanismSpec,
     ReserveAuditError,
     WrongVariantError,
@@ -232,6 +234,19 @@ def test_reserve_callback_masking():
 # lazy auction and lookahead
 
 
+def test_fixed_reserves_follow_agent_order():
+    axes = {"alice": (1, 2), "bob": (1, 2)}
+    inst = make_instance(axes, FeasibilitySystem.uniform(1, ["alice", "bob"]))
+    assert resolve_reserves(inst, (1, 2), inst.agents, "fixed:3,1/2") == {
+        "alice": 3, "bob": H}
+    lazy = MechanismSpec("gvcg-lazy", reserve_source="fixed:3,3")
+    assert expected_revenue(inst, lazy).value == 0
+    with pytest.raises(MechanismError, match="unknown agents"):
+        resolve_reserves(inst, (1, 2), inst.agents, {1: 3, 2: 3})
+    with pytest.raises(MechanismError, match="1 reserves for 2 agents"):
+        expected_revenue(tiny1(), MechanismSpec("gvcg-lazy", reserve_source="fixed:3"))
+
+
 def test_lazy_zero_reserves_equals_gvcg():
     inst = tiny1()
     for s in inst.grid.profiles():
@@ -377,6 +392,18 @@ def test_realization_weights_sum_to_one():
     assert sum(weights) == 1
 
 
+def test_realizations_are_admitted_sets():
+    part = load_fixture("partition")
+    for inst, mech in ((tiny1(), "rand-single"), (part, "rand-matroid")):
+        reals = dict(realizations(inst, MechanismSpec(mech)))
+        assert len(reals) == 2 ** len(inst.agents)
+        assert all(isinstance(z, frozenset) and z <= set(inst.agents) for z in reals)
+    # the all-agents set merges the matroid variant's two ways of admitting everyone
+    assert reals[frozenset(part.agents)] == H + F(1, 16)
+    for mech in ("gvcg", "lookahead", "vcg-eager"):
+        assert list(realizations(tiny1(), MechanismSpec(mech))) == [(None, 1)]
+
+
 # ----------------------------------------------------------------------
 # eager reserves
 
@@ -510,6 +537,33 @@ def test_expected_revenue_brute_force_agreement():
             w = (F(2, 3) ** len(z)) * (F(1, 3) ** (2 - len(z)))
             direct += p * w * randomized_single_item(inst, s, z).revenue
     assert expected_revenue(inst, spec).value == direct
+
+
+def test_rand_matroid_brute_force_agreement():
+    # the paper's two-branch law: everyone with probability 1/2, otherwise
+    # each agent independently with probability 1/2
+    three = make_instance({1: (1, 3), 2: (1, 2), 3: (2, 4)},
+                          FeasibilitySystem.uniform(2, [1, 2, 3]))
+    for inst in (three, load_fixture("partition")):
+        n = len(inst.agents)
+        subsets = [frozenset(c) for r in range(n + 1)
+                   for c in itertools.combinations(inst.agents, r)]
+        direct = F(0)
+        for s, p in inst.dist.enumerate_support():
+            direct += p * H * randomized_matroid(inst, s, "all").revenue
+            for z in subsets:
+                direct += p * H * H ** n * randomized_matroid(inst, s, "subsample", z).revenue
+        assert expected_revenue(inst, MechanismSpec("rand-matroid")).value == direct
+
+
+def test_monte_carlo_stream_pinned():
+    # each trial draws the profile, then the all-agents branch if the law
+    # has one, then one draw per agent; any change to that order moves these
+    for name, mech, expect in (("tiny1", "rand-single", 1.107),
+                               ("partition", "rand-matroid", 3.9883333333333333)):
+        est = expected_revenue(load_fixture(name), MechanismSpec(mech), mode="monte_carlo",
+                               trials=3000, seed=7)
+        assert est.value == expect
 
 
 def test_monte_carlo_within_three_sigma():

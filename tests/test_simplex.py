@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from auctionlab.simplex import LinearProgram, Row, SimplexError, solve
+from auctionlab.simplex import MAX_TABLEAU_CELLS, LinearProgram, Row, SimplexError, solve
 
 F = Fraction
 
@@ -81,6 +81,15 @@ def test_negative_rhs_rejected():
 def test_zero_lp():
     res = solve(LinearProgram(0, []))
     assert res.objective == 0 and res.x == []
+
+
+def test_tableau_cap_refuses_before_allocating():
+    # no rows, so the LP itself is tiny; only the tableau would be large
+    lp = LinearProgram(n_vars=MAX_TABLEAU_CELLS, objective=[])
+    for arithmetic in ("rational", "double"):
+        with pytest.raises(SimplexError, match=rf"1 x {MAX_TABLEAU_CELLS + 1} tableau has "
+                                               rf"{MAX_TABLEAU_CELLS + 1} cells"):
+            solve(lp, arithmetic)
 
 
 def test_double_mode_matches_rational():
