@@ -183,15 +183,17 @@ def cmd_oracle(args) -> int:
                 "feasible_sets": stats.feasible_sets,
                 "simplex_rows": stats.simplex_rows, "ic_rows": stats.ic_rows,
                 "ir_rows": stats.ir_rows, "pivots": res.solution.pivots,
+                "certified": res.solution.certified,
+                "fallbacks": res.solution.fallbacks,
             },
         }
         if args.witness:
             entry["witness"] = {
-                str(s): {
-                    "allocation": [[sorted(map(str, f)), str(p)] for f, p in cell["allocation"]],
-                    "payments": {str(a): str(v) for a, v in cell["payments"].items()},
+                "(" + ", ".join(map(str, s)) + ")": {
+                    "allocation": [[sorted(map(str, f)), str(p)] for f, p in alloc],
+                    "payments": {str(a): str(v) for a, v in zip(inst.agents, payments)},
                 }
-                for s, cell in res.witness.items()
+                for s, (alloc, payments) in res.witness.items()
             }
         payload[inst.name] = entry
         print(f"{inst.name}: optimal revenue = {res.value} "

@@ -107,11 +107,6 @@ class ScalarDistribution:
         mapped = [(fn(v), p) for v, p in self]
         return ScalarDistribution(mapped, self.arithmetic)
 
-    def point_mass(self):
-        if len(self.support) == 1:
-            return self.support[0]
-        return None
-
 
 def truncate_above(d: ScalarDistribution, threshold) -> ScalarDistribution:
     """Distribution of X conditioned on X >= threshold."""

@@ -555,16 +555,19 @@ class Admission:
 
 @dataclass(frozen=True)
 class Mechanism:
-    """Entry point run(instance, spec, s, admitted) and admission law; a
-    deterministic mechanism has no law and runs with ``admitted=None``."""
+    """Entry point run(instance, spec, s, admitted), admission law, and
+    whether the run reads ``spec.reserve_source``; a deterministic mechanism
+    has no law and runs with ``admitted=None``."""
 
     run: Callable
     admission: Admission | None = None
+    reads_reserves: bool = False
 
 
 MECHANISMS = {
     "gvcg": Mechanism(lambda inst, spec, s, z: gvcg(inst, s)),
-    "gvcg-lazy": Mechanism(lambda inst, spec, s, z: gvcg_lazy(inst, s, spec.reserve_source)),
+    "gvcg-lazy": Mechanism(lambda inst, spec, s, z: gvcg_lazy(inst, s, spec.reserve_source),
+                           reads_reserves=True),
     "lookahead": Mechanism(lambda inst, spec, s, z: lookahead(inst, s)),
     "rand-single": Mechanism(
         lambda inst, spec, s, z: randomized_single_item(inst, s, z, event_mode=spec.event_mode),
@@ -573,7 +576,8 @@ MECHANISMS = {
         lambda inst, spec, s, z: randomized_matroid(inst, s, "subsample", z,
                                                     event_mode=spec.event_mode),
         Admission(p_all=Fraction(1, 2), p_in=Fraction(1, 2))),
-    "vcg-eager": Mechanism(lambda inst, spec, s, z: vcg_eager(inst, s, spec.reserve_source)),
+    "vcg-eager": Mechanism(lambda inst, spec, s, z: vcg_eager(inst, s, spec.reserve_source),
+                           reads_reserves=True),
 }
 MECHANISM_IDS = tuple(MECHANISMS)
 

@@ -1,25 +1,52 @@
 """Exact optimal ex-post-IC, ex-post-IR expected revenue via linear programming.
 
-The benchmark optimises over randomized mechanisms: at every relevant signal
-profile the mechanism holds a probability distribution over feasible sets
-plus a payment per agent.  Constraints are the simplex rows (one per
-profile), truth-telling for every agent at every support profile against
-every own-grid deviation, and nonnegative truthful utility at every support
-profile.  Off-support profiles enter only where a unilateral deviation can
-reach them; they carry no objective weight.
+The benchmark optimises over randomized mechanisms: at every support profile
+the mechanism holds a probability distribution over feasible sets plus a
+payment per agent.  Every other grid profile gets the empty allocation at
+zero payment.  Constraints are the simplex rows (one per support profile),
+nonnegative truthful utility for every agent at every support profile, and
+truth-telling between neighbouring support points of each column: a column
+fixes the others' signals s_-i, and each support point must not gain by
+reporting the next support point above or below it in that column.  When
+the valuations fail the monotonicity check, truth-telling binds every pair
+of support points of a column instead.
 
+Why the optimum is the full-grid optimum, the LP with a variable at every
+grid profile and truth-telling against every own-grid deviation:
+
+* This LP's rows are a subset of the full-grid LP's, and none of them reads
+  an off-support variable, so the support part of any full-grid solution is
+  feasible here with the same revenue: this optimum is at least the
+  full-grid one.
+* Completed with empty, zero-payment cells off the support, this LP's
+  solution is feasible for the full-grid LP, so the optimum is also at most
+  the full-grid one.  A deviation to an off-support profile earns zero
+  utility, which participation already bounds.  Deviations within a column
+  are bound directly when monotonicity fails.  Otherwise values rise
+  strictly in the agent's own signal, so truth-telling in both directions
+  between neighbours makes the service probability monotone, and monotone
+  service with neighbour truth-telling gives truth-telling against every
+  support point of the column (the local-to-global argument; Myerson 1981,
+  and Roughgarden & Talgam-Cohen, EC 2013, for interdependent values).
+  :func:`verify_witness` re-checks this on every solution against every
+  own-grid deviation.
+
+The solution is exact: rational mode accepts a floating-point solve only
+with a checked primal-dual certificate (see :mod:`auctionlab.simplex`).
 The optimum weakly dominates every implemented auction, so approximation
 ratios measured against it are conservative.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .distributions import RATIONAL
 from .mechanisms import Instance
-from .simplex import LinearProgram, solve
+from .simplex import LinearProgram, SimplexResult, solve
 from .valuations import value
 
 DEFAULT_VAR_CAP = 200_000
@@ -31,8 +58,8 @@ class LPSizeError(RuntimeError):
 
 @dataclass(frozen=True)
 class LPStats:
-    profiles: int
-    support: int
+    profiles: int                 # grid profiles
+    support: int                  # support profiles, the LP's profiles
     feasible_sets: int
     y_vars: int
     p_vars: int
@@ -53,20 +80,11 @@ class LPStats:
 class RevenueLP:
     instance: Instance
     lp: LinearProgram
-    profiles: list
     support: list
     feasible: list
-    y_index: dict
-    p_index: dict
+    y_index: dict                 # (support profile, feasible set) -> column
+    p_index: dict                 # (support profile, agent) -> column
     stats: LPStats
-
-
-@dataclass
-class LPSolution:
-    status: str
-    objective: object
-    assignment: dict               # ("y", s, S) / ("p", s, agent) -> value
-    pivots: int
 
 
 @dataclass
@@ -74,119 +92,111 @@ class OptResult:
     value: object
     witness: dict
     stats: LPStats
-    solution: LPSolution
+    solution: SimplexResult
 
 
-def _reachable_profiles(instance: Instance) -> tuple[list, list]:
-    support = sorted(instance.dist.support_profiles())
-    reach = set(support)
+def _truth_telling_pairs(instance: Instance, support: list, k: int):
+    """Pairs of support profiles that differ only in agent k's signal:
+    neighbours within each column, or every pair when monotonicity fails."""
+    columns: dict = {}
     for s in support:
-        for k, a in enumerate(instance.agents):
-            for t in instance.grid.axis(a):
-                reach.add(s[:k] + (t,) + s[k + 1:])
-    return sorted(reach), support
+        columns.setdefault(s[:k] + s[k + 1:], []).append(s)
+    every_pair = bool(instance.assumption_report()["monotonicity"])
+    for column in columns.values():
+        if every_pair:
+            yield from itertools.combinations(column, 2)
+        else:
+            yield from zip(column, column[1:])
 
 
 def build_revenue_lp(instance: Instance, var_cap: int = DEFAULT_VAR_CAP) -> RevenueLP:
     """Assemble the revenue LP; errors out with exact counts past the cap."""
     agents = instance.agents
-    profiles, support = _reachable_profiles(instance)
+    support = sorted(instance.dist.support_profiles())
     feasible = instance.feas.feasible_sets()
-    n_y = len(profiles) * len(feasible)
-    n_p = len(profiles) * len(agents)
+    n_y = len(support) * len(feasible)
+    n_p = len(support) * len(agents)
     if n_y + n_p > var_cap:
         raise LPSizeError(
             f"{n_y} allocation + {n_p} payment variables exceed the cap {var_cap}")
 
     y_index: dict = {}
     p_index: dict = {}
-    for s in profiles:
+    for s in support:
         for f in feasible:
             y_index[(s, f)] = len(y_index)
         for a in agents:
             p_index[(s, a)] = n_y + len(p_index)
 
-    prob = {s: instance.dist.probability(s) for s in support}
     objective = [0] * (n_y + n_p)
     for s in support:
+        prob = instance.dist.probability(s)
         for a in agents:
-            objective[p_index[(s, a)]] = prob[s]
+            objective[p_index[(s, a)]] = prob
 
     lp = LinearProgram(n_y + n_p, objective)
     empty = frozenset()
-    for s in profiles:
+    for s in support:
         coeffs = {y_index[(s, f)]: 1 for f in feasible}
         lp.add_eq(coeffs, 1, basic=y_index[(s, empty)])
 
     sets_with = {a: [f for f in feasible if a in f] for a in agents}
-    n_ic = 0
-    for s in support:
-        for k, a in enumerate(agents):
-            v_true = value(instance.vp, a, s)
-            for t in instance.grid.axis(a):
-                if t == s[k]:
-                    continue
-                dev = s[:k] + (t,) + s[k + 1:]
-                coeffs: dict = {}
-                for f in sets_with[a]:
-                    coeffs[y_index[(dev, f)]] = v_true
-                    coeffs[y_index[(s, f)]] = coeffs.get(y_index[(s, f)], 0) - v_true
-                coeffs = {j: c for j, c in coeffs.items() if c != 0}
-                coeffs[p_index[(dev, a)]] = -1
-                coeffs[p_index[(s, a)]] = coeffs.get(p_index[(s, a)], 0) + 1
-                lp.add_le(coeffs, 0)
-                n_ic += 1
 
-    n_ir = 0
+    def add_ic(a, s, dev):
+        """a's truthful utility at s is at least its utility from reporting dev."""
+        v_true = value(instance.vp, a, s)
+        coeffs: dict = {}
+        if v_true != 0:
+            for f in sets_with[a]:
+                coeffs[y_index[(dev, f)]] = v_true
+                coeffs[y_index[(s, f)]] = -v_true
+        coeffs[p_index[(dev, a)]] = -1
+        coeffs[p_index[(s, a)]] = 1
+        lp.add_le(coeffs, 0)
+
+    n_ic = 0
+    for k, a in enumerate(agents):
+        for s, t in _truth_telling_pairs(instance, support, k):
+            add_ic(a, s, t)
+            add_ic(a, t, s)
+            n_ic += 2
+
     for s in support:
         for a in agents:
             coeffs = {y_index[(s, f)]: -value(instance.vp, a, s) for f in sets_with[a]}
             coeffs = {j: c for j, c in coeffs.items() if c != 0}
             coeffs[p_index[(s, a)]] = 1
             lp.add_le(coeffs, 0)
-            n_ir += 1
 
-    stats = LPStats(profiles=len(profiles), support=len(support),
+    grid = math.prod(len(instance.grid.axis(a)) for a in agents)
+    stats = LPStats(profiles=grid, support=len(support),
                     feasible_sets=len(feasible), y_vars=n_y, p_vars=n_p,
-                    simplex_rows=len(profiles), ic_rows=n_ic, ir_rows=n_ir)
-    return RevenueLP(instance, lp, profiles, support, feasible, y_index, p_index, stats)
+                    simplex_rows=len(support), ic_rows=n_ic,
+                    ir_rows=len(support) * len(agents))
+    return RevenueLP(instance, lp, support, feasible, y_index, p_index, stats)
 
 
-def solve_lp(rlp: RevenueLP, arithmetic: str | None = None) -> LPSolution:
+def solve_lp(rlp: RevenueLP, arithmetic: str | None = None) -> SimplexResult:
     mode = arithmetic or rlp.instance.arithmetic
-    result = solve(rlp.lp, "rational" if mode == RATIONAL else "double")
-    assignment = {}
-    if result.status == "optimal":
-        for key, j in rlp.y_index.items():
-            assignment[("y",) + key] = result.x[j]
-        for key, j in rlp.p_index.items():
-            assignment[("p",) + key] = result.x[j]
-    return LPSolution(result.status, result.objective, assignment, result.pivots)
+    return solve(rlp.lp, "rational" if mode == RATIONAL else "double")
 
 
-def witness_mechanism(rlp: RevenueLP, solution: LPSolution) -> dict:
-    """Per-profile allocation lotteries, service probabilities and payments."""
+def witness_mechanism(rlp: RevenueLP, solution: SimplexResult) -> dict:
+    """Support profile -> (allocation, payments): the allocation lottery as
+    (feasible set, probability) pairs with nonzero probability, and the
+    payments in agent order.  Absent grid profiles are the empty cell."""
+    x = solution.x
     witness = {}
-    for s in rlp.profiles:
-        alloc = [(f, solution.assignment[("y", s, f)]) for f in rlp.feasible
-                 if solution.assignment[("y", s, f)] != 0]
-        x = {a: sum((p for f, p in alloc if a in f), Fraction(0) if
-                    rlp.instance.arithmetic == RATIONAL else 0.0)
-             for a in rlp.instance.agents}
-        payments = {a: solution.assignment[("p", s, a)] for a in rlp.instance.agents}
-        witness[s] = {"allocation": alloc, "service_probability": x,
-                      "payments": payments}
+    for s in rlp.support:
+        alloc = tuple((f, x[rlp.y_index[(s, f)]]) for f in rlp.feasible
+                      if x[rlp.y_index[(s, f)]] != 0)
+        witness[s] = (alloc, tuple(x[rlp.p_index[(s, a)]] for a in rlp.instance.agents))
     return witness
 
 
 def opt_revenue(instance: Instance, var_cap: int = DEFAULT_VAR_CAP,
                 arithmetic: str | None = None) -> OptResult:
     """Optimal expected revenue plus the mechanism achieving it."""
-    if not instance.agents:
-        empty_stats = LPStats(0, 0, 0, 0, 0, 0, 0, 0)
-        zero = Fraction(0) if instance.arithmetic == RATIONAL else 0.0
-        return OptResult(zero, {}, empty_stats,
-                         LPSolution("optimal", zero, {}, 0))
     rlp = build_revenue_lp(instance, var_cap)
     solution = solve_lp(rlp, arithmetic)
     if solution.status != "optimal":
@@ -196,32 +206,43 @@ def opt_revenue(instance: Instance, var_cap: int = DEFAULT_VAR_CAP,
 
 
 def verify_witness(instance: Instance, witness: Mapping, tolerance=0) -> list[str]:
-    """Re-check every LP constraint on a witness; empty list means clean."""
+    """Re-check a witness against every full-grid constraint; empty list
+    means clean.
+
+    Every cell's lottery is checked, and every agent at every support
+    profile against every own-grid deviation, with service probabilities
+    derived from the lotteries.  A profile missing from the witness is the
+    empty, zero-payment cell.
+    """
     problems = []
     agents = instance.agents
-    for s, cell in witness.items():
-        total = sum((p for _, p in cell["allocation"]), Fraction(0))
+    none = (0,) * len(agents)
+    served, paid = {}, {}
+    for s, (alloc, payments) in witness.items():
+        total = sum((p for _, p in alloc), Fraction(0))
         if not _close(total, 1, tolerance):
             problems.append(f"allocation at {s} sums to {total}")
-        for f, p in cell["allocation"]:
+        for f, p in alloc:
             if p < -tolerance:
                 problems.append(f"negative lottery weight at {s}")
             if not instance.feas.is_independent(f):
                 problems.append(f"infeasible set {sorted(map(str, f))} at {s}")
-    support = set(instance.dist.support_profiles())
-    for s in sorted(support):
-        cell = witness[s]
+        if len(payments) != len(agents):
+            problems.append(f"{len(payments)} payments at {s} for {len(agents)} agents")
+            continue
+        served[s] = tuple(sum((p for f, p in alloc if a in f), 0) for a in agents)
+        paid[s] = tuple(payments)
+    for s in sorted(instance.dist.support_profiles()):
         for k, a in enumerate(agents):
             v_true = value(instance.vp, a, s)
-            u_truth = v_true * cell["service_probability"][a] - cell["payments"][a]
+            u_truth = v_true * served.get(s, none)[k] - paid.get(s, none)[k]
             if u_truth < -tolerance:
                 problems.append(f"IR violated for {a} at {s}: utility {u_truth}")
             for t in instance.grid.axis(a):
                 if t == s[k]:
                     continue
                 dev = s[:k] + (t,) + s[k + 1:]
-                dev_cell = witness[dev]
-                u_dev = v_true * dev_cell["service_probability"][a] - dev_cell["payments"][a]
+                u_dev = v_true * served.get(dev, none)[k] - paid.get(dev, none)[k]
                 if u_dev > u_truth + tolerance:
                     problems.append(
                         f"IC violated for {a} at {s} deviating to {t}: "

@@ -21,6 +21,7 @@ from .distributions import RATIONAL
 from .generators import generate_instances
 from .instances import load_instance
 from .mechanisms import (
+    MECHANISMS,
     Instance,
     MechanismSpec,
     WrongVariantError,
@@ -92,7 +93,9 @@ class RatioReport:
         writer.writerow(CSV_COLUMNS)
         for r in self.rows:
             writer.writerow([
-                r.instance, r.spec.mech_id, _fmt(r.spec.reserve_source), r.mode,
+                r.instance, r.spec.mech_id,
+                _fmt(r.spec.reserve_source)
+                if MECHANISMS[r.spec.mech_id].reads_reserves else "none", r.mode,
                 _fmt(r.revenue), _fmt(r.std_error), _fmt(r.oracle),
                 _fmt(r.upper_bound), _fmt(r.ratio), r.audit_status,
                 r.violations, _fmt(r.bound), _fmt(r.bound_ok),

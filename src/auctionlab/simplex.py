@@ -2,16 +2,31 @@
 
 Problems are maximisations over nonnegative variables with rows that are
 either ``<=`` inequalities (a slack is added automatically) or equalities
-that designate an initial basic variable whose column is already canonical
-(the revenue oracle uses the empty-allocation probabilities for this).  All
+that designate an initial basic variable whose column is already canonical:
+coefficient 1 in its own row, absent from every other row, zero cost (the
+revenue oracle uses the empty-allocation probabilities for this).  All
 right-hand sides must be nonnegative, which makes the start basis feasible
 and removes any need for a phase-one.
 
-Rational mode keeps the tableau integral via fraction-free Gauss-Jordan
+Rational mode is a certified floating-point solve (Applegate, Cook, Dash &
+Espinoza, "Exact solutions to linear programming problems", Oper. Res. Lett.
+2007).  The double kernel finds an optimal basis and reads the row duals y
+from row 0 at the start-basis columns: the slack of each ``<=`` row and the
+designated basic column of each equality row are unit columns with zero
+cost, so their reduced cost is that row's dual.  x and y are rounded to
+rationals with denominators at most ``DENOMINATOR_LIMIT`` and accepted only
+if :func:`verify_certificate` proves, in exact arithmetic, that x is
+feasible, y is dual feasible and c.x = b.y; weak duality then makes x
+optimal.  Otherwise (or when the double kernel reports
+``NumericalInstability`` or unboundedness) the fraction-free rational
+simplex solves the LP and the result counts one fallback.
+
+The fraction-free kernel keeps the tableau integral via Gauss-Jordan
 pivoting: the true tableau is M / d where d is the previous pivot element,
 and every division is exact.  Rows are numpy object arrays of Python ints so
-updates run in vectorised loops.  Pricing is Dantzig's rule, falling back to
-Bland's rule during degenerate stalls so cycling is impossible.
+updates run in vectorised loops.  Both kernels price by Dantzig's rule,
+falling back to Bland's rule during degenerate stalls so cycling is
+impossible.
 """
 from __future__ import annotations
 
@@ -27,6 +42,9 @@ MAX_PIVOTS = 100_000
 # Dense tableau cells either kernel may allocate: 2**25 cells are 256 MiB of
 # float64, or of object pointers before the integers they point to.
 MAX_TABLEAU_CELLS = 2 ** 25
+# Largest denominator of the rationals a double solution is rounded to before
+# its certificate is checked.
+DENOMINATOR_LIMIT = 10 ** 6
 
 
 class SimplexError(RuntimeError):
@@ -34,7 +52,7 @@ class SimplexError(RuntimeError):
 
 
 class NumericalInstability(SimplexError):
-    """Double-precision run went sour; retry with arithmetic='rational'."""
+    """Double-precision run went sour; rational mode falls back by itself."""
 
 
 @dataclass
@@ -71,24 +89,128 @@ class SimplexResult:
     status: str                   # "optimal" | "unbounded"
     objective: object
     x: list
-    pivots: int
+    pivots: int                   # of every kernel that ran
+    y: list | None = None         # row duals, when a kernel reports them
+    certified: bool = False       # x and y passed verify_certificate
+    fallbacks: int = 0            # rational-mode solves the fraction-free kernel redid
 
 
 def solve(lp: LinearProgram, arithmetic: str = "rational", *,
           eps: float = 1e-9) -> SimplexResult:
+    if arithmetic not in ("rational", "double"):
+        raise SimplexError(f"unknown arithmetic {arithmetic!r}")
     if lp.n_vars == 0 and not lp.rows:
-        return SimplexResult("optimal", Fraction(0) if arithmetic == "rational" else 0.0,
-                             [], 0)
+        if arithmetic == "double":
+            return SimplexResult("optimal", 0.0, [], 0, [])
+        return SimplexResult("optimal", Fraction(0), [], 0, [], certified=True)
     rows = len(lp.rows) + 1
     cols = lp.n_vars + sum(1 for r in lp.rows if r.kind == "le") + 1
     if rows * cols > MAX_TABLEAU_CELLS:
         raise SimplexError(f"a {rows} x {cols} tableau has {rows * cols} cells "
                            f"(cap {MAX_TABLEAU_CELLS})")
-    if arithmetic == "rational":
-        return _solve_rational(lp)
+    _check_start_basis(lp)
     if arithmetic == "double":
         return _solve_double(lp, eps)
-    raise SimplexError(f"unknown arithmetic {arithmetic!r}")
+    return _solve_certified(lp, eps)
+
+
+def _check_start_basis(lp: LinearProgram) -> None:
+    """Each equality row's designated column must be a unit column of zero
+    cost, or the start tableau and the duals read from it are wrong."""
+    owner = {r.basic: i for i, r in enumerate(lp.rows) if r.kind == "eq"}
+    for i in owner.values():
+        if lp.rows[i].coeffs.get(lp.rows[i].basic) != 1:
+            raise SimplexError(
+                "equality rows must carry their basic variable with coefficient 1")
+    for j in owner:
+        if lp.objective[j] != 0:
+            raise SimplexError(f"basic variable {j} of an equality row has a nonzero cost")
+    for i, row in enumerate(lp.rows):
+        for j, v in row.coeffs.items():
+            if v != 0 and owner.get(j, i) != i:
+                raise SimplexError(
+                    f"basic variable {j} of equality row {owner[j]} also appears in row {i}")
+
+
+# ----------------------------------------------------------------------
+# certified solve
+
+
+def _solve_certified(lp: LinearProgram, eps: float) -> SimplexResult:
+    try:
+        approx = _solve_double(lp, eps)
+    except NumericalInstability:
+        approx = None
+    if approx is not None and approx.status == "optimal":
+        x = [_rational(v) for v in approx.x]
+        y = [_rational(v) for v in approx.y]
+        if not verify_certificate(lp, x, y):
+            objective = sum((_exact(c) * v for c, v in zip(lp.objective, x) if v),
+                            Fraction(0))
+            return SimplexResult("optimal", objective, x, approx.pivots, y, certified=True)
+    exact = _solve_rational(lp)
+    exact.pivots += approx.pivots if approx is not None else 0
+    exact.fallbacks = 1
+    return exact
+
+
+def _exact(v):
+    """A float at its exact binary value; ints and Fractions as they are."""
+    return Fraction(v) if isinstance(v, float) else v
+
+
+_ZERO = Fraction(0)
+
+
+def _rational(v: float) -> Fraction:
+    # one shared zero: most entries of x and y are zero, and Fractions are immutable
+    return Fraction(v).limit_denominator(DENOMINATOR_LIMIT) if v else _ZERO
+
+
+def verify_certificate(lp: LinearProgram, x: Sequence, y: Sequence) -> list[str]:
+    """Check in exact arithmetic that x is optimal with dual y; an empty list
+    means the certificate holds.
+
+    x must be feasible (x >= 0, every row holds), y dual feasible (y >= 0 on
+    ``<=`` rows, y^T A >= c) and c.x = b.y.  By weak duality no feasible
+    point then beats c.x.  Floats are read at their exact binary value.
+    """
+    if len(x) != lp.n_vars or len(y) != len(lp.rows):
+        return [f"need {lp.n_vars} primal and {len(lp.rows)} dual values, "
+                f"got {len(x)} and {len(y)}"]
+    x = [_exact(v) for v in x]
+    y = [_exact(v) for v in y]
+    problems = [f"x[{j}] = {v} < 0" for j, v in enumerate(x) if v < 0]
+    dual_lhs = [0] * lp.n_vars
+    by = 0
+    for i, (row, yi) in enumerate(zip(lp.rows, y)):
+        lhs = 0
+        for j, a in row.coeffs.items():
+            a = _exact(a)
+            if x[j]:
+                lhs += a * x[j]
+            if yi:
+                dual_lhs[j] += a * yi
+        rhs = _exact(row.rhs)
+        if yi:
+            by += rhs * yi
+        if row.kind == "le":
+            if lhs > rhs:
+                problems.append(f"row {i}: {lhs} > {rhs}")
+            if yi < 0:
+                problems.append(f"row {i}: dual {yi} < 0 on a <= row")
+        elif lhs != rhs:
+            problems.append(f"row {i}: {lhs} != {rhs}")
+    cx = 0
+    for j, c in enumerate(lp.objective):
+        c = _exact(c)
+        if dual_lhs[j] < c:
+            problems.append(f"column {j}: y^T A = {dual_lhs[j]} < c = {c}")
+        if x[j]:
+            cx += c * x[j]
+    if cx != by:
+        problems.append(f"c.x = {cx} != b.y = {by}")
+    return problems
 
 
 # ----------------------------------------------------------------------
@@ -225,10 +347,8 @@ def _solve_double(lp: LinearProgram, eps: float) -> SimplexResult:
             basis[i - 1] = slack
             slack += 1
         else:
-            if abs(M[i, row.basic] - 1.0) > eps:
-                raise SimplexError(
-                    "equality rows must carry their basic variable with coefficient 1")
             basis[i - 1] = row.basic
+    start_basis = list(basis)
 
     pivots = 0
     stall = 0
@@ -274,4 +394,5 @@ def _solve_double(lp: LinearProgram, eps: float) -> SimplexResult:
     for i in range(1, m + 1):
         if basis[i - 1] < n:
             x[basis[i - 1]] = float(M[i, -1])
-    return SimplexResult("optimal", float(M[0, -1]), x, pivots)
+    y = [float(M[0, j]) for j in start_basis]
+    return SimplexResult("optimal", float(M[0, -1]), x, pivots, y)

@@ -51,7 +51,11 @@ def test_oracle_command(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["tiny1"]["optimal_revenue"] == "3/2"
     assert payload["tiny1"]["lp"]["variables"] == 20
-    assert "witness" in payload["tiny1"]
+    assert payload["tiny1"]["lp"]["certified"] is True
+    assert payload["tiny1"]["lp"]["fallbacks"] == 0
+    witness = payload["tiny1"]["witness"]
+    assert sorted(witness) == ["(1, 1)", "(1, 2)", "(2, 1)", "(2, 2)"]
+    assert all(set(cell["payments"]) == {"1", "2"} for cell in witness.values())
 
 
 def test_compare_nonmat_reversal(capsys):
@@ -76,6 +80,16 @@ def test_fixed_reserves_map_onto_named_agents(tmp_path, capsys):
             "--no-oracle", "--no-upper-bound", "--reserve-source"]
     assert main(args + ["fixed:3,3"]) == 0
     assert "tiny1,gvcg-lazy,\"fixed:3,3\",exact,0," in capsys.readouterr().out
+
+
+def test_reserve_source_reads_none_for_mechanisms_without_reserves(capsys):
+    rc = main(["run", "--instance", str(fixture_path("tiny1")),
+               "--mechanism", "lookahead", "--mechanism", "gvcg-lazy",
+               "--reserve-source", "fixed:3,3", "--no-oracle", "--no-upper-bound"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "tiny1,lookahead,none,exact,3/2," in out
+    assert "tiny1,gvcg-lazy,\"fixed:3,3\",exact," in out
 
 
 def test_audit_defaults_to_corpus(capsys):

@@ -96,6 +96,26 @@ def test_witness_satisfies_all_constraints_exactly():
     assert verify_witness(inst, res.witness) == []
 
 
+def test_witness_lists_support_profiles_only_and_absent_cells_are_empty():
+    # one agent, grid (1, 2), all mass on signal 2
+    grid = SignalGrid(agents=(1,), values={1: (1, 2)})
+    dist = JointDistribution(grid, form="table", table=[((2,), F(1))])
+    inst = Instance(grid=grid, dist=dist, vp=private((1,)),
+                    feas=FeasibilitySystem.uniform(1, [1]))
+    res = opt_revenue(inst)
+    assert res.value == 2
+    assert res.witness == {(2,): (((frozenset({1}), 1),), (2,))}
+    assert verify_witness(inst, res.witness) == []
+    # serving signal 1 for free tempts signal 2 to misreport
+    tempting = dict(res.witness)
+    tempting[(1,)] = (((frozenset({1}), F(1)),), (F(0),))
+    assert verify_witness(inst, tempting) == ["IC violated for 1 at (2,) deviating to 1: 2 > 0"]
+    overcharged = {(2,): (((frozenset({1}), F(1)),), (F(3),))}
+    assert verify_witness(inst, overcharged) == [
+        "IR violated for 1 at (2,): utility -1",
+        "IC violated for 1 at (2,) deviating to 1: 0 > -1"]
+
+
 def test_correlated_point_masses_extract_full_surplus():
     # perfectly correlated signals: lying is detectable, so the optimum
     # extracts the whole winner value

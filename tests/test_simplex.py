@@ -4,7 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from auctionlab.simplex import MAX_TABLEAU_CELLS, LinearProgram, Row, SimplexError, solve
+from auctionlab.simplex import (
+    MAX_TABLEAU_CELLS,
+    LinearProgram,
+    Row,
+    SimplexError,
+    solve,
+    verify_certificate,
+)
 
 F = Fraction
 
@@ -148,3 +155,56 @@ def test_solution_is_exactly_feasible_and_optimal_value_is_fraction():
     assert all(isinstance(v, Fraction) for v in res.x)
     recomputed = sum(c * v for c, v in zip(lp.objective, res.x))
     assert recomputed == res.objective
+
+
+def blend_lp():
+    # max 3x + 5y st x <= 4, 2y <= 12, 3x + 2y <= 18; optimum (2, 6), duals (0, 3/2, 1)
+    lp = LinearProgram(2, [3, 5])
+    lp.add_le({0: 1}, 4)
+    lp.add_le({1: 2}, 12)
+    lp.add_le({0: 3, 1: 2}, 18)
+    return lp
+
+
+def test_certified_solve_carries_its_certificate():
+    lp = blend_lp()
+    res = solve(lp)
+    assert res.certified and res.fallbacks == 0
+    assert res.x == [2, 6] and res.y == [0, F(3, 2), 1]
+    assert verify_certificate(lp, res.x, res.y) == []
+
+
+def test_certificate_rejects_perturbed_solutions():
+    lp = blend_lp()
+    x, y = [F(2), F(6)], [F(0), F(3, 2), F(1)]
+    assert verify_certificate(lp, x, y) == []
+    # feasible but not optimal: c.x < b.y
+    assert verify_certificate(lp, [F(2), F(5)], y)
+    # infeasible
+    assert verify_certificate(lp, [F(2), F(6) + F(1, 10**9)], y)
+    # dual not feasible: y^T A < c in the second column
+    assert verify_certificate(lp, x, [F(0), F(3, 2) - F(1, 10**9), F(1)])
+    # a negative dual on a <= row, with y^T A >= c and c.x = b.y kept
+    lp2 = LinearProgram(1, [1])
+    lp2.add_le({0: 1}, 1)
+    lp2.add_le({0: 1}, 2)
+    assert verify_certificate(lp2, [F(1)], [F(3), F(-1)]) == [
+        "row 1: dual -1 < 0 on a <= row"]
+
+
+def test_uncertifiable_double_solution_falls_back_to_exact_kernel():
+    # 1/1000003 has no rational neighbour with denominator <= 10**6 that is
+    # feasible, so the rounded double solution fails its certificate
+    lp = LinearProgram(1, [1])
+    lp.add_le({0: 1000003}, 1)
+    res = solve(lp)
+    assert res.objective == F(1, 1000003) and res.x == [F(1, 1000003)]
+    assert res.fallbacks == 1 and not res.certified
+
+
+def test_equality_basic_column_must_be_canonical():
+    lp = LinearProgram(2, [0, 1])
+    lp.add_eq({0: 1, 1: 1}, 1, basic=0)
+    lp.add_le({0: 1, 1: 1}, 1)
+    with pytest.raises(SimplexError, match="also appears in row 1"):
+        solve(lp)
