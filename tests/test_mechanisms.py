@@ -695,3 +695,121 @@ def test_plain_reserve_conditioning_is_clean_and_weaker():
     rev_plain = expected_revenue(inst, spec).value
     rev_winner = expected_revenue(inst, MechanismSpec("rand-single")).value
     assert rev_plain <= rev_winner
+
+
+# ----------------------------------------------------------------------
+# golden outcomes
+
+# measured on the fixture corpus before the auctions shared one core
+GOLDEN_RUNS = 1626
+GOLDEN_OUTCOMES = "69dce1412fe7e6121db6d8ff77f480221da09db82b19f5df52ac167ba6d934ea"
+GOLDEN_QUOTES = "62c09bb55afc63060e515d9ce96e5e4653eaf90575390ba0ac3d0c5d4a6d8ffc"
+
+
+def _digest_specs(inst):
+    specs = [MechanismSpec("gvcg"),
+             MechanismSpec("lookahead"),
+             MechanismSpec("gvcg-lazy", reserve_source="conditional")]
+    if not inst.vp.interdependent:
+        specs.append(MechanismSpec("gvcg-lazy", reserve_source="monopoly"))
+        specs.append(MechanismSpec("vcg-eager", reserve_source="monopoly"))
+    feas = inst.feas
+    randomized = []
+    if (feas.is_matroid and all(feas.is_independent({a}) for a in inst.agents)
+            and not any(len(f) > 1 for f in feas.feasible_sets())):
+        randomized.append("rand-single")
+    if feas.is_matroid:
+        randomized.append("rand-matroid")
+    for mech in randomized:
+        specs.append(MechanismSpec(mech))
+        specs.append(MechanismSpec(mech, event_mode="unconditioned"))
+    return specs
+
+
+def _outcome_digest(instances):
+    """SHA-256 over every outcome field of every run: instance x spec x
+    realization x grid profile.  Values enter by repr, so a changed type
+    (Fraction against int or float) changes the digest too."""
+    import hashlib
+
+    h = hashlib.sha256()
+    runs = 0
+    for inst in instances:
+        agents = inst.agents
+
+        def per_agent(d):
+            return [repr(d[a]) for a in agents]
+
+        def as_set(z):
+            return None if z is None else sorted(map(repr, z))
+
+        for spec in _digest_specs(inst):
+            for realization, _ in realizations(inst, spec):
+                for s in inst.grid.profiles():
+                    out = run_realized(inst, spec, s, realization)
+                    h.update(repr((
+                        inst.name, spec, as_set(realization), s,
+                        per_agent(out.alloc), per_agent(out.payment),
+                        per_agent(out.threshold_signal), per_agent(out.threshold_value),
+                        per_agent(out.reserve), as_set(out.tentative),
+                        as_set(out.served), as_set(out.admitted),
+                    )).encode())
+                    runs += 1
+    return runs, h.hexdigest()
+
+
+def _quote_digest(instances):
+    """SHA-256 over every conditional reserve quote (price, conditional
+    revenue, fallback label) at every grid profile in both event modes."""
+    import hashlib
+
+    h = hashlib.sha256()
+    for inst in instances:
+        for s in inst.grid.profiles():
+            for a in inst.agents:
+                for mode in ("winner_conditioned", "unconditioned"):
+                    q = conditional_monopoly_reserve(inst, a, s, event_mode=mode)
+                    h.update(repr((inst.name, s, a, mode, q.price, q.expected_revenue,
+                                   q.fallback)).encode())
+    return h.hexdigest()
+
+
+def test_outcome_digest_pinned():
+    from auctionlab.instances import corpus_names
+
+    corpus = [load_fixture(n) for n in corpus_names()]
+    runs, digest = _outcome_digest(corpus)
+    assert runs == GOLDEN_RUNS
+    assert digest == GOLDEN_OUTCOMES
+    assert _quote_digest(corpus) == GOLDEN_QUOTES
+
+
+def test_reserve_fallback_labels():
+    # the winner event has no conditional mass: given s2 = 2 agent 1 has
+    # signal 1, below its threshold 2
+    axes = {1: (1, 2), 2: (1, 2)}
+    grid = SignalGrid(agents=(1, 2), values=axes)
+    dist = JointDistribution(grid, form="table", table=[((1, 2), H), ((2, 1), H)])
+    inst = make_instance(axes, FeasibilitySystem.uniform(1, [1, 2]), dist=dist)
+    q = conditional_monopoly_reserve(inst, 1, (1, 2))
+    assert (q.price, q.fallback) == (1, "unconditioned")
+    assert conditional_monopoly_reserve(inst, 1, (1, 2),
+                                        event_mode="unconditioned").fallback == ""
+    # at (2, 2) agent 1 wins the tie and is quoted through the same fallback
+    assert lookahead(inst, (2, 2)).reserve[1] == 1
+    # the agent never wins: an empty winner event as well
+    never = make_instance({1: (1, 2), 2: (5,)}, FeasibilitySystem.uniform(1, [1, 2]))
+    q = conditional_monopoly_reserve(never, 1, (2, 5))
+    assert (q.price, q.fallback) == (1, "unconditioned")
+    # agent 2's grid value 2 has no support, so the others' signals at the
+    # off-support profile (1, 2) condition on nothing
+    dist = JointDistribution(grid, form="table", table=[((1, 1), H), ((2, 1), H)])
+    inst = make_instance(axes, FeasibilitySystem.uniform(1, [1, 2]), dist=dist)
+    # agent 1's prior is uniform on {1, 2}; the winner event keeps only 2
+    q = conditional_monopoly_reserve(inst, 1, (1, 2))
+    assert (q.price, q.fallback) == (2, "prior-marginal")
+    q = conditional_monopoly_reserve(inst, 1, (1, 2), event_mode="unconditioned")
+    assert (q.price, q.fallback) == (1, "prior-marginal")
+    # agent 1's grid value 1 has support, so agent 2's quote conditions normally
+    assert conditional_monopoly_reserve(inst, 2, (1, 2),
+                                        event_mode="unconditioned").fallback == ""
