@@ -2,6 +2,15 @@
 and the randomized-admission variants, together with exact expected-revenue
 evaluation, the revenue upper bound, and the incentive audit.
 
+Every auction but the eager one is the lazy auction (:func:`gvcg_lazy`) on
+an active set with a reserve rule: generalized VCG picks the tentative
+winners within the active set, and each one is offered the higher of its
+reserve and its threshold value.  Plain generalized VCG has no reserves;
+lookahead admits everyone and posts winner-conditioned monopoly reserves;
+the randomized variants run the lookahead rule inside an admitted set.  Each
+agent's threshold is scanned once per run, and the winner-conditioned
+reserve reads that same threshold.
+
 Threshold semantics on grids: an agent's critical signal s* is the smallest
 own grid value at which the agent enters the welfare-maximising set, holding
 everyone else's report fixed; the threshold value is the agent's value at
@@ -18,7 +27,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -92,6 +101,7 @@ class Instance:
             self.tie_break = default_tie_break(agents)
         else:
             self.tie_break = tuple(self.tie_break)
+        self.zero = Fraction(0) if self.arithmetic == RATIONAL else 0.0
         self._restrictions: dict = {}
         self._checks: dict = {}
 
@@ -157,7 +167,6 @@ class AuctionOutcome:
     tentative: frozenset          # welfare-max set among admitted agents
     served: frozenset
     admitted: frozenset | None    # None means no admission stage
-    w_reference: frozenset        # welfare-max set over all agents
 
     @property
     def revenue(self):
@@ -196,34 +205,6 @@ def threshold(instance: Instance, s: Sequence, agent, active: frozenset):
         if agent in winner_set(instance, st, active):
             return t, value(instance.vp, agent, st)
     return NEVER_WINS, math.inf
-
-
-def gvcg(instance: Instance, s: Sequence, active: frozenset | None = None,
-         *, admitted: frozenset | None = None) -> AuctionOutcome:
-    """Generalized VCG: welfare-max winners pay their threshold values."""
-    instance.require_monotone()
-    instance.require_single_crossing()
-    s = tuple(s)
-    all_agents = frozenset(instance.agents)
-    if active is None:
-        active = all_agents
-    active = frozenset(active)
-    w = winner_set(instance, s, active)
-    w_ref = w if active == all_agents else winner_set(instance, s, all_agents)
-    zero = Fraction(0) if instance.arithmetic == RATIONAL else 0.0
-    alloc, payment, t_sig, t_val, reserve = {}, {}, {}, {}, {}
-    for a in instance.agents:
-        t_sig[a], t_val[a] = threshold(instance, s, a, active)
-        reserve[a] = zero
-        if a in w:
-            alloc[a] = 1
-            payment[a] = t_val[a]
-        else:
-            alloc[a] = 0
-            payment[a] = zero
-    return AuctionOutcome(alloc, payment, t_sig, t_val, reserve,
-                          tentative=w, served=w, admitted=admitted,
-                          w_reference=w_ref)
 
 
 # ----------------------------------------------------------------------
@@ -270,8 +251,19 @@ def conditional_monopoly_reserve(instance: Instance, agent, s: Sequence, *,
     every stage reads only the other agents' signals, so the quote never
     depends on the agent's own report.
     """
-    if active is None:
-        active = frozenset(instance.agents)
+    t_val = None
+    if event_mode == "winner_conditioned":
+        if active is None:
+            active = frozenset(instance.agents)
+        t_val = threshold(instance, s, agent, active)[1]
+    return _reserve_quote(instance, agent, s, event_mode, t_val)
+
+
+def _reserve_quote(instance: Instance, agent, s: Sequence, event_mode: str,
+                   t_val) -> ReserveQuote:
+    """The quote of :func:`conditional_monopoly_reserve` given the agent's
+    threshold value ``t_val``, which the winner event reads; ``math.inf``
+    (the agent never wins) leaves the event empty."""
     fallback = ""
     try:
         vdist = conditional_value_distribution(instance, agent, s)
@@ -281,16 +273,12 @@ def conditional_monopoly_reserve(instance: Instance, agent, s: Sequence, *,
         log.debug("reserve fallback to prior marginal for agent %r", agent)
 
     if event_mode == "winner_conditioned":
-        t_sig, t_val = threshold(instance, s, agent, active)
-        if t_sig is NEVER_WINS:
+        try:
+            vdist = truncate_above(vdist, t_val)
+        except ConditioningError:
             fallback = fallback or "unconditioned"
-            log.debug("winner event empty for agent %r; using unconditioned reserve", agent)
-        else:
-            try:
-                vdist = truncate_above(vdist, t_val)
-            except ConditioningError:
-                fallback = fallback or "unconditioned"
-                log.debug("no conditional mass above threshold for agent %r", agent)
+            log.debug("winner event of agent %r has no conditional mass; "
+                      "using unconditioned reserve", agent)
     elif event_mode != "unconditioned":
         raise MechanismError(f"unknown reserve event mode {event_mode!r}")
 
@@ -317,15 +305,18 @@ class SignalView:
 
 
 def resolve_reserves(instance: Instance, s: Sequence, agents, source,
-                     *, active: frozenset | None = None,
+                     *, thresholds: Mapping | None = None,
                      event_mode: str = "winner_conditioned") -> dict:
     """Per-agent reserve prices from a named source, a map, or a callback.
 
     ``fixed:r1,r2,...`` lists one reserve per agent in the order of
     ``instance.agents``.  Callables receive (agent, masked profile view);
     reading the agent's own coordinate raises :class:`ReserveAuditError`.
+    ``conditional`` reserves condition on the winner event at the agents'
+    ``thresholds`` (threshold values by agent) when given, and otherwise
+    scan each agent's threshold among all agents.
     """
-    zero = Fraction(0) if instance.arithmetic == RATIONAL else 0.0
+    zero = instance.zero
     if source is None or source == "none":
         return {a: zero for a in agents}
     if isinstance(source, str) and source.startswith("fixed:"):
@@ -344,9 +335,11 @@ def resolve_reserves(instance: Instance, s: Sequence, agents, source,
         instance.require_private("the unconditional monopoly reserve")
         return {a: monopoly_price(instance.dist.marginal(a))[0] for a in agents}
     if source == "conditional":
-        return {a: conditional_monopoly_reserve(
-            instance, a, s, event_mode=event_mode, active=active).price
-            for a in agents}
+        if thresholds is None:
+            return {a: conditional_monopoly_reserve(
+                instance, a, s, event_mode=event_mode).price for a in agents}
+        return {a: _reserve_quote(instance, a, s, event_mode, thresholds[a]).price
+                for a in agents}
     if source == "unsafe-own-value":
         # deliberately illegal: reads the agent's own report; audit canary
         return {a: value(instance.vp, a, s) for a in agents}
@@ -374,30 +367,37 @@ def _fixed_reserves(instance: Instance, source: str) -> dict:
 def gvcg_lazy(instance: Instance, s: Sequence, reserves, active: frozenset | None = None,
               *, admitted: frozenset | None = None,
               event_mode: str = "winner_conditioned") -> AuctionOutcome:
-    """Tentative winners by generalized VCG, then take-it-or-leave-it at the
-    higher of the reserve and the threshold value."""
+    """Tentative winners by generalized VCG within ``active`` (everyone by
+    default), then take-it-or-leave-it at the higher of the reserve and the
+    threshold value."""
+    instance.require_monotone()
+    instance.require_single_crossing()
     s = tuple(s)
-    if active is None:
-        active = frozenset(instance.agents)
-    base = gvcg(instance, s, active, admitted=admitted)
-    r = resolve_reserves(instance, s, base.tentative, reserves, active=active,
+    active = frozenset(instance.agents if active is None else active)
+    w = winner_set(instance, s, active)
+    t_sig, t_val = {}, {}
+    for a in instance.agents:
+        t_sig[a], t_val[a] = threshold(instance, s, a, active)
+    r = resolve_reserves(instance, s, w, reserves, thresholds=t_val,
                          event_mode=event_mode)
-    zero = Fraction(0) if instance.arithmetic == RATIONAL else 0.0
+    zero = instance.zero
+    alloc, payment, reserve = {}, {}, {}
     served = set()
-    payment = dict(base.payment)
-    reserve = dict(base.reserve)
-    vals = instance.values_at(s)
-    for a in base.tentative:
-        price = max(r[a], base.threshold_value[a])
-        reserve[a] = r[a]
-        if vals[a] >= price:
-            served.add(a)
-            payment[a] = price
-        else:
-            payment[a] = zero
-    alloc = {a: (1 if a in served else 0) for a in instance.agents}
-    return replace(base, alloc=alloc, payment=payment, reserve=reserve,
-                   served=frozenset(served))
+    for a in instance.agents:
+        alloc[a], payment[a], reserve[a] = 0, zero, zero
+        if a in w:
+            reserve[a] = r[a]
+            price = max(r[a], t_val[a])
+            if value(instance.vp, a, s) >= price:
+                served.add(a)
+                alloc[a], payment[a] = 1, price
+    return AuctionOutcome(alloc, payment, t_sig, t_val, reserve, tentative=w,
+                          served=frozenset(served), admitted=admitted)
+
+
+def gvcg(instance: Instance, s: Sequence, active: frozenset | None = None) -> AuctionOutcome:
+    """Generalized VCG: welfare-max winners pay their threshold values."""
+    return gvcg_lazy(instance, s, "none", active)
 
 
 def lookahead(instance: Instance, s: Sequence) -> AuctionOutcome:
@@ -412,40 +412,31 @@ def randomized_single_item(instance: Instance, s: Sequence,
     (drawn by the admission law in :data:`MECHANISMS`); reserves still
     condition on every other agent's signal, admitted or not."""
     feas = instance.feas
-    single_item = (feas.is_matroid
-                   and all(feas.is_independent({a}) for a in feas.ground)
-                   and not any(len(f) > 1 for f in feas.feasible_sets()))
-    if not single_item:
+    if not (feas.is_matroid and all(feas.is_independent({a}) for a in feas.ground)
+            and feas.rank(feas.ground) <= 1):
         raise WrongVariantError("the single-item variant needs a 1-uniform system")
-    z = _admitted(instance, admission)
-    return gvcg_lazy(instance, s, "conditional", active=z, admitted=z,
-                     event_mode=event_mode)
+    return _admitted_lookahead(instance, s, admission, event_mode)
 
 
-def randomized_matroid(instance: Instance, s: Sequence, branch,
-                       admission=None, *,
+def randomized_matroid(instance: Instance, s: Sequence, admission, *,
                        event_mode: str = "winner_conditioned") -> AuctionOutcome:
-    """Matroid variant: the ``all`` branch admits everyone, the ``subsample``
-    branch the given set; :data:`MECHANISMS` holds the law that picks them."""
+    """Matroid variant: the lazy auction inside the admitted set, drawn by
+    the admission law in :data:`MECHANISMS`; admitting everyone is the
+    all-agents set."""
     if not instance.feas.is_matroid:
         raise WrongVariantError("the matroid variant needs a matroid system")
-    if branch == "all":
-        z = frozenset(instance.agents)
-    elif branch == "subsample":
-        z = _admitted(instance, admission)
-    else:
-        raise MechanismError(f"unknown branch {branch!r}; use 'all' or 'subsample'")
-    return gvcg_lazy(instance, s, "conditional", active=z, admitted=z,
-                     event_mode=event_mode)
+    return _admitted_lookahead(instance, s, admission, event_mode)
 
 
-def _admitted(instance, admission) -> frozenset:
+def _admitted_lookahead(instance: Instance, s: Sequence, admission,
+                        event_mode: str) -> AuctionOutcome:
     if admission is None:
         raise MechanismError("need an explicit admission set")
     z = frozenset(admission)
     if not z <= set(instance.agents):
         raise MechanismError("admission set mentions unknown agents")
-    return z
+    return gvcg_lazy(instance, s, "conditional", active=z, admitted=z,
+                     event_mode=event_mode)
 
 
 def vcg_eager(instance: Instance, s: Sequence, reserves) -> AuctionOutcome:
@@ -459,7 +450,7 @@ def vcg_eager(instance: Instance, s: Sequence, reserves) -> AuctionOutcome:
     vals = instance.values_at(s)
     u = frozenset(a for a in all_agents if vals[a] >= r[a])
     w_u = winner_set(instance, s, u)
-    zero = Fraction(0) if instance.arithmetic == RATIONAL else 0.0
+    zero = instance.zero
     alloc, payment, t_sig, t_val = {}, {}, {}, {}
     served = set()
     for a in instance.agents:
@@ -474,8 +465,7 @@ def vcg_eager(instance: Instance, s: Sequence, reserves) -> AuctionOutcome:
                 alloc[a] = 1
                 payment[a] = price
     return AuctionOutcome(alloc, payment, t_sig, t_val, dict(r),
-                          tentative=w_u, served=frozenset(served), admitted=None,
-                          w_reference=winner_set(instance, s, all_agents))
+                          tentative=w_u, served=frozenset(served), admitted=None)
 
 
 # ----------------------------------------------------------------------
@@ -573,8 +563,7 @@ MECHANISMS = {
         lambda inst, spec, s, z: randomized_single_item(inst, s, z, event_mode=spec.event_mode),
         Admission(p_all=Fraction(0), p_in=Fraction(2, 3))),
     "rand-matroid": Mechanism(
-        lambda inst, spec, s, z: randomized_matroid(inst, s, "subsample", z,
-                                                    event_mode=spec.event_mode),
+        lambda inst, spec, s, z: randomized_matroid(inst, s, z, event_mode=spec.event_mode),
         Admission(p_all=Fraction(1, 2), p_in=Fraction(1, 2))),
     "vcg-eager": Mechanism(lambda inst, spec, s, z: vcg_eager(inst, s, spec.reserve_source),
                            reads_reserves=True),

@@ -364,13 +364,13 @@ def test_rand_matroid_branches():
     axes = {1: (1, 3), 2: (1, 2), 3: (2, 4)}
     inst = make_instance(axes, FeasibilitySystem.uniform(2, [1, 2, 3]))
     s = (3, 2, 4)
-    full = randomized_matroid(inst, s, "all")
+    full = randomized_matroid(inst, s, frozenset(inst.agents))
     look = lookahead(inst, s)
     assert full.served == look.served and full.payment == look.payment
-    empty = randomized_matroid(inst, s, "subsample", frozenset())
+    empty = randomized_matroid(inst, s, frozenset())
     assert empty.revenue == 0
     z = frozenset({2, 3})
-    out = randomized_matroid(inst, s, "subsample", z)
+    out = randomized_matroid(inst, s, z)
     assert out.tentative == {2, 3}
     assert out.admitted == z
 
@@ -378,7 +378,7 @@ def test_rand_matroid_branches():
 def test_rand_matroid_needs_matroid():
     inst = nonmat1()
     with pytest.raises(WrongVariantError):
-        randomized_matroid(inst, (1, H, F(6, 5)), "all")
+        randomized_matroid(inst, (1, H, F(6, 5)), frozenset(inst.agents))
 
 
 def test_realization_weights_sum_to_one():
@@ -550,9 +550,9 @@ def test_rand_matroid_brute_force_agreement():
                    for c in itertools.combinations(inst.agents, r)]
         direct = F(0)
         for s, p in inst.dist.enumerate_support():
-            direct += p * H * randomized_matroid(inst, s, "all").revenue
+            direct += p * H * randomized_matroid(inst, s, frozenset(inst.agents)).revenue
             for z in subsets:
-                direct += p * H * H ** n * randomized_matroid(inst, s, "subsample", z).revenue
+                direct += p * H * H ** n * randomized_matroid(inst, s, z).revenue
         assert expected_revenue(inst, MechanismSpec("rand-matroid")).value == direct
 
 
