@@ -249,12 +249,14 @@ def _solve_rational(lp: LinearProgram) -> SimplexResult:
             basis[i - 1] = slack
             slack += 1
         else:
-            if M[i, row.basic] != 1:
-                raise SimplexError(
-                    "equality rows must carry their basic variable with coefficient 1")
             basis[i - 1] = row.basic
 
     d = 1
+    # scaling an equality row to integers also scales its basic coefficient;
+    # one pivot on it restores the unit column (solve checked it is canonical)
+    for i, row in enumerate(lp.rows, start=1):
+        if row.kind == "eq" and M[i, row.basic] != 1:
+            d = _pivot_int(M, d, i, row.basic)
     pivots = 0
     stall = 0
     last_obj = (0, 1)

@@ -9,6 +9,7 @@ from auctionlab.simplex import (
     LinearProgram,
     Row,
     SimplexError,
+    _solve_rational,
     solve,
     verify_certificate,
 )
@@ -78,6 +79,25 @@ def test_equality_requires_unit_coefficient():
     lp.add_eq({0: 2, 1: 1}, 1, basic=0)
     with pytest.raises(SimplexError, match="coefficient 1"):
         solve(lp)
+
+
+def test_exact_kernel_takes_fractional_equality_rows():
+    # scaling x0 + x1/2 = 1 to integers leaves x0's coefficient at 2
+    lp = LinearProgram(2, [0, 1])
+    lp.add_eq({0: 1, 1: F(1, 2)}, 1, basic=0)
+    exact = _solve_rational(lp)
+    assert exact.objective == 2 and exact.x == [0, 2]
+    assert solve(lp).objective == 2
+    # two fractional equality rows and a fractional inequality
+    lp = LinearProgram(4, [0, 0, 1, 1])
+    lp.add_eq({0: 1, 2: F(2, 3), 3: F(1, 2)}, F(2, 3), basic=0)
+    lp.add_eq({1: 1, 2: 1, 3: 3}, F(2, 3), basic=1)
+    lp.add_le({2: 2, 3: F(1, 2)}, F(3, 4))
+    certified = solve(lp)
+    assert certified.certified and certified.objective == F(5, 11)
+    exact = _solve_rational(lp)
+    assert exact.objective == F(5, 11) and exact.x == certified.x
+    assert exact.x == [F(151, 396), 0, F(23, 66), F(7, 66)]
 
 
 def test_negative_rhs_rejected():
