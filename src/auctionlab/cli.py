@@ -32,10 +32,6 @@ from .oracle import opt_revenue
 from .runner import ExperimentSpec, run, write_report
 
 
-def _fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def _mechanism_spec(mech_id: str, args) -> MechanismSpec:
     return MechanismSpec(mech_id, reserve_source=args.reserve_source or "none",
                          event_mode=args.reserve_conditioning)
@@ -123,7 +119,10 @@ def cmd_run(args) -> int:
     bounds = {}
     for chunk in args.bound:
         mech, _, ratio = chunk.partition("=")
-        bounds[mech] = _fraction(ratio)
+        try:
+            bounds[mech] = Fraction(ratio)
+        except (ValueError, ZeroDivisionError):
+            raise SystemExit(f"--bound {chunk!r} is not MECH=RATIO") from None
     spec = ExperimentSpec(
         mechanisms=[_mechanism_spec(m, args) for m in args.mechanism],
         paths=_instance_paths(args),

@@ -132,8 +132,13 @@ def _coerce_mechanism(m) -> MechanismSpec:
 
 
 def run(spec: ExperimentSpec) -> RatioReport:
-    instances = _materialise_instances(spec)
     mechanisms = [_coerce_mechanism(m) for m in spec.mechanisms]
+    if spec.bounds and not spec.compute_oracle:
+        raise ValueError("ratio bounds need the oracle, which is switched off")
+    unbound = sorted(set(spec.bounds) - {m.mech_id for m in mechanisms})
+    if unbound:
+        raise ValueError(f"bounds name mechanisms that do not run: {unbound}")
+    instances = _materialise_instances(spec)
     rows = []
     oracle_cache: dict = {}
     bound_cache: dict = {}

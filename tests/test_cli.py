@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from auctionlab.cli import main
 from auctionlab.instances import fixture_path
 
@@ -109,3 +111,22 @@ def test_gen_roundtrip(tmp_path, capsys):
     assert len(files) == 2
     rc = main(["run", "--instance", str(files[0]), "--mechanism", "gvcg"])
     assert rc == 0
+
+
+def test_bound_for_a_mechanism_that_does_not_run_is_refused():
+    with pytest.raises(ValueError, match=r"do not run: \['lookahed'\]"):
+        main(["run", "--instance", str(fixture_path("tiny1")),
+              "--mechanism", "lookahead", "--bound", "lookahed=99"])
+
+
+def test_malformed_bound_exits_with_one_line():
+    for chunk in ("lookahead", "lookahead=1/0", "lookahead=half"):
+        with pytest.raises(SystemExit, match=f"--bound '{chunk}' is not MECH=RATIO"):
+            main(["run", "--instance", str(fixture_path("tiny1")),
+                  "--mechanism", "lookahead", "--bound", chunk])
+
+
+def test_bound_without_oracle_is_refused():
+    with pytest.raises(ValueError, match="need the oracle"):
+        main(["run", "--instance", str(fixture_path("tiny1")),
+              "--mechanism", "lookahead", "--bound", "lookahead=1/2", "--no-oracle"])
