@@ -208,32 +208,20 @@ class FeasibilitySystem:
         return len(chosen)
 
     def restriction(self, keep: Iterable[Agent]) -> "FeasibilitySystem":
-        """The system whose feasible sets are the feasible subsets of ``keep``."""
+        """The system whose feasible sets are the feasible subsets of ``keep``:
+        the same oracle on a smaller ground set.  A restriction of a matroid
+        is a matroid; an explicit non-matroid may restrict to one."""
         k = self._check_subset(keep)
         ground = tuple(a for a in self.ground if a in k)
-        kind = self.kind
-        if kind == "uniform":
-            return FeasibilitySystem.uniform(self._params["k"], ground)
-        if kind == "partition":
-            blocks = [tuple(a for a in b if a in k) for b in self._params["blocks"]]
-            pairs = [(b, c) for b, c in zip(blocks, self._params["capacities"]) if b]
-            if not pairs:
-                return FeasibilitySystem.partition([], [], ground=ground)
-            bs, cs = zip(*pairs)
-            return FeasibilitySystem.partition(list(bs), list(cs), ground=ground)
-        if kind == "transversal":
-            adj = {a: self._params["adjacency"][a] for a in ground}
-            return FeasibilitySystem.transversal(adj, ground=ground)
-        if kind == "graphic":
-            edges = {a: self._params["edges"][a] for a in ground}
-            return FeasibilitySystem.graphic(edges, ground=ground)
-        family = [f for f in self._params["family"] if f <= k]
-        return FeasibilitySystem.explicit(family, ground=ground)
+        is_matroid = self.is_matroid or _exchange_axiom_holds(
+            frozenset(f for f in self._params["family"] if f <= k))
+        return FeasibilitySystem(self.kind, ground, is_matroid=is_matroid,
+                                 params=self._params)
 
     def feasible_sets(self) -> list[frozenset]:
         """Every feasible set, ordered by (size, element names); small grounds only."""
         if self.kind == "explicit":
-            family = set(self._params["family"])
+            family = {f for f in self._params["family"] if f <= self.ground_set}
         else:
             if len(self.ground) > 20:
                 raise FeasibilityError("feasible-set enumeration needs a small ground set")
