@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -15,6 +17,7 @@ from auctionlab.distributions import (
     revenue_curve,
     truncate_above,
 )
+from auctionlab.generators import generate_instances
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -231,3 +234,70 @@ def test_double_mode_normalisation():
     with pytest.raises(DistributionError):
         JointDistribution(g, form="table", arithmetic="double",
                           table=[((1, 1), 0.5), ((2, 2), 0.51)])
+
+
+# ----------------------------------------------------------------------
+# one distribution written both ways
+
+
+def _both_forms():
+    """Three agents on uneven axes, independent, as a product and as a table.
+
+    Agent 3's grid has a point (7) outside its marginal's support, so every
+    column that fixes agent 3 at 7 has no mass.
+    """
+    grid = SignalGrid(agents=(1, 2, 3), values={1: (1, 2), 2: (1, 3, 4), 3: (2, 5, 6, 7)})
+    marginals = {
+        1: ScalarDistribution([(1, Fraction(1, 3)), (2, Fraction(2, 3))]),
+        2: ScalarDistribution([(1, Fraction(1, 5)), (3, H), (4, Fraction(3, 10))]),
+        3: ScalarDistribution([(2, Fraction(1, 7)), (5, Fraction(4, 7)), (6, Fraction(2, 7))]),
+    }
+    product = JointDistribution(grid, form="product", marginals=marginals)
+    table = JointDistribution(grid, form="table", table=[
+        ((a, b, c), pa * pb * pc)
+        for a, pa in marginals[1] for b, pb in marginals[2] for c, pc in marginals[3]])
+    return grid, product, table
+
+
+def _conditional_or_error(d, agent, others):
+    try:
+        return d.conditional_signal(agent, others)
+    except ConditioningError:
+        return ConditioningError
+
+
+def test_product_and_table_forms_agree():
+    grid, product, table = _both_forms()
+    assert list(product.enumerate_support()) == list(table.enumerate_support())
+    for profile in grid.profiles():
+        assert product.probability(profile) == table.probability(profile)
+    for a in grid.agents:
+        assert product.marginal(a) == table.marginal(a)
+    refused = 0
+    for a in grid.agents:
+        rest = [b for b in grid.agents if b != a]
+        for column in itertools.product(*(grid.axis(b) for b in rest)):
+            others = dict(zip(rest, column))
+            got = _conditional_or_error(product, a, others)
+            assert got == _conditional_or_error(table, a, others)
+            refused += got is ConditioningError
+    assert refused > 0
+    draws = []
+    for d in (product, table):
+        rng = random.Random(11)
+        draws.append([d.sample(rng) for _ in range(2000)])
+    assert draws[0] == draws[1]
+
+
+@pytest.mark.parametrize("name, params, seed, digest", [
+    ("correlated-private", {"n": 4, "grid": 8, "kind": "2-uniform"}, 0,
+     "60547ce89c783b73020f2990bd5650c00545b28757d29a55ef685cc29bd0b55a"),
+    ("regular-marginals", {"n": 4, "grid": 7, "kind": "2-uniform"}, 9,
+     "7c81e89c53609331ba57bb6992c55909897d80dc4929e0c1fba563306500503b"),
+])
+def test_sample_stream_pinned_on_large_supports(name, params, seed, digest):
+    d = generate_instances(name, params, seed)[0].dist
+    assert len(d.support_profiles()) > 1000
+    rng = random.Random(7)
+    draws = [d.sample(rng) for _ in range(2000)]
+    assert hashlib.sha256(repr(draws).encode()).hexdigest() == digest
