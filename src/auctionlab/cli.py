@@ -29,7 +29,7 @@ from .mechanisms import (
     run_realized,
 )
 from .oracle import opt_revenue
-from .runner import ExperimentSpec, run, write_report
+from .runner import ExperimentSpec, SpecError, run, write_report
 
 
 def _mechanism_spec(mech_id: str, args) -> MechanismSpec:
@@ -137,7 +137,10 @@ def cmd_run(args) -> int:
         tolerance=args.tolerance,
         skip_inapplicable=args.skip_inapplicable,
     )
-    report = run(spec)
+    try:
+        report = run(spec)
+    except SpecError as exc:
+        raise SystemExit(str(exc)) from None
     if args.out:
         write_report(report, args.out)
         print(f"report written to {args.out}")

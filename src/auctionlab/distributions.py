@@ -1,12 +1,15 @@
 """Finite-support signal distributions: conditioning, truncation, pricing.
 
-Joint distributions come in two forms, an explicit table of profiles and a
-product of per-agent marginals, both living on a :class:`SignalGrid`.  Two
-arithmetic modes are supported: exact rationals (the default, probabilities
-must sum to one exactly) and doubles (normalisation checked to 1e-12).
+A joint distribution on a :class:`SignalGrid` can be written two ways, as an
+explicit table of profiles or as a product of per-agent marginals, and is held
+one way: a table of its positive-probability profiles in row-major order, which
+every query reads.  Two arithmetic modes are supported: exact rationals (the
+default, probabilities must sum to one exactly) and doubles (normalisation
+checked to 1e-12).
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -36,6 +39,12 @@ def _check_grid_axis(values) -> tuple:
     if any(isinstance(v, float) and not math.isfinite(v) for v in vals):
         raise DistributionError("grid values must be finite")
     return vals
+
+
+def _check_total(total, arithmetic: str):
+    if (total != 1 if arithmetic == RATIONAL
+            else abs(total - 1) > DOUBLE_NORMALISATION_TOL):
+        raise DistributionError(f"probabilities sum to {total}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -79,12 +88,7 @@ class ScalarDistribution:
             raise DistributionError("negative probability")
         if not support:
             raise DistributionError("empty support")
-        total = sum(probs)
-        if arithmetic == RATIONAL:
-            if total != 1:
-                raise DistributionError(f"probabilities sum to {total}, expected 1")
-        elif abs(total - 1) > DOUBLE_NORMALISATION_TOL:
-            raise DistributionError(f"probabilities sum to {total}, expected 1")
+        _check_total(sum(probs), arithmetic)
         self.support = support
         self.probs = probs
         self.arithmetic = arithmetic
@@ -166,19 +170,28 @@ def regularity_report(d: ScalarDistribution) -> RegularityReport:
 
 
 class JointDistribution:
-    """Correlated joint pmf over signal profiles, table or product form."""
+    """Correlated joint pmf over signal profiles, held as one table.
+
+    ``form="table"`` lists (profile, probability) entries.  ``form="product"``
+    multiplies per-agent marginals out into the same table and keeps them in
+    :attr:`marginals` (else ``None``) only to write the instance back.
+    """
 
     def __init__(self, grid: SignalGrid, *, form: str, arithmetic: str = RATIONAL,
                  table=None, marginals=None):
         self.grid = grid
-        self.form = form
         self.arithmetic = arithmetic
+        self.marginals = None
         if form == "table":
             self._init_table(table)
         elif form == "product":
             self._init_product(marginals)
         else:
             raise DistributionError(f"unknown distribution form {form!r}")
+        # Built on first use, so a fresh copy pays for them where it is used.
+        self._marginal_cache: dict = {}
+        self._column_index: dict = {}
+        self._cumulative = None
 
     def _init_table(self, table):
         if table is None:
@@ -193,19 +206,13 @@ class JointDistribution:
             if prob < 0:
                 raise DistributionError("negative probability")
             seen[profile] = prob
-        total = sum(seen.values())
-        if self.arithmetic == RATIONAL:
-            if total != 1:
-                raise DistributionError(f"probabilities sum to {total}, expected 1")
-        elif abs(total - 1) > DOUBLE_NORMALISATION_TOL:
-            raise DistributionError(f"probabilities sum to {total}, expected 1")
+        _check_total(sum(seen.values()), self.arithmetic)
         self._table = {p: q for p, q in sorted(seen.items()) if q > 0}
-        self._marginals = None
 
     def _init_product(self, marginals):
         if marginals is None:
             raise DistributionError("product form needs per-agent marginals")
-        self._marginals = {}
+        self.marginals = {}
         for a in self.grid.agents:
             if a not in marginals:
                 raise DistributionError(f"missing marginal for agent {a!r}")
@@ -214,53 +221,34 @@ class JointDistribution:
                 m = ScalarDistribution(m, self.arithmetic)
             if not set(m.support) <= set(self.grid.axis(a)):
                 raise DistributionError(f"marginal support off the grid for agent {a!r}")
-            self._marginals[a] = m
-        self._table = None
+            self.marginals[a] = m
+        axes = [[(v, p) for v, p in self.marginals[a] if p > 0] for a in self.grid.agents]
+        self._table = {tuple(v for v, _ in combo): math.prod(p for _, p in combo)
+                       for combo in itertools.product(*axes)}
 
     @property
     def agents(self):
         return self.grid.agents
 
     def probability(self, profile: tuple):
-        if self._table is not None:
-            return self._table.get(tuple(profile), 0)
-        p = 1
-        for a, s in zip(self.grid.agents, profile):
-            m = self._marginals[a]
-            try:
-                p = p * m.probs[m.support.index(s)]
-            except ValueError:
-                return 0
-        return p
+        return self._table.get(tuple(profile), 0)
 
     def enumerate_support(self) -> Iterator[tuple]:
         """Yield (profile, probability) for every positive-probability profile."""
-        if self._table is not None:
-            yield from self._table.items()
-            return
-        axes = []
-        for a in self.grid.agents:
-            m = self._marginals[a]
-            axes.append([(v, p) for v, p in m if p > 0])
-        for combo in itertools.product(*axes):
-            profile = tuple(v for v, _ in combo)
-            prob = 1
-            for _, p in combo:
-                prob = prob * p
-            yield profile, prob
+        return iter(self._table.items())
 
     def support_profiles(self) -> list[tuple]:
-        return [s for s, _ in self.enumerate_support()]
+        return list(self._table)
 
     def marginal(self, agent) -> ScalarDistribution:
-        if self._marginals is not None:
-            return self._marginals[agent]
-        idx = self.grid.index_of(agent)
-        acc: dict = {}
-        for profile, p in self.enumerate_support():
-            v = profile[idx]
-            acc[v] = acc.get(v, 0) + p
-        return ScalarDistribution(acc.items(), self.arithmetic)
+        """The agent's signal pmf over its positive-probability values."""
+        if agent not in self._marginal_cache:
+            idx = self.grid.index_of(agent)
+            acc: dict = {}
+            for profile, p in self._table.items():
+                acc[profile[idx]] = acc.get(profile[idx], 0) + p
+            self._marginal_cache[agent] = ScalarDistribution(acc.items(), self.arithmetic)
+        return self._marginal_cache[agent]
 
     def conditional_signal(self, agent, others: Mapping) -> ScalarDistribution:
         """Exact pmf of the agent's signal given every other coordinate.
@@ -271,34 +259,38 @@ class JointDistribution:
         expected = set(self.grid.agents) - {agent}
         if set(others) != expected:
             raise DistributionError("conditioning must fix exactly the other agents")
-        if self._marginals is not None:
-            for a, v in others.items():
-                m = self._marginals[a]
-                if v not in m.support or m.probs[m.support.index(v)] == 0:
-                    raise ConditioningError(f"agent {a!r} never has signal {v}")
-            return self._marginals[agent]
-        idx = self.grid.index_of(agent)
-        other_idx = [(self.grid.index_of(a), others[a]) for a in others]
-        rows = {}
-        for profile, p in self._table.items():
-            if all(profile[i] == v for i, v in other_idx):
-                rows[profile[idx]] = rows.get(profile[idx], 0) + p
-        mass = sum(rows.values())
-        if mass == 0:
-            raise ConditioningError(f"zero-probability conditioning event {dict(others)}")
-        return ScalarDistribution([(v, p / mass) for v, p in rows.items()], self.arithmetic)
+        column = tuple(others[a] for a in self.grid.agents if a != agent)
+        try:
+            return self._columns(agent)[column]
+        except KeyError:
+            raise ConditioningError(
+                f"zero-probability conditioning event {dict(others)}") from None
+
+    def _columns(self, agent) -> dict:
+        """Conditional pmfs of the agent's signal, keyed by the others' signals."""
+        if agent not in self._column_index:
+            idx = self.grid.index_of(agent)
+            rows: dict = {}
+            for profile, p in self._table.items():
+                column = profile[:idx] + profile[idx + 1:]
+                rows.setdefault(column, []).append((profile[idx], p))
+            index = {}
+            for column, pairs in rows.items():
+                mass = sum(p for _, p in pairs)
+                index[column] = ScalarDistribution([(v, p / mass) for v, p in pairs],
+                                                   self.arithmetic)
+            self._column_index[agent] = index
+        return self._column_index[agent]
 
     def sample(self, rng) -> tuple:
-        """Draw one profile using the caller's random stream."""
-        u = rng.random()
-        acc = 0.0
-        last = None
-        for profile, p in self.enumerate_support():
-            acc += float(p)
-            last = profile
-            if u < acc:
-                return profile
-        return last
+        """Draw one profile using the caller's random stream: the first one
+        whose running float total exceeds a uniform draw, else the last."""
+        if self._cumulative is None:
+            sums = list(itertools.accumulate(float(p) for p in self._table.values()))
+            self._cumulative = (sums, list(self._table))
+        sums, profiles = self._cumulative
+        i = bisect.bisect_right(sums, rng.random())
+        return profiles[min(i, len(profiles) - 1)]
 
     def total_mass(self):
-        return sum(p for _, p in self.enumerate_support())
+        return sum(self._table.values())

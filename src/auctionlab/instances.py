@@ -225,11 +225,11 @@ def to_dict(instance: Instance) -> dict:
     doc["grid"] = {a: [_format_num(v) for v in instance.grid.axis(a)]
                    for a in instance.agents}
     dist = instance.dist
-    if dist._marginals is not None:
+    if dist.marginals is not None:
         doc["distribution"] = {
             "form": "product", "arithmetic": instance.arithmetic,
             "marginals": {a: [[_format_num(v), _format_num(p)] for v, p in m]
-                          for a, m in dist._marginals.items()}}
+                          for a, m in dist.marginals.items()}}
     else:
         doc["distribution"] = {
             "form": "table", "arithmetic": instance.arithmetic,

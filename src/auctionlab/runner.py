@@ -37,6 +37,10 @@ CSV_COLUMNS = ("instance", "mechanism", "reserve_source", "mode", "revenue",
                "violations", "bound", "bound_ok")
 
 
+class SpecError(ValueError):
+    """The experiment spec cannot run as given."""
+
+
 @dataclass
 class ExperimentSpec:
     mechanisms: list
@@ -123,7 +127,7 @@ def _materialise_instances(spec: ExperimentSpec) -> list[Instance]:
         name, params, seed = spec.generator
         out.extend(generate_instances(name, params, seed))
     if not out:
-        raise ValueError("experiment needs at least one instance")
+        raise SpecError("experiment needs at least one instance")
     return out
 
 
@@ -134,10 +138,10 @@ def _coerce_mechanism(m) -> MechanismSpec:
 def run(spec: ExperimentSpec) -> RatioReport:
     mechanisms = [_coerce_mechanism(m) for m in spec.mechanisms]
     if spec.bounds and not spec.compute_oracle:
-        raise ValueError("ratio bounds need the oracle, which is switched off")
+        raise SpecError("ratio bounds need the oracle, which is switched off")
     unbound = sorted(set(spec.bounds) - {m.mech_id for m in mechanisms})
     if unbound:
-        raise ValueError(f"bounds name mechanisms that do not run: {unbound}")
+        raise SpecError(f"bounds name mechanisms that do not run: {unbound}")
     instances = _materialise_instances(spec)
     rows = []
     oracle_cache: dict = {}

@@ -114,7 +114,7 @@ def test_gen_roundtrip(tmp_path, capsys):
 
 
 def test_bound_for_a_mechanism_that_does_not_run_is_refused():
-    with pytest.raises(ValueError, match=r"do not run: \['lookahed'\]"):
+    with pytest.raises(SystemExit, match=r"do not run: \['lookahed'\]"):
         main(["run", "--instance", str(fixture_path("tiny1")),
               "--mechanism", "lookahead", "--bound", "lookahed=99"])
 
@@ -127,6 +127,6 @@ def test_malformed_bound_exits_with_one_line():
 
 
 def test_bound_without_oracle_is_refused():
-    with pytest.raises(ValueError, match="need the oracle"):
+    with pytest.raises(SystemExit, match="need the oracle"):
         main(["run", "--instance", str(fixture_path("tiny1")),
               "--mechanism", "lookahead", "--bound", "lookahead=1/2", "--no-oracle"])

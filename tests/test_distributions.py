@@ -150,6 +150,18 @@ def test_product_conditional_is_marginal():
     assert d.conditional_signal(1, {2: 1}) == uniform(1, 2)
 
 
+def test_product_zero_probability_values_leave_the_support():
+    grid = SignalGrid(agents=(1, 2), values={1: (1, 2, 3), 2: (1, 2)})
+    listed = ScalarDistribution([(1, H), (2, 0), (3, H)])
+    d = JointDistribution(grid, form="product", marginals={1: listed, 2: uniform(1, 2)})
+    assert d.marginals[1] == listed
+    assert d.marginal(1) == ScalarDistribution([(1, H), (3, H)])
+    assert d.conditional_signal(1, {2: 2}) == d.marginal(1)
+    assert monopoly_price(d.marginal(1)) == monopoly_price(listed)
+    with pytest.raises(ConditioningError):
+        d.conditional_signal(2, {1: 2})
+
+
 def test_table_conditional():
     g = grid2()
     d = JointDistribution(g, form="table", table=[((1, 1), H), ((2, 2), H)])

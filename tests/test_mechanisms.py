@@ -610,6 +610,23 @@ def test_opt_upper_bound_point_mass():
     assert opt_upper_bound(inst) == 8
 
 
+def test_zero_probability_marginal_values_move_no_revenue():
+    axes = {1: (1, 2, 3, 4), 2: (1, 3)}
+    feas = FeasibilitySystem.uniform(1, [1, 2])
+    grid = SignalGrid(agents=(1, 2), values=axes)
+    revenues = []
+    for listed in ([(1, F(1, 4)), (3, F(3, 4))],
+                   [(1, F(1, 4)), (2, 0), (3, F(3, 4)), (4, 0)]):
+        dist = JointDistribution(grid, form="product", marginals={
+            1: ScalarDistribution(listed), 2: ScalarDistribution([(1, H), (3, H)])})
+        inst = make_instance(axes, feas, dist=dist)
+        revenues.append([expected_revenue(inst, spec).value for spec in (
+            MechanismSpec("lookahead"),
+            MechanismSpec("gvcg-lazy", reserve_source="monopoly"),
+            MechanismSpec("vcg-eager", reserve_source="monopoly"))])
+    assert revenues[0] == revenues[1]
+
+
 # ----------------------------------------------------------------------
 # incentive audit
 

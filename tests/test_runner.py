@@ -121,3 +121,17 @@ def test_inapplicable_mechanism_propagates_with_name():
     report = run(spec2)
     assert report.rows[0].skipped
     assert report.ok
+
+
+def test_bound_for_a_mechanism_that_does_not_run_is_refused():
+    spec = ExperimentSpec(mechanisms=["lookahead"], paths=[fixture_path("tiny1")],
+                          bounds={"lookahed": F(99)})
+    with pytest.raises(ValueError, match=r"do not run: \['lookahed'\]"):
+        run(spec)
+
+
+def test_bound_without_oracle_is_refused():
+    spec = ExperimentSpec(mechanisms=["lookahead"], paths=[fixture_path("tiny1")],
+                          bounds={"lookahead": F(1, 2)}, compute_oracle=False)
+    with pytest.raises(ValueError, match="need the oracle"):
+        run(spec)
