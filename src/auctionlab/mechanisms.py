@@ -7,8 +7,10 @@ an active set with a reserve rule: generalized VCG picks the tentative
 winners within the active set, and each one is offered the higher of its
 reserve and its threshold value.  Plain generalized VCG has no reserves;
 lookahead admits everyone and posts winner-conditioned monopoly reserves;
-the randomized variants run the lookahead rule inside an admitted set.  Each
-agent's threshold is scanned once per run, and the winner-conditioned
+the randomized variants run the lookahead rule inside an admitted set.  An
+agent's threshold reads only the others' signals (its column) and the active
+set, so it is scanned once per (agent, column, active set) per instance, not
+once per run, and tabled on the :class:`Instance`; the winner-conditioned
 reserve reads that same threshold.
 
 Threshold semantics on grids: an agent's critical signal s* is the smallest
@@ -47,13 +49,15 @@ from .matroid import (
     default_tie_break,
     max_weight_basis,
 )
-from .valuations import ValuationProfile, value
+from .valuations import ValuationProfile
 
 log = logging.getLogger(__name__)
 
 NEVER_WINS = None  # threshold-signal marker; threshold value becomes +inf
 
 DEFAULT_ATOM_CAP = 10 ** 7
+
+RESERVE_FALLBACKS = ("unconditioned", "prior-marginal")
 
 
 class MechanismError(RuntimeError):
@@ -82,7 +86,16 @@ class SizeError(MechanismError):
 
 @dataclass
 class Instance:
-    """A complete auction environment; immutable once constructed."""
+    """A complete auction environment; immutable once constructed.
+
+    The auctions table values per (agent, profile), winner sets per
+    (profile, active set), thresholds per (agent, column, active set) and
+    reserve quotes per (agent, column, event mode, threshold value) on the
+    instance, a column being a profile without the agent's own signal.  The
+    tables rely on the instance not changing.  Agent sets are interned, so
+    each distinct one is held once.  ``runner.run`` calls
+    :meth:`release_tables` when an instance's rows are done.
+    """
 
     grid: SignalGrid
     dist: JointDistribution
@@ -104,13 +117,42 @@ class Instance:
         self.zero = Fraction(0) if self.arithmetic == RATIONAL else 0.0
         self._restrictions: dict = {}
         self._checks: dict = {}
+        self._values, self._winners, self._thresholds, self._quotes, self._sets = (
+            {}, {}, {}, {}, {})
 
     @property
     def agents(self) -> tuple:
         return self.grid.agents
 
+    def value(self, agent, s: tuple):
+        """v_agent(s), tabled per (agent, profile)."""
+        key = (agent, s)
+        try:
+            return self._values[key]
+        except KeyError:
+            v = self._values[key] = valuations.value(self.vp, agent, s)
+            return v
+
     def values_at(self, s: Sequence) -> dict:
-        return {a: value(self.vp, a, s) for a in self.agents}
+        return {a: self.value(a, tuple(s)) for a in self.agents}
+
+    def interned(self, agents: frozenset) -> frozenset:
+        """The instance's one copy of this agent set."""
+        return self._sets.setdefault(agents, agents)
+
+    def table_sizes(self) -> dict:
+        return {"values": len(self._values), "winner_sets": len(self._winners),
+                "thresholds": len(self._thresholds), "quotes": len(self._quotes)}
+
+    def release_tables(self) -> dict:
+        """Empty the tables; return their entry counts and the reserve
+        fallback labels counted over the distinct tabled quotes."""
+        labels = [q.fallback for q in self._quotes.values()]
+        held = {"entries": self.table_sizes(), "fallbacks_over_distinct_quotes":
+                {f: labels.count(f) for f in RESERVE_FALLBACKS}}
+        for table in (self._values, self._winners, self._thresholds, self._quotes, self._sets):
+            table.clear()
+        return held
 
     def restricted(self, active: frozenset) -> FeasibilitySystem:
         sub = self._restrictions.get(active)
@@ -173,7 +215,7 @@ class AuctionOutcome:
         return sum((self.payment[a] for a in self.served), 0)
 
     def welfare(self, instance: Instance, s: Sequence):
-        return sum((value(instance.vp, a, s) for a in self.served), 0)
+        return sum((instance.value(a, tuple(s)) for a in self.served), 0)
 
 
 # ----------------------------------------------------------------------
@@ -184,10 +226,15 @@ def winner_set(instance: Instance, s: Sequence, active: frozenset) -> frozenset:
     """Welfare-maximising feasible subset of ``active`` at profile s."""
     if not active:
         return frozenset()
-    sub = instance.restricted(active)
-    weights = {a: value(instance.vp, a, s) for a in active}
-    tie = [a for a in instance.tie_break if a in active]
-    return max_weight_basis(sub, weights, tie, full=True).elements
+    s = tuple(s)
+    key = (s, active)
+    w = instance._winners.get(key)
+    if w is None:
+        weights = {a: instance.value(a, s) for a in active}
+        tie = [a for a in instance.tie_break if a in active]
+        w = max_weight_basis(instance.restricted(active), weights, tie, full=True).elements
+        w = instance._winners[key] = instance.interned(w)
+    return w
 
 
 def threshold(instance: Instance, s: Sequence, agent, active: frozenset):
@@ -195,16 +242,23 @@ def threshold(instance: Instance, s: Sequence, agent, active: frozenset):
 
     Scans the agent's grid from below; the smallest signal at which the agent
     joins the winner set is critical.  Returns (None, inf) when no grid
-    signal wins.
+    signal wins.  The scan reads only the agent's column of s.
     """
     if agent not in active:
         return NEVER_WINS, math.inf
     idx = instance.grid.index_of(agent)
-    for t in instance.grid.axis(agent):
-        st = tuple(s[:idx]) + (t,) + tuple(s[idx + 1:])
-        if agent in winner_set(instance, st, active):
-            return t, value(instance.vp, agent, st)
-    return NEVER_WINS, math.inf
+    before, after = tuple(s[:idx]), tuple(s[idx + 1:])
+    key = (agent, before + after, active)
+    found = instance._thresholds.get(key)
+    if found is None:
+        found = NEVER_WINS, math.inf
+        for t in instance.grid.axis(agent):
+            st = before + (t,) + after
+            if agent in winner_set(instance, st, active):
+                found = t, instance.value(agent, st)
+                break
+        instance._thresholds[key] = found
+    return found
 
 
 # ----------------------------------------------------------------------
@@ -231,12 +285,8 @@ def conditional_value_distribution(instance: Instance, agent, s: Sequence):
 def _own_values(instance: Instance, agent, s: Sequence, signal_dist):
     """Push a pmf of the agent's own signal through v_agent(., s_-agent)."""
     idx = instance.grid.index_of(agent)
-
-    def to_value(t):
-        st = tuple(s[:idx]) + (t,) + tuple(s[idx + 1:])
-        return value(instance.vp, agent, st)
-
-    return signal_dist.map_values(to_value)
+    before, after = tuple(s[:idx]), tuple(s[idx + 1:])
+    return signal_dist.map_values(lambda t: instance.value(agent, before + (t,) + after))
 
 
 def conditional_monopoly_reserve(instance: Instance, agent, s: Sequence, *,
@@ -254,7 +304,7 @@ def conditional_monopoly_reserve(instance: Instance, agent, s: Sequence, *,
     t_val = None
     if event_mode == "winner_conditioned":
         if active is None:
-            active = frozenset(instance.agents)
+            active = instance.interned(frozenset(instance.agents))
         t_val = threshold(instance, s, agent, active)[1]
     return _reserve_quote(instance, agent, s, event_mode, t_val)
 
@@ -263,7 +313,17 @@ def _reserve_quote(instance: Instance, agent, s: Sequence, event_mode: str,
                    t_val) -> ReserveQuote:
     """The quote of :func:`conditional_monopoly_reserve` given the agent's
     threshold value ``t_val``, which the winner event reads; ``math.inf``
-    (the agent never wins) leaves the event empty."""
+    (the agent never wins) leaves the event empty.  Tabled per (agent,
+    column, event mode, threshold value), so each fallback is logged once
+    per distinct quote; an unconditioned quote reads no threshold and is
+    tabled under ``None``."""
+    if event_mode != "winner_conditioned":
+        t_val = None
+    idx = instance.grid.index_of(agent)
+    key = (agent, tuple(s[:idx]) + tuple(s[idx + 1:]), event_mode, t_val)
+    quote = instance._quotes.get(key)
+    if quote is not None:
+        return quote
     fallback = ""
     try:
         vdist = conditional_value_distribution(instance, agent, s)
@@ -283,7 +343,19 @@ def _reserve_quote(instance: Instance, agent, s: Sequence, event_mode: str,
         raise MechanismError(f"unknown reserve event mode {event_mode!r}")
 
     price, revenue = monopoly_price(vdist)
-    return ReserveQuote(agent, price, revenue, fallback)
+    quote = instance._quotes[key] = ReserveQuote(agent, price, revenue, fallback)
+    return quote
+
+
+def _monopoly_quote(instance: Instance, agent) -> ReserveQuote:
+    """The monopoly quote on the agent's prior marginal; it reads no signal,
+    so it is tabled with no column."""
+    key = (agent, None, "monopoly", None)
+    quote = instance._quotes.get(key)
+    if quote is None:
+        price, revenue = monopoly_price(instance.dist.marginal(agent))
+        quote = instance._quotes[key] = ReserveQuote(agent, price, revenue)
+    return quote
 
 
 class SignalView:
@@ -333,7 +405,7 @@ def resolve_reserves(instance: Instance, s: Sequence, agents, source,
         return out
     if source == "monopoly":
         instance.require_private("the unconditional monopoly reserve")
-        return {a: monopoly_price(instance.dist.marginal(a))[0] for a in agents}
+        return {a: _monopoly_quote(instance, a).price for a in agents}
     if source == "conditional":
         if thresholds is None:
             return {a: conditional_monopoly_reserve(
@@ -342,7 +414,7 @@ def resolve_reserves(instance: Instance, s: Sequence, agents, source,
                 for a in agents}
     if source == "unsafe-own-value":
         # deliberately illegal: reads the agent's own report; audit canary
-        return {a: value(instance.vp, a, s) for a in agents}
+        return {a: instance.value(a, tuple(s)) for a in agents}
     if source == "single-sample":
         raise MechanismError("single-sample reserves are integrated over by "
                              "expected_revenue, not resolved per run")
@@ -373,7 +445,7 @@ def gvcg_lazy(instance: Instance, s: Sequence, reserves, active: frozenset | Non
     instance.require_monotone()
     instance.require_single_crossing()
     s = tuple(s)
-    active = frozenset(instance.agents if active is None else active)
+    active = instance.interned(frozenset(instance.agents if active is None else active))
     w = winner_set(instance, s, active)
     t_sig, t_val = {}, {}
     for a in instance.agents:
@@ -388,7 +460,7 @@ def gvcg_lazy(instance: Instance, s: Sequence, reserves, active: frozenset | Non
         if a in w:
             reserve[a] = r[a]
             price = max(r[a], t_val[a])
-            if value(instance.vp, a, s) >= price:
+            if instance.value(a, s) >= price:
                 served.add(a)
                 alloc[a], payment[a] = 1, price
     return AuctionOutcome(alloc, payment, t_sig, t_val, reserve, tentative=w,
@@ -448,13 +520,13 @@ def vcg_eager(instance: Instance, s: Sequence, reserves) -> AuctionOutcome:
     all_agents = frozenset(instance.agents)
     r = resolve_reserves(instance, s, all_agents, reserves)
     vals = instance.values_at(s)
-    u = frozenset(a for a in all_agents if vals[a] >= r[a])
+    u = instance.interned(frozenset(a for a in all_agents if vals[a] >= r[a]))
     w_u = winner_set(instance, s, u)
     zero = instance.zero
     alloc, payment, t_sig, t_val = {}, {}, {}, {}
     served = set()
     for a in instance.agents:
-        scan_active = u | {a}
+        scan_active = instance.interned(u | {a})
         t_sig[a], t_val[a] = threshold(instance, s, a, scan_active)
         alloc[a] = 0
         payment[a] = zero
@@ -515,7 +587,7 @@ def threshold_matching(instance: Instance, s: Sequence, w: frozenset,
         neighbours = []
         for i in sorted(w, key=lambda a: rank[a]):
             st, t_val = crit[i]
-            if j == i or value(instance.vp, j, st) <= t_val:
+            if j == i or instance.value(j, st) <= t_val:
                 neighbours.append(i)
         adjacency[j] = neighbours
     matching = maximum_bipartite_matching(left, adjacency)
@@ -703,7 +775,7 @@ def opt_upper_bound(instance: Instance):
     welfare disjoint from the winners; bounds every ex post IC mechanism."""
     if not instance.feas.is_matroid:
         raise WrongVariantError("the revenue upper bound needs a matroid system")
-    all_agents = frozenset(instance.agents)
+    all_agents = instance.interned(frozenset(instance.agents))
     total = 0
     for s, p in instance.dist.enumerate_support():
         w = winner_set(instance, s, all_agents)
@@ -716,7 +788,7 @@ def opt_upper_bound(instance: Instance):
         loser_value = 0
         if rest:
             sub = instance.restricted(rest)
-            weights = {a: value(instance.vp, a, s) for a in rest}
+            weights = {a: instance.value(a, s) for a in rest}
             tie = [a for a in instance.tie_break if a in rest]
             loser_value = max_weight_basis(sub, weights, tie).weight
         total += p * (quote_sum + loser_value)
@@ -758,7 +830,7 @@ def ic_ir_audit(instance: Instance, spec: MechanismSpec,
         for s in support:
             truth = outcomes[s]
             for k, a in enumerate(instance.agents):
-                v_true = value(instance.vp, a, s)
+                v_true = instance.value(a, s)
                 u_truth = v_true * truth.alloc[a] - truth.payment[a]
                 if u_truth < -tolerance:
                     violations.append(AuditViolation(

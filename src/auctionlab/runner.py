@@ -2,7 +2,8 @@
 
 A report is a fixed-column CSV (byte-identical across runs for the same spec
 and seeds in rational mode) plus a JSON sidecar holding seeds, versions,
-tolerances and wall times.  Audit failures are never skipped silently: a row
+tolerances, wall times, and per instance what its evaluation tables held
+when its rows were done.  Audit failures are never skipped silently: a row
 whose audit fails keeps its numbers but is flagged, and the run as a whole
 reports failure.
 """
@@ -144,6 +145,7 @@ def run(spec: ExperimentSpec) -> RatioReport:
         raise SpecError(f"bounds name mechanisms that do not run: {unbound}")
     instances = _materialise_instances(spec)
     rows = []
+    tables = []
     oracle_cache: dict = {}
     bound_cache: dict = {}
     for inst in instances:
@@ -159,6 +161,9 @@ def run(spec: ExperimentSpec) -> RatioReport:
                 row.audit_status = "n/a"
             row.wall_time = time.perf_counter() - start
             rows.append(row)
+        # the instance's rows are done: drop its tables now, not when the
+        # caller lets go of the instance
+        tables.append({"instance": inst.name, **inst.release_tables()})
     metadata = {
         "version": __version__,
         "mode": spec.mode,
@@ -169,6 +174,7 @@ def run(spec: ExperimentSpec) -> RatioReport:
         "bounds": {k: _fmt(v) for k, v in spec.bounds.items()},
         "instances": [inst.name for inst in instances],
         "generator": list(spec.generator) if spec.generator else None,
+        "tables": tables,
         "wall_times": {},
     }
     for r in rows:
