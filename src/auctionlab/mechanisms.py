@@ -299,26 +299,15 @@ def conditional_monopoly_reserve(instance: Instance, agent, s: Sequence, *,
     one).  Zero-probability events trigger a logged fallback chain: drop the
     winner conditioning first, then fall back to the agent's prior marginal;
     every stage reads only the other agents' signals, so the quote never
-    depends on the agent's own report.
+    depends on the agent's own report.  An agent that never wins has an
+    empty winner event.  Quotes are tabled per (agent, column, event mode,
+    threshold value), so each fallback is logged once per distinct quote.
     """
     t_val = None
     if event_mode == "winner_conditioned":
         if active is None:
             active = instance.interned(frozenset(instance.agents))
         t_val = threshold(instance, s, agent, active)[1]
-    return _reserve_quote(instance, agent, s, event_mode, t_val)
-
-
-def _reserve_quote(instance: Instance, agent, s: Sequence, event_mode: str,
-                   t_val) -> ReserveQuote:
-    """The quote of :func:`conditional_monopoly_reserve` given the agent's
-    threshold value ``t_val``, which the winner event reads; ``math.inf``
-    (the agent never wins) leaves the event empty.  Tabled per (agent,
-    column, event mode, threshold value), so each fallback is logged once
-    per distinct quote; an unconditioned quote reads no threshold and is
-    tabled under ``None``."""
-    if event_mode != "winner_conditioned":
-        t_val = None
     idx = instance.grid.index_of(agent)
     key = (agent, tuple(s[:idx]) + tuple(s[idx + 1:]), event_mode, t_val)
     quote = instance._quotes.get(key)
@@ -377,16 +366,15 @@ class SignalView:
 
 
 def resolve_reserves(instance: Instance, s: Sequence, agents, source,
-                     *, thresholds: Mapping | None = None,
+                     *, active: frozenset | None = None,
                      event_mode: str = "winner_conditioned") -> dict:
     """Per-agent reserve prices from a named source, a map, or a callback.
 
     ``fixed:r1,r2,...`` lists one reserve per agent in the order of
     ``instance.agents``.  Callables receive (agent, masked profile view);
     reading the agent's own coordinate raises :class:`ReserveAuditError`.
-    ``conditional`` reserves condition on the winner event at the agents'
-    ``thresholds`` (threshold values by agent) when given, and otherwise
-    scan each agent's threshold among all agents.
+    ``conditional`` reserves condition on the winner event within
+    ``active`` (all agents by default).
     """
     zero = instance.zero
     if source is None or source == "none":
@@ -407,11 +395,8 @@ def resolve_reserves(instance: Instance, s: Sequence, agents, source,
         instance.require_private("the unconditional monopoly reserve")
         return {a: _monopoly_quote(instance, a).price for a in agents}
     if source == "conditional":
-        if thresholds is None:
-            return {a: conditional_monopoly_reserve(
-                instance, a, s, event_mode=event_mode).price for a in agents}
-        return {a: _reserve_quote(instance, a, s, event_mode, thresholds[a]).price
-                for a in agents}
+        return {a: conditional_monopoly_reserve(
+            instance, a, s, event_mode=event_mode, active=active).price for a in agents}
     if source == "unsafe-own-value":
         # deliberately illegal: reads the agent's own report; audit canary
         return {a: instance.value(a, tuple(s)) for a in agents}
@@ -450,8 +435,7 @@ def gvcg_lazy(instance: Instance, s: Sequence, reserves, active: frozenset | Non
     t_sig, t_val = {}, {}
     for a in instance.agents:
         t_sig[a], t_val[a] = threshold(instance, s, a, active)
-    r = resolve_reserves(instance, s, w, reserves, thresholds=t_val,
-                         event_mode=event_mode)
+    r = resolve_reserves(instance, s, w, reserves, active=active, event_mode=event_mode)
     zero = instance.zero
     alloc, payment, reserve = {}, {}, {}
     served = set()
