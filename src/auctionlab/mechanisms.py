@@ -162,14 +162,11 @@ class Instance:
         return sub
 
     def assumption_report(self) -> dict:
-        """Monotonicity / single-crossing / cross-responsiveness checks, cached."""
+        """The violation lists of :func:`valuations.assumption_violations`
+        (monotonicity, single-crossing, cross-responsiveness), computed on
+        first use and kept."""
         if not self._checks:
-            self._checks["monotonicity"] = valuations.check_monotonicity(
-                self.vp, self.grid)
-            self._checks["single_crossing"] = valuations.check_single_crossing(
-                self.vp, self.grid)
-            self._checks["cross_responsiveness"] = valuations.check_cross_responsiveness(
-                self.vp, self.grid)
+            self._checks = valuations.assumption_violations(self.vp, self.grid)
         return self._checks
 
     def require_monotone(self):

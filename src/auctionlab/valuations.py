@@ -1,4 +1,4 @@
-"""Interdependent valuation families and their assumption checkers.
+"""Interdependent valuation families and their assumption check.
 
 ``value(vp, i, s)`` evaluates agent i's worth of the service at a signal
 profile.  Built-in families:
@@ -9,11 +9,12 @@ profile.  Built-in families:
 * ``concave_additive``   -- a concave piecewise-linear map of an additive form
 * ``table``              -- explicit v_i per grid profile
 
-The checkers verify, exhaustively over the grid, monotonicity with strict
-own-signal increase, the single-crossing condition, and the concavity-type
-condition that an agent's value responds less to others' signals as her own
-signal grows.  Mechanisms consult these before running interdependent
-variants.
+:func:`assumption_violations` walks the grid once and checks monotonicity
+with strict own-signal increase, the single-crossing condition, and the
+concavity-type condition that an agent's value responds less to others'
+signals as its own signal grows, each between profiles one grid step apart.
+Mechanisms consult it, through ``Instance.assumption_report``, before running
+interdependent variants.
 """
 from __future__ import annotations
 
@@ -139,79 +140,52 @@ def value(vp: ValuationProfile, agent, s: Sequence):
         raise ValuationError(f"no tabulated value for agent {agent!r} at {tuple(s)}")
 
 
-def check_monotonicity(vp: ValuationProfile, grid: SignalGrid) -> list:
-    """Monotone in every signal, strictly in one's own; values nonnegative.
+def assumption_violations(vp: ValuationProfile, grid: SignalGrid) -> dict:
+    """One walk over the grid for the three valuation assumptions.
 
-    Returns the violating tuples (agent, coordinate, profile, bumped profile).
+    Returns lists of violating tuples under ``monotonicity`` (agent,
+    coordinate, profile, bumped profile; or agent, "nonnegative", profile,
+    None), ``single_crossing`` (i, j, profile, next own signal) and
+    ``cross_responsiveness`` (i, j, profile, low difference, high
+    difference).  Every value is computed once and every condition compares
+    profiles one grid step apart:
+
+    * monotonicity -- values are nonnegative and finite, nondecreasing in
+      every signal and strictly increasing in one's own;
+    * single-crossing -- once v_i reaches v_j, raising s_i keeps v_i strictly
+      above v_j.  Checking the next own signal is enough: if v_i >= v_j at s
+      and v_i > v_j one step up, the premise holds again at that step, so by
+      induction v_i > v_j at every higher own signal.  A failure at a higher
+      signal is therefore listed at the first step that fails;
+    * cross-responsiveness -- for i != j the forward difference of v_i along
+      s_j does not grow when s_i rises one step.
     """
-    bad = []
-    for i, a in enumerate(grid.agents):
-        for s in grid.profiles():
-            v = value(vp, a, s)
+    agents = grid.agents
+    nexts = [dict(zip(grid.axis(a), grid.axis(a)[1:])) for a in agents]
+    profiles = list(grid.profiles())
+    vals = {s: tuple(value(vp, a, s) for a in agents) for s in profiles}
+    ups = {s: tuple(s[:j] + (nxt[s[j]],) + s[j + 1:] if s[j] in nxt else None
+                    for j, nxt in enumerate(nexts))
+           for s in profiles}
+    monotonicity, single_crossing, cross_responsiveness = [], [], []
+    for i, a in enumerate(agents):
+        for s in profiles:
+            v, up = vals[s][i], ups[s]
             if v < 0 or (isinstance(v, float) and not math.isfinite(v)):
-                bad.append((a, "nonnegative", s, None))
-            for j, b in enumerate(grid.agents):
-                axis = grid.axis(b)
-                k = axis.index(s[j])
-                if k + 1 == len(axis):
+                monotonicity.append((a, "nonnegative", s, None))
+            own = up[i]
+            for j, b in enumerate(agents):
+                if up[j] is not None:
+                    dv = vals[up[j]][i] - v
+                    if (not dv > 0) if i == j else dv < 0:
+                        monotonicity.append((a, b, s, up[j]))
+                if i == j or own is None:
                     continue
-                bumped = s[:j] + (axis[k + 1],) + s[j + 1:]
-                dv = value(vp, a, bumped) - v
-                if i == j and not dv > 0:
-                    bad.append((a, b, s, bumped))
-                elif i != j and dv < 0:
-                    bad.append((a, b, s, bumped))
-    return bad
-
-
-def check_single_crossing(vp: ValuationProfile, grid: SignalGrid) -> list:
-    """Once v_i reaches v_j, raising s_i must keep v_i strictly above v_j.
-
-    Exhaustive over ordered pairs i != j, every s_{-i}, and every pair of own
-    grid points s_i < s_i'.  Returns violating tuples.
-    """
-    violations = []
-    agents = grid.agents
-    for i, ai in enumerate(agents):
-        axis = grid.axis(ai)
-        for aj in agents:
-            if aj == ai:
-                continue
-            for s in grid.profiles():
-                k = axis.index(s[i])
-                if value(vp, ai, s) < value(vp, aj, s):
-                    continue
-                for t in axis[k + 1:]:
-                    bumped = s[:i] + (t,) + s[i + 1:]
-                    if not value(vp, ai, bumped) > value(vp, aj, bumped):
-                        violations.append((ai, aj, s, t))
-    return violations
-
-
-def check_cross_responsiveness(vp: ValuationProfile, grid: SignalGrid) -> list:
-    """Cross-signal responsiveness must not grow with one's own signal.
-
-    For i != j the forward difference of v_i along s_j is compared at
-    consecutive own-signal levels; growth is a violation.
-    """
-    violations = []
-    agents = grid.agents
-    for i, ai in enumerate(agents):
-        own_axis = grid.axis(ai)
-        for j, aj in enumerate(agents):
-            if aj == ai:
-                continue
-            other_axis = grid.axis(aj)
-            for s in grid.profiles():
-                ki = own_axis.index(s[i])
-                kj = other_axis.index(s[j])
-                if ki + 1 == len(own_axis) or kj + 1 == len(other_axis):
-                    continue
-                up_j = s[:j] + (other_axis[kj + 1],) + s[j + 1:]
-                diff_low = value(vp, ai, up_j) - value(vp, ai, s)
-                up_i = s[:i] + (own_axis[ki + 1],) + s[i + 1:]
-                up_both = up_j[:i] + (own_axis[ki + 1],) + up_j[i + 1:]
-                diff_high = value(vp, ai, up_both) - value(vp, ai, up_i)
-                if diff_high > diff_low:
-                    violations.append((ai, aj, s, diff_low, diff_high))
-    return violations
+                if not v < vals[s][j] and not vals[own][i] > vals[own][j]:
+                    single_crossing.append((a, b, s, own[i]))
+                if up[j] is not None:
+                    high = vals[ups[up[j]][i]][i] - vals[own][i]
+                    if high > dv:
+                        cross_responsiveness.append((a, b, s, dv, high))
+    return {"monotonicity": monotonicity, "single_crossing": single_crossing,
+            "cross_responsiveness": cross_responsiveness}
