@@ -280,7 +280,9 @@ def conditional_value_distribution(instance: Instance, agent, s: Sequence):
 
 
 def _own_values(instance: Instance, agent, s: Sequence, signal_dist):
-    """Push a pmf of the agent's own signal through v_agent(., s_-agent)."""
+    """Push a pmf of the agent's own signal through v_agent(., s_-agent),
+    which must be strictly increasing."""
+    instance.require_monotone()
     idx = instance.grid.index_of(agent)
     before, after = tuple(s[:idx]), tuple(s[idx + 1:])
     return signal_dist.map_values(lambda t: instance.value(agent, before + (t,) + after))

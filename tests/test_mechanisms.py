@@ -16,6 +16,7 @@ from auctionlab.mechanisms import (
     ReserveAuditError,
     WrongVariantError,
     conditional_monopoly_reserve,
+    conditional_value_distribution,
     expected_revenue,
     gvcg,
     gvcg_lazy,
@@ -666,6 +667,22 @@ def test_gvcg_refuses_single_crossing_failure():
                          vp=weighted_sum((1, 2), 1))
     with pytest.raises(AssumptionError):
         gvcg(inst, (0, 1))
+
+
+def test_reserves_and_upper_bound_refuse_flat_own_values():
+    # values flat in the agent's own signal: every entry point that prices
+    # on v_agent(., s_-agent) refuses the instance the way the auctions do
+    axes = {1: (0, 1)}
+    inst = make_instance(axes, FeasibilitySystem.uniform(1, [1]),
+                         vp=table((1,), {1: {(0,): 0, (1,): 0}}))
+    with pytest.raises(AssumptionError):
+        lookahead(inst, (0,))
+    with pytest.raises(AssumptionError):
+        conditional_monopoly_reserve(inst, 1, (0,))
+    with pytest.raises(AssumptionError):
+        conditional_value_distribution(inst, 1, (0,))
+    with pytest.raises(AssumptionError):
+        opt_upper_bound(inst)
 
 
 def test_gvcg_refuses_interdependent_on_non_matroid():
