@@ -792,18 +792,16 @@ class AuditViolation:
     gap: object
 
 
-def ic_ir_audit(instance: Instance, spec: MechanismSpec,
-                tolerance=None) -> list[AuditViolation]:
+def ic_ir_audit(instance: Instance, spec: MechanismSpec) -> list[AuditViolation]:
     """Check ex post incentive compatibility and individual rationality.
 
     For every internal-randomness realization, every support profile, every
     agent, and every own-grid deviation: truthful utility must be at least
     the deviating utility and nonnegative, measured at the agent's true
-    values.  Exact in rational mode; ``tolerance`` (default 1e-9) applies in
-    double mode.
+    values.  Exact in rational mode; a tolerance of 1e-9 applies in double
+    mode.
     """
-    if tolerance is None:
-        tolerance = 0 if instance.arithmetic == RATIONAL else 1e-9
+    tolerance = 0 if instance.arithmetic == RATIONAL else 1e-9
     support = instance.dist.support_profiles()
     grid_profiles = list(instance.grid.profiles())
     violations = []
