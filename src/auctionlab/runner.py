@@ -146,14 +146,15 @@ def run(spec: ExperimentSpec) -> RatioReport:
     instances = _materialise_instances(spec)
     rows = []
     tables = []
-    oracle_cache: dict = {}
-    bound_cache: dict = {}
     for inst in instances:
+        oracle = opt_revenue(inst).value if spec.compute_oracle else None
+        upper_bound = (opt_upper_bound(inst)
+                       if spec.compute_upper_bound and inst.feas.is_matroid else None)
         for mech in mechanisms:
             row = RowResult(instance=inst.name or "instance", spec=mech, mode=spec.mode)
             start = time.perf_counter()
             try:
-                _fill_row(row, inst, mech, spec, oracle_cache, bound_cache)
+                _fill_row(row, inst, mech, spec, oracle, upper_bound)
             except (WrongVariantError, AssumptionError) as exc:
                 if not spec.skip_inapplicable:
                     raise type(exc)(f"{inst.name}: {exc}") from exc
@@ -173,19 +174,17 @@ def run(spec: ExperimentSpec) -> RatioReport:
         "arithmetic": spec.arithmetic or "per-instance",
         "bounds": {k: _fmt(v) for k, v in spec.bounds.items()},
         "instances": [inst.name for inst in instances],
-        "generator": list(spec.generator) if spec.generator else None,
+        "generator": ([spec.generator[0], dict(spec.generator[1]), spec.generator[2]]
+                      if spec.generator else None),
         "tables": tables,
         "wall_times": {},
     }
     for r in rows:
         metadata["wall_times"][f"{r.instance}/{r.spec.mech_id}"] = round(r.wall_time, 6)
-    if spec.generator:
-        metadata["generator"] = [spec.generator[0], dict(spec.generator[1]),
-                                 spec.generator[2]]
     return RatioReport(rows, metadata)
 
 
-def _fill_row(row, inst, mech, spec, oracle_cache, bound_cache):
+def _fill_row(row, inst, mech, spec, oracle, upper_bound):
     if spec.audit:
         if mech.reserve_source == "single-sample":
             # the reserve draw is integrated over in expectation, so there is
@@ -199,21 +198,12 @@ def _fill_row(row, inst, mech, spec, oracle_cache, bound_cache):
     est = expected_revenue(inst, mech, spec.mode, trials=spec.trials, seed=spec.seed)
     row.revenue = est.value
     row.std_error = est.std_error
-    key = id(inst)
-    if spec.compute_oracle:
-        if key not in oracle_cache:
-            oracle_cache[key] = opt_revenue(inst).value
-        row.oracle = oracle_cache[key]
-        if row.oracle:
-            row.ratio = (Fraction(row.revenue) / Fraction(row.oracle)
-                         if inst.arithmetic == RATIONAL and spec.mode == "exact"
-                         else float(row.revenue) / float(row.oracle))
-        else:
-            row.ratio = None
-    if spec.compute_upper_bound and inst.feas.is_matroid:
-        if key not in bound_cache:
-            bound_cache[key] = opt_upper_bound(inst)
-        row.upper_bound = bound_cache[key]
+    row.oracle = oracle
+    row.upper_bound = upper_bound
+    if oracle:
+        row.ratio = (Fraction(row.revenue) / Fraction(oracle)
+                     if inst.arithmetic == RATIONAL and spec.mode == "exact"
+                     else float(row.revenue) / float(oracle))
     bound = spec.bounds.get(mech.mech_id)
     if bound is not None and row.ratio is not None:
         row.bound = bound
