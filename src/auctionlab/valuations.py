@@ -161,16 +161,18 @@ def assumption_violations(vp: ValuationProfile, grid: SignalGrid) -> dict:
       s_j does not grow when s_i rises one step.
     """
     agents = grid.agents
-    nexts = [dict(zip(grid.axis(a), grid.axis(a)[1:])) for a in agents]
+    sizes = [len(grid.axis(a)) for a in agents]
+    strides = [math.prod(sizes[j + 1:]) for j in range(len(agents))]
+    # profiles are numbered in row-major order, so no Fraction tuple is
+    # hashed; ups[k][j] numbers profile k with signal j one grid step up
     profiles = list(grid.profiles())
-    vals = {s: tuple(value(vp, a, s) for a in agents) for s in profiles}
-    ups = {s: tuple(s[:j] + (nxt[s[j]],) + s[j + 1:] if s[j] in nxt else None
-                    for j, nxt in enumerate(nexts))
-           for s in profiles}
+    vals = [tuple(value(vp, a, s) for a in agents) for s in profiles]
+    ups = [tuple(k + st if k // st % n + 1 < n else None for st, n in zip(strides, sizes))
+           for k in range(len(profiles))]
     monotonicity, single_crossing, cross_responsiveness = [], [], []
     for i, a in enumerate(agents):
-        for s in profiles:
-            v, up = vals[s][i], ups[s]
+        for k, s in enumerate(profiles):
+            v, up = vals[k][i], ups[k]
             if v < 0 or (isinstance(v, float) and not math.isfinite(v)):
                 monotonicity.append((a, "nonnegative", s, None))
             own = up[i]
@@ -178,11 +180,11 @@ def assumption_violations(vp: ValuationProfile, grid: SignalGrid) -> dict:
                 if up[j] is not None:
                     dv = vals[up[j]][i] - v
                     if (not dv > 0) if i == j else dv < 0:
-                        monotonicity.append((a, b, s, up[j]))
+                        monotonicity.append((a, b, s, profiles[up[j]]))
                 if i == j or own is None:
                     continue
-                if not v < vals[s][j] and not vals[own][i] > vals[own][j]:
-                    single_crossing.append((a, b, s, own[i]))
+                if not v < vals[k][j] and not vals[own][i] > vals[own][j]:
+                    single_crossing.append((a, b, s, profiles[own][i]))
                 if up[j] is not None:
                     high = vals[ups[up[j]][i]][i] - vals[own][i]
                     if high > dv:
