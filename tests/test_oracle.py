@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -13,6 +14,8 @@ from auctionlab.mechanisms import (
     opt_upper_bound,
 )
 from auctionlab.distributions import monopoly_price
+from auctionlab.generators import generate_instances
+from auctionlab.instances import corpus_names, load_fixture
 from auctionlab.oracle import (
     LPSizeError,
     build_revenue_lp,
@@ -191,3 +194,55 @@ def test_gap3_oracle_at_least_shadow_value():
     assert res.value >= expected_s1 - eps
     assert res.value <= opt_upper_bound(inst)
     assert verify_witness(inst, res.witness) == []
+
+
+def _lp_digest(instances):
+    """SHA-256 over every LP's size, objective and rows, in order."""
+    lps = []
+    for inst in instances:
+        lp = build_revenue_lp(inst).lp
+        lps.append((lp.n_vars, lp.objective,
+                    [(sorted(row.coeffs.items()), row.rhs, row.kind, row.basic)
+                     for row in lp.rows]))
+    return hashlib.sha256(repr(lps).encode()).hexdigest()
+
+
+def non_monotone():
+    # agent 1's value falls from own signal 0 to 1, so truth-telling binds
+    # every pair of a column, not only neighbours
+    g1, g2 = (0, 1, 2), (0, 1)
+    grid = SignalGrid(agents=(1, 2), values={1: g1, 2: g2})
+    u1 = ScalarDistribution([(0, F(1, 2)), (1, F(1, 4)), (2, F(1, 4))])
+    u2 = ScalarDistribution([(0, F(1, 3)), (1, F(2, 3))])
+    dist = JointDistribution(grid, form="product", marginals={1: u1, 2: u2})
+    own = {0: F(3), 1: F(1), 2: F(4)}
+    vp = table((1, 2), {
+        1: {(s1, s2): own[s1] + s2 for s1 in g1 for s2 in g2},
+        2: {(s1, s2): F(2 * s2) + F(s1, 2) for s1 in g1 for s2 in g2},
+    })
+    return Instance(grid=grid, dist=dist, vp=vp,
+                    feas=FeasibilitySystem.uniform(1, [1, 2]), name="non-monotone")
+
+
+@pytest.mark.parametrize("corpus, digest", [
+    ("fixtures",
+     "279deb5d97813b450d21a253e9026907dd4c10e08667917adc0a3b3258a352ef"),
+    ("correlated-private",
+     "23440d7bc14e6c39252da1fe17da4371c92d6a79960bba085becdcb1457071e8"),
+    ("non-monotone",
+     "b17afad8cf43fd00a8b206e05538b5ceeb5dc492b384245774b2bd6b0767c6b1"),
+])
+def test_revenue_lp_is_pinned(corpus, digest):
+    if corpus == "fixtures":
+        instances = [load_fixture(name) for name in corpus_names()]
+    elif corpus == "correlated-private":
+        instances = []
+        for seed, kind in enumerate(("1-uniform", "2-uniform", "partition")):
+            for n, grid in ((2, 2), (2, 3), (3, 2), (3, 3)):
+                instances.extend(generate_instances(
+                    "correlated-private",
+                    {"n": n, "grid": grid, "kind": kind, "count": 3}, seed=100 + seed))
+    else:
+        instances = [non_monotone()]
+        assert instances[0].assumption_report()["monotonicity"]
+    assert _lp_digest(instances) == digest
