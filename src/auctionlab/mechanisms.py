@@ -92,8 +92,7 @@ class Instance:
     (profile, active set), thresholds per (agent, column, active set) and
     reserve quotes per (agent, column, event mode, threshold value) on the
     instance, a column being a profile without the agent's own signal.  The
-    tables rely on the instance not changing.  Agent sets are interned, so
-    each distinct one is held once.  ``runner.run`` calls
+    tables rely on the instance not changing.  ``runner.run`` calls
     :meth:`release_tables` when an instance's rows are done.
     """
 
@@ -117,8 +116,7 @@ class Instance:
         self.zero = Fraction(0) if self.arithmetic == RATIONAL else 0.0
         self._restrictions: dict = {}
         self._checks: dict = {}
-        self._values, self._winners, self._thresholds, self._quotes, self._sets = (
-            {}, {}, {}, {}, {})
+        self._values, self._winners, self._thresholds, self._quotes = {}, {}, {}, {}
 
     @property
     def agents(self) -> tuple:
@@ -136,10 +134,6 @@ class Instance:
     def values_at(self, s: Sequence) -> dict:
         return {a: self.value(a, tuple(s)) for a in self.agents}
 
-    def interned(self, agents: frozenset) -> frozenset:
-        """The instance's one copy of this agent set."""
-        return self._sets.setdefault(agents, agents)
-
     def table_sizes(self) -> dict:
         return {"values": len(self._values), "winner_sets": len(self._winners),
                 "thresholds": len(self._thresholds), "quotes": len(self._quotes)}
@@ -150,7 +144,7 @@ class Instance:
         labels = [q.fallback for q in self._quotes.values()]
         held = {"entries": self.table_sizes(), "fallbacks_over_distinct_quotes":
                 {f: labels.count(f) for f in RESERVE_FALLBACKS}}
-        for table in (self._values, self._winners, self._thresholds, self._quotes, self._sets):
+        for table in (self._values, self._winners, self._thresholds, self._quotes):
             table.clear()
         return held
 
@@ -230,7 +224,7 @@ def winner_set(instance: Instance, s: Sequence, active: frozenset) -> frozenset:
         weights = {a: instance.value(a, s) for a in active}
         tie = [a for a in instance.tie_break if a in active]
         w = max_weight_basis(instance.restricted(active), weights, tie, full=True).elements
-        w = instance._winners[key] = instance.interned(w)
+        instance._winners[key] = w
     return w
 
 
@@ -305,7 +299,7 @@ def conditional_monopoly_reserve(instance: Instance, agent, s: Sequence, *,
     t_val = None
     if event_mode == "winner_conditioned":
         if active is None:
-            active = instance.interned(frozenset(instance.agents))
+            active = frozenset(instance.agents)
         t_val = threshold(instance, s, agent, active)[1]
     idx = instance.grid.index_of(agent)
     key = (agent, tuple(s[:idx]) + tuple(s[idx + 1:]), event_mode, t_val)
@@ -429,7 +423,7 @@ def gvcg_lazy(instance: Instance, s: Sequence, reserves, active: frozenset | Non
     instance.require_monotone()
     instance.require_single_crossing()
     s = tuple(s)
-    active = instance.interned(frozenset(instance.agents if active is None else active))
+    active = frozenset(instance.agents if active is None else active)
     w = winner_set(instance, s, active)
     t_sig, t_val = {}, {}
     for a in instance.agents:
@@ -503,13 +497,13 @@ def vcg_eager(instance: Instance, s: Sequence, reserves) -> AuctionOutcome:
     all_agents = frozenset(instance.agents)
     r = resolve_reserves(instance, s, all_agents, reserves)
     vals = instance.values_at(s)
-    u = instance.interned(frozenset(a for a in all_agents if vals[a] >= r[a]))
+    u = frozenset(a for a in all_agents if vals[a] >= r[a])
     w_u = winner_set(instance, s, u)
     zero = instance.zero
     alloc, payment, t_sig, t_val = {}, {}, {}, {}
     served = set()
     for a in instance.agents:
-        scan_active = instance.interned(u | {a})
+        scan_active = u | {a}
         t_sig[a], t_val[a] = threshold(instance, s, a, scan_active)
         alloc[a] = 0
         payment[a] = zero
@@ -758,7 +752,7 @@ def opt_upper_bound(instance: Instance):
     welfare disjoint from the winners; bounds every ex post IC mechanism."""
     if not instance.feas.is_matroid:
         raise WrongVariantError("the revenue upper bound needs a matroid system")
-    all_agents = instance.interned(frozenset(instance.agents))
+    all_agents = frozenset(instance.agents)
     total = 0
     for s, p in instance.dist.enumerate_support():
         w = winner_set(instance, s, all_agents)

@@ -11,6 +11,11 @@ reporting the next support point above or below it in that column.  When
 the valuations fail the monotonicity check, truth-telling binds every pair
 of support points of a column instead.
 
+Columns are addressed by position.  With the support profiles sorted and
+the feasible sets F in ``feasible_sets()`` order, support profile i and set
+f own allocation column i * |F| + f, and agent k's payment at support
+profile i owns column |support| * |F| + i * n + k.
+
 Why the optimum is the full-grid optimum, the LP with a variable at every
 grid profile and truth-telling against every own-grid deviation:
 
@@ -78,12 +83,17 @@ class LPStats:
 
 @dataclass
 class RevenueLP:
+    """The revenue LP and the order its columns follow.
+
+    Support profile i (in ``support`` order) and feasible set f (in
+    ``feasible`` order) own allocation column i * |F| + f; agent k's payment
+    at support profile i owns column ``stats.y_vars`` + i * n + k.
+    """
+
     instance: Instance
     lp: LinearProgram
     support: list
     feasible: list
-    y_index: dict                 # (support profile, feasible set) -> column
-    p_index: dict                 # (support profile, agent) -> column
     stats: LPStats
 
 
@@ -96,11 +106,12 @@ class OptResult:
 
 
 def _truth_telling_pairs(instance: Instance, support: list, k: int):
-    """Pairs of support profiles that differ only in agent k's signal:
-    neighbours within each column, or every pair when monotonicity fails."""
+    """Position pairs of support profiles that differ only in agent k's
+    signal: neighbours within each column, or every pair when monotonicity
+    fails."""
     columns: dict = {}
-    for s in support:
-        columns.setdefault(s[:k] + s[k + 1:], []).append(s)
+    for i, s in enumerate(support):
+        columns.setdefault(s[:k] + s[k + 1:], []).append(i)
     every_pair = bool(instance.assumption_report()["monotonicity"])
     for column in columns.values():
         if every_pair:
@@ -112,68 +123,58 @@ def _truth_telling_pairs(instance: Instance, support: list, k: int):
 def build_revenue_lp(instance: Instance, var_cap: int = DEFAULT_VAR_CAP) -> RevenueLP:
     """Assemble the revenue LP; errors out with exact counts past the cap."""
     agents = instance.agents
+    n = len(agents)
     support = sorted(instance.dist.support_profiles())
     feasible = instance.feas.feasible_sets()
-    n_y = len(support) * len(feasible)
-    n_p = len(support) * len(agents)
+    n_f = len(feasible)
+    n_y = len(support) * n_f
+    n_p = len(support) * n
     if n_y + n_p > var_cap:
         raise LPSizeError(
             f"{n_y} allocation + {n_p} payment variables exceed the cap {var_cap}")
 
-    y_index: dict = {}
-    p_index: dict = {}
-    for s in support:
-        for f in feasible:
-            y_index[(s, f)] = len(y_index)
-        for a in agents:
-            p_index[(s, a)] = n_y + len(p_index)
-
-    objective = [0] * (n_y + n_p)
-    for s in support:
-        prob = instance.dist.probability(s)
-        for a in agents:
-            objective[p_index[(s, a)]] = prob
-
+    values = [[value(instance.vp, a, s) for a in agents] for s in support]
+    objective = [0] * n_y + [instance.dist.probability(s) for s in support for _ in agents]
     lp = LinearProgram(n_y + n_p, objective)
-    empty = frozenset()
-    for s in support:
-        coeffs = {y_index[(s, f)]: 1 for f in feasible}
-        lp.add_eq(coeffs, 1, basic=y_index[(s, empty)])
+    empty = feasible.index(frozenset())
+    for i in range(len(support)):
+        lp.add_eq({i * n_f + f: 1 for f in range(n_f)}, 1, basic=i * n_f + empty)
 
-    sets_with = {a: [f for f in feasible if a in f] for a in agents}
+    serving = [[f for f, fs in enumerate(feasible) if a in fs] for a in agents]
 
-    def add_ic(a, s, dev):
-        """a's truthful utility at s is at least its utility from reporting dev."""
-        v_true = value(instance.vp, a, s)
+    def add_ic(k, i, j):
+        """Agent k's truthful utility at support i is at least its utility
+        from reporting support j."""
+        v_true = values[i][k]
         coeffs: dict = {}
         if v_true != 0:
-            for f in sets_with[a]:
-                coeffs[y_index[(dev, f)]] = v_true
-                coeffs[y_index[(s, f)]] = -v_true
-        coeffs[p_index[(dev, a)]] = -1
-        coeffs[p_index[(s, a)]] = 1
+            for f in serving[k]:
+                coeffs[j * n_f + f] = v_true
+                coeffs[i * n_f + f] = -v_true
+        coeffs[n_y + j * n + k] = -1
+        coeffs[n_y + i * n + k] = 1
         lp.add_le(coeffs, 0)
 
     n_ic = 0
-    for k, a in enumerate(agents):
-        for s, t in _truth_telling_pairs(instance, support, k):
-            add_ic(a, s, t)
-            add_ic(a, t, s)
+    for k in range(n):
+        for i, j in _truth_telling_pairs(instance, support, k):
+            add_ic(k, i, j)
+            add_ic(k, j, i)
             n_ic += 2
 
-    for s in support:
-        for a in agents:
-            coeffs = {y_index[(s, f)]: -value(instance.vp, a, s) for f in sets_with[a]}
-            coeffs = {j: c for j, c in coeffs.items() if c != 0}
-            coeffs[p_index[(s, a)]] = 1
+    for i in range(len(support)):
+        for k in range(n):
+            v = values[i][k]
+            coeffs = {i * n_f + f: -v for f in serving[k]} if v != 0 else {}
+            coeffs[n_y + i * n + k] = 1
             lp.add_le(coeffs, 0)
 
     grid = math.prod(len(instance.grid.axis(a)) for a in agents)
     stats = LPStats(profiles=grid, support=len(support),
-                    feasible_sets=len(feasible), y_vars=n_y, p_vars=n_p,
+                    feasible_sets=n_f, y_vars=n_y, p_vars=n_p,
                     simplex_rows=len(support), ic_rows=n_ic,
-                    ir_rows=len(support) * len(agents))
-    return RevenueLP(instance, lp, support, feasible, y_index, p_index, stats)
+                    ir_rows=len(support) * n)
+    return RevenueLP(instance, lp, support, feasible, stats)
 
 
 def solve_lp(rlp: RevenueLP, arithmetic: str | None = None) -> SimplexResult:
@@ -186,11 +187,14 @@ def witness_mechanism(rlp: RevenueLP, solution: SimplexResult) -> dict:
     (feasible set, probability) pairs with nonzero probability, and the
     payments in agent order.  Absent grid profiles are the empty cell."""
     x = solution.x
+    n_f = len(rlp.feasible)
+    n = len(rlp.instance.agents)
+    pay = rlp.stats.y_vars
     witness = {}
-    for s in rlp.support:
-        alloc = tuple((f, x[rlp.y_index[(s, f)]]) for f in rlp.feasible
-                      if x[rlp.y_index[(s, f)]] != 0)
-        witness[s] = (alloc, tuple(x[rlp.p_index[(s, a)]] for a in rlp.instance.agents))
+    for i, s in enumerate(rlp.support):
+        lottery = zip(rlp.feasible, x[i * n_f:(i + 1) * n_f])
+        alloc = tuple((f, p) for f, p in lottery if p != 0)
+        witness[s] = (alloc, tuple(x[pay + i * n:pay + (i + 1) * n]))
     return witness
 
 
