@@ -58,6 +58,8 @@ NEVER_WINS = None  # threshold-signal marker; threshold value becomes +inf
 DEFAULT_ATOM_CAP = 10 ** 7
 
 RESERVE_FALLBACKS = ("unconditioned", "prior-marginal")
+# The slack double-mode audits give rounding noise; rational audits are exact.
+DOUBLE_TOLERANCE = 1e-9
 
 
 class MechanismError(RuntimeError):
@@ -114,6 +116,7 @@ class Instance:
         else:
             self.tie_break = tuple(self.tie_break)
         self.zero = Fraction(0) if self.arithmetic == RATIONAL else 0.0
+        self.tolerance = 0 if self.arithmetic == RATIONAL else DOUBLE_TOLERANCE
         self._restrictions: dict = {}
         self._checks: dict = {}
         self._values, self._winners, self._thresholds, self._quotes = {}, {}, {}, {}
@@ -792,10 +795,10 @@ def ic_ir_audit(instance: Instance, spec: MechanismSpec) -> list[AuditViolation]
     For every internal-randomness realization, every support profile, every
     agent, and every own-grid deviation: truthful utility must be at least
     the deviating utility and nonnegative, measured at the agent's true
-    values.  Exact in rational mode; a tolerance of 1e-9 applies in double
+    values.  Exact in rational mode; ``DOUBLE_TOLERANCE`` applies in double
     mode.
     """
-    tolerance = 0 if instance.arithmetic == RATIONAL else 1e-9
+    tolerance = instance.tolerance
     support = instance.dist.support_profiles()
     grid_profiles = list(instance.grid.profiles())
     violations = []

@@ -209,22 +209,24 @@ def opt_revenue(instance: Instance, var_cap: int = DEFAULT_VAR_CAP,
                      rlp.stats, solution)
 
 
-def verify_witness(instance: Instance, witness: Mapping, tolerance=0) -> list[str]:
+def verify_witness(instance: Instance, witness: Mapping) -> list[str]:
     """Re-check a witness against every full-grid constraint; empty list
     means clean.
 
     Every cell's lottery is checked, and every agent at every support
     profile against every own-grid deviation, with service probabilities
     derived from the lotteries.  A profile missing from the witness is the
-    empty, zero-payment cell.
+    empty, zero-payment cell.  Exact in rational mode; double mode lets
+    rounding noise up to ``DOUBLE_TOLERANCE`` pass, as the IC/IR audit does.
     """
+    tolerance = instance.tolerance
     problems = []
     agents = instance.agents
     none = (0,) * len(agents)
     served, paid = {}, {}
     for s, (alloc, payments) in witness.items():
         total = sum((p for _, p in alloc), Fraction(0))
-        if not _close(total, 1, tolerance):
+        if not abs(total - 1) <= tolerance:
             problems.append(f"allocation at {s} sums to {total}")
         for f, p in alloc:
             if p < -tolerance:
@@ -253,6 +255,3 @@ def verify_witness(instance: Instance, witness: Mapping, tolerance=0) -> list[st
                         f"{u_dev} > {u_truth}")
     return problems
 
-
-def _close(a, b, tolerance):
-    return abs(a - b) <= tolerance
