@@ -73,16 +73,19 @@ def _draw_until_valid(maker, rng, params):
 # shared pieces
 
 
-def _grid_axes(rng, n, max_points, *, lo=0, hi=9):
+def _grid(rng, params, *, lo=0, hi=9):
+    """Agents 1..n, each with 2..``grid`` distinct signals from [lo, hi]
+    (one signal when ``grid`` is 1)."""
+    max_points = int(params.get("grid", 3))
     axes = {}
-    for a in range(1, n + 1):
+    for a in range(1, int(params.get("n", 2)) + 1):
         size = rng.randint(2, max_points) if max_points > 1 else 1
-        vals = sorted(rng.sample(range(lo, hi + 1), size))
-        axes[a] = tuple(Fraction(v) for v in vals)
-    return axes
+        axes[a] = tuple(Fraction(v) for v in sorted(rng.sample(range(lo, hi + 1), size)))
+    return SignalGrid(agents=tuple(axes), values=axes)
 
 
-def _random_table(rng, grid, *, sparsity=0.45):
+def _random_table(rng, grid, params):
+    sparsity = float(params.get("sparsity", 0.45))
     profiles = list(grid.profiles())
     weights = [0 if rng.random() < sparsity else rng.randint(1, 6) for _ in profiles]
     if not any(weights):
@@ -115,26 +118,20 @@ def _feasibility(rng, agents, kind):
 
 
 def _correlated_private(rng, params):
-    n = int(params.get("n", 2))
-    grid_points = int(params.get("grid", 3))
-    axes = _grid_axes(rng, n, grid_points)
-    grid = SignalGrid(agents=tuple(axes), values=axes)
-    dist = _random_table(rng, grid, sparsity=float(params.get("sparsity", 0.45)))
+    grid = _grid(rng, params)
+    dist = _random_table(rng, grid, params)
     feas = _feasibility(rng, grid.agents, params.get("kind", "random"))
     return Instance(grid=grid, dist=dist, vp=private(grid.agents), feas=feas)
 
 
 def _weighted_sum(rng, params):
-    n = int(params.get("n", 2))
-    grid_points = int(params.get("grid", 3))
     beta = params.get("beta")
     if beta is None:
         beta = rng.choice([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
     else:
         beta = Fraction(beta)
-    axes = _grid_axes(rng, n, grid_points)
-    grid = SignalGrid(agents=tuple(axes), values=axes)
-    dist = _random_table(rng, grid, sparsity=float(params.get("sparsity", 0.45)))
+    grid = _grid(rng, params)
+    dist = _random_table(rng, grid, params)
     feas = _feasibility(rng, grid.agents, params.get("kind", "1-uniform"))
     return Instance(grid=grid, dist=dist, vp=weighted_sum(grid.agents, beta), feas=feas)
 
@@ -162,11 +159,8 @@ def _additive_pieces(rng, grid):
 
 
 def _additive(rng, params):
-    n = int(params.get("n", 2))
-    grid_points = int(params.get("grid", 3))
-    axes = _grid_axes(rng, n, grid_points)
-    grid = SignalGrid(agents=tuple(axes), values=axes)
-    dist = _random_table(rng, grid, sparsity=float(params.get("sparsity", 0.45)))
+    grid = _grid(rng, params)
+    dist = _random_table(rng, grid, params)
     feas = _feasibility(rng, grid.agents, params.get("kind", "1-uniform"))
     return Instance(grid=grid, dist=dist,
                     vp=additive(grid.agents, _additive_pieces(rng, grid)), feas=feas)
@@ -195,10 +189,7 @@ def _regular_marginal(rng, axis):
 
 
 def _regular_marginals(rng, params):
-    n = int(params.get("n", 2))
-    grid_points = int(params.get("grid", 3))
-    axes = _grid_axes(rng, n, grid_points, lo=1, hi=12)
-    grid = SignalGrid(agents=tuple(axes), values=axes)
+    grid = _grid(rng, params, lo=1, hi=12)
     marginals = {a: _regular_marginal(rng, grid.axis(a)) for a in grid.agents}
     dist = JointDistribution(grid, form="product", marginals=marginals)
     feas = _feasibility(rng, grid.agents, params.get("kind", "random"))
