@@ -38,6 +38,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 STALL_LIMIT = 40
+# The double kernel's zero in pricing, the ratio test and the stall test.
+EPS = 1e-9
 MAX_PIVOTS = 100_000
 # Dense tableau cells either kernel may allocate: 2**25 cells are 256 MiB of
 # float64, or of object pointers before the integers they point to.
@@ -95,8 +97,7 @@ class SimplexResult:
     fallbacks: int = 0            # rational-mode solves the fraction-free kernel redid
 
 
-def solve(lp: LinearProgram, arithmetic: str = "rational", *,
-          eps: float = 1e-9) -> SimplexResult:
+def solve(lp: LinearProgram, arithmetic: str = "rational") -> SimplexResult:
     if arithmetic not in ("rational", "double"):
         raise SimplexError(f"unknown arithmetic {arithmetic!r}")
     if lp.n_vars == 0 and not lp.rows:
@@ -110,8 +111,8 @@ def solve(lp: LinearProgram, arithmetic: str = "rational", *,
                            f"(cap {MAX_TABLEAU_CELLS})")
     _check_start_basis(lp)
     if arithmetic == "double":
-        return _solve_double(lp, eps)
-    return _solve_certified(lp, eps)
+        return _solve_double(lp)
+    return _solve_certified(lp)
 
 
 def _check_start_basis(lp: LinearProgram) -> None:
@@ -136,9 +137,9 @@ def _check_start_basis(lp: LinearProgram) -> None:
 # certified solve
 
 
-def _solve_certified(lp: LinearProgram, eps: float) -> SimplexResult:
+def _solve_certified(lp: LinearProgram) -> SimplexResult:
     try:
-        approx = _solve_double(lp, eps)
+        approx = _solve_double(lp)
     except NumericalInstability:
         approx = None
     if approx is not None and approx.status == "optimal":
@@ -330,7 +331,7 @@ def _pivot_int(M, d, pr, pc):
 # double kernel
 
 
-def _solve_double(lp: LinearProgram, eps: float) -> SimplexResult:
+def _solve_double(lp: LinearProgram) -> SimplexResult:
     m = len(lp.rows)
     n = lp.n_vars
     n_slack = sum(1 for r in lp.rows if r.kind == "le")
@@ -358,15 +359,15 @@ def _solve_double(lp: LinearProgram, eps: float) -> SimplexResult:
     while True:
         row0 = M[0, :-1]
         if stall >= STALL_LIMIT:
-            candidates = np.nonzero(row0 < -eps)[0]
+            candidates = np.nonzero(row0 < -EPS)[0]
             col = int(candidates[0]) if candidates.size else None
         else:
             j = int(np.argmin(row0))
-            col = j if row0[j] < -eps else None
+            col = j if row0[j] < -EPS else None
         if col is None:
             break
         ratios = np.full(m + 1, np.inf)
-        positive = M[1:, col] > eps
+        positive = M[1:, col] > EPS
         ratios[1:][positive] = M[1:, -1][positive] / M[1:, col][positive]
         pr = int(np.argmin(ratios))
         if not np.isfinite(ratios[pr]):
@@ -379,7 +380,7 @@ def _solve_double(lp: LinearProgram, eps: float) -> SimplexResult:
         if pivots > MAX_PIVOTS:
             raise NumericalInstability(
                 "pivot limit exceeded; retry with arithmetic='rational'")
-        if abs(M[0, -1] - last_obj) <= eps * max(1.0, abs(last_obj)):
+        if abs(M[0, -1] - last_obj) <= EPS * max(1.0, abs(last_obj)):
             stall += 1
         else:
             stall = 0
