@@ -83,12 +83,8 @@ class LPStats:
 
 @dataclass
 class RevenueLP:
-    """The revenue LP and the order its columns follow.
-
-    Support profile i (in ``support`` order) and feasible set f (in
-    ``feasible`` order) own allocation column i * |F| + f; agent k's payment
-    at support profile i owns column ``stats.y_vars`` + i * n + k.
-    """
+    """The LP and its column order: support profile i and feasible set f own
+    column i * |F| + f, and agent k's payment at i column y_vars + i * n + k."""
 
     instance: Instance
     lp: LinearProgram
@@ -106,9 +102,8 @@ class OptResult:
 
 
 def _truth_telling_pairs(instance: Instance, support: list, k: int):
-    """Position pairs of support profiles that differ only in agent k's
-    signal: neighbours within each column, or every pair when monotonicity
-    fails."""
+    """Positions of support pairs that differ only in agent k's signal:
+    neighbours within each column, or every pair when monotonicity fails."""
     columns: dict = {}
     for i, s in enumerate(support):
         columns.setdefault(s[:k] + s[k + 1:], []).append(i)
@@ -143,8 +138,7 @@ def build_revenue_lp(instance: Instance, var_cap: int = DEFAULT_VAR_CAP) -> Reve
     serving = [[f for f, fs in enumerate(feasible) if a in fs] for a in agents]
 
     def add_ic(k, i, j):
-        """Agent k's truthful utility at support i is at least its utility
-        from reporting support j."""
+        """Agent k gains nothing at support profile i by reporting j."""
         v_true = values[i][k]
         coeffs: dict = {}
         if v_true != 0:
