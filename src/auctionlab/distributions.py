@@ -13,6 +13,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 DOUBLE_NORMALISATION_TOL = 1e-12
@@ -49,7 +50,10 @@ def _check_total(total, arithmetic: str):
 
 @dataclass(frozen=True)
 class SignalGrid:
-    """Per-agent sorted signal values; the whole type space of the model."""
+    """Per-agent sorted signal values; the whole type space of the model.
+
+    Profile number k (row-major) has agent i's grid index k // strides[i] %
+    sizes[i]; the numbering is built on first use."""
 
     agents: tuple
     values: Mapping
@@ -69,6 +73,29 @@ class SignalGrid:
         """Every grid profile, in row-major order."""
         axes = [self.values[a] for a in self.agents]
         return itertools.product(*axes)
+
+    @cached_property
+    def sizes(self) -> tuple:
+        return tuple(len(self.values[a]) for a in self.agents)
+
+    @cached_property
+    def strides(self) -> tuple:
+        return tuple(math.prod(self.sizes[i + 1:]) for i in range(len(self.sizes)))
+
+    @cached_property
+    def positions(self) -> tuple:
+        """Per agent, each grid value's index on its axis."""
+        return tuple({v: j for j, v in enumerate(self.values[a])} for a in self.agents)
+
+    def number(self, profile: Sequence) -> int:
+        k = 0
+        for pos, x in zip(self.positions, profile):
+            k = k * len(pos) + pos[x]
+        return k
+
+    def profile_at(self, k: int) -> tuple:
+        return tuple(self.values[a][k // st % n]
+                     for a, st, n in zip(self.agents, self.strides, self.sizes))
 
     def on_grid(self, profile: Sequence) -> bool:
         return len(profile) == len(self.agents) and all(

@@ -11,7 +11,9 @@ the randomized variants run the lookahead rule inside an admitted set.  An
 agent's threshold reads only the others' signals (its column) and the active
 set, so it is scanned once per (agent, column, active set) per instance, not
 once per run, and tabled on the :class:`Instance`; the winner-conditioned
-reserve reads that same threshold.
+reserve reads that same threshold.  The tables are keyed by ints: each run
+numbers its profile once on the grid and its active set as a bitmask, while
+the public functions take profile tuples and agent frozensets.
 
 Threshold semantics on grids: an agent's critical signal s* is the smallest
 own grid value at which the agent enters the welfare-maximising set, holding
@@ -31,6 +33,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from . import valuations
@@ -92,10 +95,12 @@ class Instance:
 
     The auctions table values per (agent, profile), winner sets per
     (profile, active set), thresholds per (agent, column, active set) and
-    reserve quotes per (agent, column, event mode, threshold value) on the
-    instance, a column being a profile without the agent's own signal.  The
-    tables rely on the instance not changing.  ``runner.run`` calls
-    :meth:`release_tables` when an instance's rows are done.
+    reserve quotes per (agent, column, event mode, critical signal) on the
+    instance, keyed by ints: agent index, profile number k on the grid, agent
+    bitmask (:meth:`mask`), and column number, k less the agent's own grid
+    index times its stride.  The tables rely on the instance not changing.
+    ``runner.run`` calls :meth:`release_tables` when an instance's rows are
+    done.
     """
 
     grid: SignalGrid
@@ -125,17 +130,27 @@ class Instance:
     def agents(self) -> tuple:
         return self.grid.agents
 
-    def value(self, agent, s: tuple):
-        """v_agent(s), tabled per (agent, profile)."""
-        key = (agent, s)
-        try:
-            return self._values[key]
-        except KeyError:
-            v = self._values[key] = valuations.value(self.vp, agent, s)
-            return v
+    def mask(self, agents) -> int:
+        """The bitmask of an agent set: bit i stands for ``agents[i]``."""
+        return sum(1 << i for i, a in enumerate(self.agents) if a in agents)
+
+    def members(self, mask: int) -> frozenset:
+        return frozenset(a for i, a in enumerate(self.agents) if mask >> i & 1)
+
+    def _value(self, i: int, k: int):
+        v = self._values.get((i, k))
+        if v is None:
+            s = self.grid.profile_at(k)
+            v = self._values[i, k] = valuations.value(self.vp, self.agents[i], s)
+        return v
+
+    def value(self, agent, s: Sequence):
+        """v_agent(s), tabled per (agent index, profile number)."""
+        return self._value(self.grid.index_of(agent), self.grid.number(s))
 
     def values_at(self, s: Sequence) -> dict:
-        return {a: self.value(a, tuple(s)) for a in self.agents}
+        k = self.grid.number(s)
+        return {a: self._value(i, k) for i, a in enumerate(self.agents)}
 
     def table_sizes(self) -> dict:
         return {"values": len(self._values), "winner_sets": len(self._winners),
@@ -152,11 +167,19 @@ class Instance:
         return held
 
     def restricted(self, active: frozenset) -> FeasibilitySystem:
-        sub = self._restrictions.get(active)
+        key = self.mask(active)
+        sub = self._restrictions.get(key)
         if sub is None:
-            sub = self.feas.restriction(active)
-            self._restrictions[active] = sub
+            sub = self._restrictions[key] = self.feas.restriction(active)
         return sub
+
+    @cached_property
+    def single_item(self) -> bool:
+        """Whether the system is 1-uniform: a matroid of rank at most one in
+        which every agent alone is feasible."""
+        feas = self.feas
+        return (feas.is_matroid and all(feas.is_independent({a}) for a in feas.ground)
+                and feas.rank(feas.ground) <= 1)
 
     def assumption_report(self) -> dict:
         """The violation lists of :func:`valuations.assumption_violations`
@@ -216,19 +239,45 @@ class AuctionOutcome:
 # winner selection and thresholds
 
 
+def _column(grid: SignalGrid, i: int, k: int) -> tuple:
+    """(column number, own grid index, stride) of profile k for agent i."""
+    st = grid.strides[i]
+    j0 = k // st % grid.sizes[i]
+    return k - j0 * st, j0, st
+
+
+def _winners(instance: Instance, k: int, mask: int) -> int:
+    """:func:`winner_set` of profile number k and active bitmask, as a bitmask."""
+    w = instance._winners.get((k, mask)) if mask else 0
+    if w is None:
+        active = instance.members(mask)
+        weights = {a: instance._value(i, k) for i, a in enumerate(instance.agents) if a in active}
+        tie = [a for a in instance.tie_break if a in active]
+        basis = max_weight_basis(instance.restricted(active), weights, tie, full=True)
+        w = instance._winners[k, mask] = instance.mask(basis.elements)
+    return w
+
+
 def winner_set(instance: Instance, s: Sequence, active: frozenset) -> frozenset:
     """Welfare-maximising feasible subset of ``active`` at profile s."""
-    if not active:
-        return frozenset()
-    s = tuple(s)
-    key = (s, active)
-    w = instance._winners.get(key)
-    if w is None:
-        weights = {a: instance.value(a, s) for a in active}
-        tie = [a for a in instance.tie_break if a in active]
-        w = max_weight_basis(instance.restricted(active), weights, tie, full=True).elements
-        instance._winners[key] = w
-    return w
+    return instance.members(_winners(instance, instance.grid.number(s), instance.mask(active)))
+
+
+def _threshold(instance: Instance, i: int, k: int, mask: int) -> tuple:
+    """:func:`threshold` of agent i, with the critical grid index in place
+    of the critical signal."""
+    if not mask >> i & 1:
+        return None, math.inf
+    col, _, st = _column(instance.grid, i, k)
+    found = instance._thresholds.get((i, col, mask))
+    if found is None:
+        found = None, math.inf
+        for j in range(instance.grid.sizes[i]):
+            if _winners(instance, col + j * st, mask) >> i & 1:
+                found = j, instance._value(i, col + j * st)
+                break
+        instance._thresholds[i, col, mask] = found
+    return found
 
 
 def threshold(instance: Instance, s: Sequence, agent, active: frozenset):
@@ -238,21 +287,9 @@ def threshold(instance: Instance, s: Sequence, agent, active: frozenset):
     joins the winner set is critical.  Returns (None, inf) when no grid
     signal wins.  The scan reads only the agent's column of s.
     """
-    if agent not in active:
-        return NEVER_WINS, math.inf
-    idx = instance.grid.index_of(agent)
-    before, after = tuple(s[:idx]), tuple(s[idx + 1:])
-    key = (agent, before + after, active)
-    found = instance._thresholds.get(key)
-    if found is None:
-        found = NEVER_WINS, math.inf
-        for t in instance.grid.axis(agent):
-            st = before + (t,) + after
-            if agent in winner_set(instance, st, active):
-                found = t, instance.value(agent, st)
-                break
-        instance._thresholds[key] = found
-    return found
+    j, t_val = _threshold(instance, instance.grid.index_of(agent),
+                          instance.grid.number(s), instance.mask(active))
+    return (NEVER_WINS if j is None else instance.grid.axis(agent)[j]), t_val
 
 
 # ----------------------------------------------------------------------
@@ -271,18 +308,18 @@ class ReserveQuote:
 
 def conditional_value_distribution(instance: Instance, agent, s: Sequence):
     """Distribution of v_agent given every other signal, as a value pmf."""
-    others = {a: s[instance.grid.index_of(a)]
-              for a in instance.agents if a != agent}
-    return _own_values(instance, agent, s, instance.dist.conditional_signal(agent, others))
+    others = {a: x for a, x in zip(instance.agents, s) if a != agent}
+    i = instance.grid.index_of(agent)
+    col = _column(instance.grid, i, instance.grid.number(s))[0]
+    return _own_values(instance, i, col, instance.dist.conditional_signal(agent, others))
 
 
-def _own_values(instance: Instance, agent, s: Sequence, signal_dist):
-    """Push a pmf of the agent's own signal through v_agent(., s_-agent),
-    which must be strictly increasing."""
+def _own_values(instance: Instance, i: int, col: int, signal_dist):
+    """Push a pmf of agent i's own signal through its values along column
+    ``col``, which must be strictly increasing."""
     instance.require_monotone()
-    idx = instance.grid.index_of(agent)
-    before, after = tuple(s[:idx]), tuple(s[idx + 1:])
-    return signal_dist.map_values(lambda t: instance.value(agent, before + (t,) + after))
+    pos, st = instance.grid.positions[i], instance.grid.strides[i]
+    return signal_dist.map_values(lambda t: instance._value(i, col + pos[t] * st))
 
 
 def conditional_monopoly_reserve(instance: Instance, agent, s: Sequence, *,
@@ -297,23 +334,30 @@ def conditional_monopoly_reserve(instance: Instance, agent, s: Sequence, *,
     every stage reads only the other agents' signals, so the quote never
     depends on the agent's own report.  An agent that never wins has an
     empty winner event.  Quotes are tabled per (agent, column, event mode,
-    threshold value), so each fallback is logged once per distinct quote.
+    critical signal), so each fallback is logged once per distinct quote.
     """
-    t_val = None
+    mask = instance.mask(instance.agents if active is None else active)
+    return _quote(instance, instance.grid.index_of(agent), instance.grid.number(s),
+                  event_mode, mask)
+
+
+def _quote(instance: Instance, i: int, k: int, event_mode: str, mask: int) -> ReserveQuote:
+    # values rise strictly in the own signal: the critical index stands for
+    # the threshold value in the key
+    col = _column(instance.grid, i, k)[0]
+    j = t_val = None
     if event_mode == "winner_conditioned":
-        if active is None:
-            active = frozenset(instance.agents)
-        t_val = threshold(instance, s, agent, active)[1]
-    idx = instance.grid.index_of(agent)
-    key = (agent, tuple(s[:idx]) + tuple(s[idx + 1:]), event_mode, t_val)
+        j, t_val = _threshold(instance, i, k, mask)
+    key = (i, col, event_mode, j)
     quote = instance._quotes.get(key)
     if quote is not None:
         return quote
+    agent = instance.agents[i]
     fallback = ""
     try:
-        vdist = conditional_value_distribution(instance, agent, s)
+        vdist = conditional_value_distribution(instance, agent, instance.grid.profile_at(k))
     except ConditioningError:
-        vdist = _own_values(instance, agent, s, instance.dist.marginal(agent))
+        vdist = _own_values(instance, i, col, instance.dist.marginal(agent))
         fallback = "prior-marginal"
         log.debug("reserve fallback to prior marginal for agent %r", agent)
 
@@ -332,12 +376,13 @@ def conditional_monopoly_reserve(instance: Instance, agent, s: Sequence, *,
     return quote
 
 
-def _monopoly_quote(instance: Instance, agent) -> ReserveQuote:
-    """The monopoly quote on the agent's prior marginal; it reads no signal,
+def _monopoly_quote(instance: Instance, i: int) -> ReserveQuote:
+    """The monopoly quote on agent i's prior marginal; it reads no signal,
     so it is tabled with no column."""
-    key = (agent, None, "monopoly", None)
+    key = (i, None, "monopoly", None)
     quote = instance._quotes.get(key)
     if quote is None:
+        agent = instance.agents[i]
         price, revenue = monopoly_price(instance.dist.marginal(agent))
         quote = instance._quotes[key] = ReserveQuote(agent, price, revenue)
     return quote
@@ -372,33 +417,41 @@ def resolve_reserves(instance: Instance, s: Sequence, agents, source,
     ``conditional`` reserves condition on the winner event within
     ``active`` (all agents by default).
     """
+    s = tuple(s)
+    return _reserves(instance, s, instance.grid.number(s), instance.mask(agents), source,
+                     instance.mask(instance.agents if active is None else active),
+                     event_mode)
+
+
+def _reserves(instance: Instance, s: tuple, k: int, priced: int, source, mask: int,
+              event_mode: str) -> dict:
+    """:func:`resolve_reserves` for the bitmask ``priced``, profile number k
+    and active bitmask."""
     zero = instance.zero
+    agents = [(i, a) for i, a in enumerate(instance.agents) if priced >> i & 1]
+    # named sources first: a Mapping check goes through the ABC machinery
     if source is None or source == "none":
-        return {a: zero for a in agents}
+        return {a: zero for _, a in agents}
+    if source == "conditional":
+        return {a: _quote(instance, i, k, event_mode, mask).price for i, a in agents}
+    if source == "monopoly":
+        instance.require_private("the unconditional monopoly reserve")
+        return {a: _monopoly_quote(instance, i).price for i, a in agents}
+    if source == "unsafe-own-value":
+        # deliberately illegal: reads the agent's own report; audit canary
+        return {a: instance._value(i, k) for i, a in agents}
+    if source == "single-sample":
+        raise MechanismError("single-sample reserves are integrated over by "
+                             "expected_revenue, not resolved per run")
     if isinstance(source, str) and source.startswith("fixed:"):
         source = _fixed_reserves(instance, source)
     if isinstance(source, Mapping):
         unknown = set(source) - set(instance.agents)
         if unknown:
             raise MechanismError(f"reserves given for unknown agents {sorted(map(str, unknown))}")
-        return {a: source.get(a, zero) for a in agents}
+        return {a: source.get(a, zero) for _, a in agents}
     if callable(source):
-        out = {}
-        for a in agents:
-            out[a] = source(a, SignalView(instance, s, a))
-        return out
-    if source == "monopoly":
-        instance.require_private("the unconditional monopoly reserve")
-        return {a: _monopoly_quote(instance, a).price for a in agents}
-    if source == "conditional":
-        return {a: conditional_monopoly_reserve(
-            instance, a, s, event_mode=event_mode, active=active).price for a in agents}
-    if source == "unsafe-own-value":
-        # deliberately illegal: reads the agent's own report; audit canary
-        return {a: instance.value(a, tuple(s)) for a in agents}
-    if source == "single-sample":
-        raise MechanismError("single-sample reserves are integrated over by "
-                             "expected_revenue, not resolved per run")
+        return {a: source(a, SignalView(instance, s, a)) for _, a in agents}
     raise MechanismError(f"unknown reserve source {source!r}")
 
 
@@ -426,25 +479,32 @@ def gvcg_lazy(instance: Instance, s: Sequence, reserves, active: frozenset | Non
     instance.require_monotone()
     instance.require_single_crossing()
     s = tuple(s)
-    active = frozenset(instance.agents if active is None else active)
-    w = winner_set(instance, s, active)
-    t_sig, t_val = {}, {}
-    for a in instance.agents:
-        t_sig[a], t_val[a] = threshold(instance, s, a, active)
-    r = resolve_reserves(instance, s, w, reserves, active=active, event_mode=event_mode)
-    zero = instance.zero
-    alloc, payment, reserve = {}, {}, {}
+    k = instance.grid.number(s)
+    mask = instance.mask(instance.agents if active is None else active)
+    w = _winners(instance, k, mask)
+    r = _reserves(instance, s, k, w, reserves, mask, event_mode)
+    return _offer(instance, k, w, r, [mask] * len(instance.agents), admitted)
+
+
+def _offer(instance: Instance, k: int, w: int, r: dict, scans: list, admitted):
+    """Offer each tentative winner in bitmask w the higher of its reserve
+    r[a] and its threshold value within the active mask ``scans[i]``."""
+    grid, zero = instance.grid, instance.zero
+    alloc, payment, t_sig, t_val = {}, {}, {}, {}
     served = set()
-    for a in instance.agents:
-        alloc[a], payment[a], reserve[a] = 0, zero, zero
-        if a in w:
-            reserve[a] = r[a]
+    for i, a in enumerate(instance.agents):
+        j, t_val[a] = _threshold(instance, i, k, scans[i])
+        t_sig[a] = NEVER_WINS if j is None else grid.values[a][j]
+        alloc[a], payment[a] = 0, zero
+        if w >> i & 1:
             price = max(r[a], t_val[a])
-            if instance.value(a, s) >= price:
+            if instance._value(i, k) >= price:
                 served.add(a)
                 alloc[a], payment[a] = 1, price
-    return AuctionOutcome(alloc, payment, t_sig, t_val, reserve, tentative=w,
-                          served=frozenset(served), admitted=admitted)
+    return AuctionOutcome(alloc, payment, t_sig, t_val,
+                          {a: r.get(a, zero) for a in instance.agents},
+                          tentative=instance.members(w), served=frozenset(served),
+                          admitted=admitted)
 
 
 def gvcg(instance: Instance, s: Sequence, active: frozenset | None = None) -> AuctionOutcome:
@@ -463,9 +523,7 @@ def randomized_single_item(instance: Instance, s: Sequence,
     """Single-item variant: run the lazy auction inside the admitted set
     (drawn by the admission law in :data:`MECHANISMS`); reserves still
     condition on every other agent's signal, admitted or not."""
-    feas = instance.feas
-    if not (feas.is_matroid and all(feas.is_independent({a}) for a in feas.ground)
-            and feas.rank(feas.ground) <= 1):
+    if not instance.single_item:
         raise WrongVariantError("the single-item variant needs a 1-uniform system")
     return _admitted_lookahead(instance, s, admission, event_mode)
 
@@ -497,27 +555,12 @@ def vcg_eager(instance: Instance, s: Sequence, reserves) -> AuctionOutcome:
     surviving set.  Private values only."""
     instance.require_private("the eager-reserve auction")
     s = tuple(s)
-    all_agents = frozenset(instance.agents)
-    r = resolve_reserves(instance, s, all_agents, reserves)
-    vals = instance.values_at(s)
-    u = frozenset(a for a in all_agents if vals[a] >= r[a])
-    w_u = winner_set(instance, s, u)
-    zero = instance.zero
-    alloc, payment, t_sig, t_val = {}, {}, {}, {}
-    served = set()
-    for a in instance.agents:
-        scan_active = u | {a}
-        t_sig[a], t_val[a] = threshold(instance, s, a, scan_active)
-        alloc[a] = 0
-        payment[a] = zero
-        if a in w_u:
-            price = max(r[a], t_val[a])
-            if vals[a] >= price:
-                served.add(a)
-                alloc[a] = 1
-                payment[a] = price
-    return AuctionOutcome(alloc, payment, t_sig, t_val, dict(r),
-                          tentative=w_u, served=frozenset(served), admitted=None)
+    k = instance.grid.number(s)
+    n = len(instance.agents)
+    r = _reserves(instance, s, k, (1 << n) - 1, reserves, (1 << n) - 1, "winner_conditioned")
+    u = sum(1 << i for i, a in enumerate(instance.agents) if instance._value(i, k) >= r[a])
+    return _offer(instance, k, _winners(instance, k, u), r, [u | 1 << i for i in range(n)],
+                  None)
 
 
 # ----------------------------------------------------------------------
@@ -533,43 +576,32 @@ def threshold_matching(instance: Instance, s: Sequence, w: frozenset,
     disjoint from it.  When tp is smaller than w it is padded to equal size
     with w elements (which accept a self edge) before matching.
     """
-    s = tuple(s)
-    w = frozenset(w)
-    tp = frozenset(tp)
+    w, tp = frozenset(w), frozenset(tp)
     if tp & w:
         raise MechanismError("tp must be disjoint from the winner set")
     if not instance.feas.is_independent(tp):
         raise MechanismError("tp must be independent")
-    all_agents = frozenset(instance.agents)
-    rank = {a: i for i, a in enumerate(instance.tie_break)}
-
+    winners = [a for a in instance.tie_break if a in w]
     padded = set(tp)
-    for a in sorted(w, key=lambda x: rank[x]):
-        if len(padded) == len(w):
-            break
-        if instance.feas.is_independent(padded | {a}):
+    for a in winners:
+        if len(padded) < len(w) and instance.feas.is_independent(padded | {a}):
             padded.add(a)
     if len(padded) != len(w):
         raise ExchangeInvariantError("could not pad tp to the winner set's size")
 
-    idx = {a: instance.grid.index_of(a) for a in instance.agents}
-    crit: dict = {}
-    for i in w:
-        t_sig, t_val = threshold(instance, s, i, all_agents)
-        if t_sig is NEVER_WINS:
-            raise MechanismError(f"winner {i!r} has no critical signal")
-        st = tuple(s[:idx[i]]) + (t_sig,) + tuple(s[idx[i] + 1:])
-        crit[i] = (st, t_val)
-
-    left = sorted(padded, key=lambda a: rank[a])
-    adjacency = {}
-    for j in left:
-        neighbours = []
-        for i in sorted(w, key=lambda a: rank[a]):
-            st, t_val = crit[i]
-            if j == i or instance.value(j, st) <= t_val:
-                neighbours.append(i)
-        adjacency[j] = neighbours
+    # each winner's critical profile number and threshold value among everyone
+    k, index = instance.grid.number(s), {a: i for i, a in enumerate(instance.agents)}
+    crit = {}
+    for a in winners:
+        j, t_val = _threshold(instance, index[a], k, instance.mask(instance.agents))
+        if j is None:
+            raise MechanismError(f"winner {a!r} has no critical signal")
+        col, _, st = _column(instance.grid, index[a], k)
+        crit[a] = col + j * st, t_val
+    left = [b for b in instance.tie_break if b in padded]
+    adjacency = {b: [a for a in winners
+                     if b == a or instance._value(index[b], crit[a][0]) <= crit[a][1]]
+                 for b in left}
     matching = maximum_bipartite_matching(left, adjacency)
     if len(matching) != len(left):
         raise ExchangeInvariantError(
@@ -755,22 +787,23 @@ def opt_upper_bound(instance: Instance):
     welfare disjoint from the winners; bounds every ex post IC mechanism."""
     if not instance.feas.is_matroid:
         raise WrongVariantError("the revenue upper bound needs a matroid system")
-    all_agents = frozenset(instance.agents)
+    everyone = instance.mask(instance.agents)
     total = 0
     for s, p in instance.dist.enumerate_support():
-        w = winner_set(instance, s, all_agents)
+        k = instance.grid.number(s)
+        w = _winners(instance, k, everyone)
         quote_sum = 0
-        for a in w:
-            q = conditional_monopoly_reserve(instance, a, s,
-                                             event_mode="winner_conditioned")
-            quote_sum += q.expected_revenue
-        rest = all_agents - w
+        for i in range(len(instance.agents)):
+            if w >> i & 1:
+                q = _quote(instance, i, k, "winner_conditioned", everyone)
+                quote_sum += q.expected_revenue
         loser_value = 0
-        if rest:
-            sub = instance.restricted(rest)
-            weights = {a: instance.value(a, s) for a in rest}
+        if w != everyone:
+            rest = instance.members(everyone & ~w)
+            weights = {a: instance._value(i, k)
+                       for i, a in enumerate(instance.agents) if a in rest}
             tie = [a for a in instance.tie_break if a in rest]
-            loser_value = max_weight_basis(sub, weights, tie).weight
+            loser_value = max_weight_basis(instance.restricted(rest), weights, tie).weight
         total += p * (quote_sum + loser_value)
     return total
 
@@ -796,30 +829,34 @@ def ic_ir_audit(instance: Instance, spec: MechanismSpec) -> list[AuditViolation]
     agent, and every own-grid deviation: truthful utility must be at least
     the deviating utility and nonnegative, measured at the agent's true
     values.  Exact in rational mode; ``DOUBLE_TOLERANCE`` applies in double
-    mode.
+    mode.  Each realization's outcomes are held by profile number, so the
+    deviation to own grid index j is outcome k + (j - j0) * stride.
     """
     tolerance = instance.tolerance
-    support = instance.dist.support_profiles()
-    grid_profiles = list(instance.grid.profiles())
+    grid = instance.grid
+    support = [(s, grid.number(s)) for s in instance.dist.support_profiles()]
     violations = []
     for realization, _ in realizations(instance, spec):
-        outcomes = {s: run_realized(instance, spec, s, realization)
-                    for s in grid_profiles}
-        for s in support:
-            truth = outcomes[s]
-            for k, a in enumerate(instance.agents):
-                v_true = instance.value(a, s)
-                u_truth = v_true * truth.alloc[a] - truth.payment[a]
+        outcomes = [run_realized(instance, spec, s, realization)
+                    for s in grid.profiles()]
+        for s, k in support:
+            truth = outcomes[k]
+            for i, a in enumerate(instance.agents):
+                # alloc is 0 or 1: utility is v - payment when served, else
+                # -payment, so a deviation gains past the tolerance exactly
+                # when its payment is below pays_less[alloc]
+                v_true = instance._value(i, k)
+                u_truth = v_true - truth.payment[a] if truth.alloc[a] else -truth.payment[a]
                 if u_truth < -tolerance:
                     violations.append(AuditViolation(
                         "ir", realization, s, a, None, -u_truth))
-                for t in instance.grid.axis(a):
-                    if t == s[k]:
-                        continue
-                    dev = s[:k] + (t,) + s[k + 1:]
-                    out = outcomes[dev]
-                    u_dev = v_true * out.alloc[a] - out.payment[a]
-                    if u_dev > u_truth + tolerance:
+                bar = u_truth + tolerance if tolerance else u_truth
+                pays_less = (-bar, v_true - bar)
+                col, j0, st = _column(grid, i, k)
+                for j, t in enumerate(grid.values[a]):
+                    out = outcomes[col + j * st]
+                    if j != j0 and out.payment[a] < pays_less[out.alloc[a]]:
+                        u_dev = v_true * out.alloc[a] - out.payment[a]
                         violations.append(AuditViolation(
                             "ic", realization, s, a, t, u_dev - u_truth))
     return violations

@@ -161,13 +161,12 @@ def assumption_violations(vp: ValuationProfile, grid: SignalGrid) -> dict:
       s_j does not grow when s_i rises one step.
     """
     agents = grid.agents
-    sizes = [len(grid.axis(a)) for a in agents]
-    strides = [math.prod(sizes[j + 1:]) for j in range(len(agents))]
-    # profiles are numbered in row-major order, so no Fraction tuple is
+    # profiles go by the grid's row-major numbers, so no Fraction tuple is
     # hashed; ups[k][j] numbers profile k with signal j one grid step up
     profiles = list(grid.profiles())
     vals = [tuple(value(vp, a, s) for a in agents) for s in profiles]
-    ups = [tuple(k + st if k // st % n + 1 < n else None for st, n in zip(strides, sizes))
+    ups = [tuple(k + st if k // st % n + 1 < n else None
+                 for st, n in zip(grid.strides, grid.sizes))
            for k in range(len(profiles))]
     monotonicity, single_crossing, cross_responsiveness = [], [], []
     for i, a in enumerate(agents):
