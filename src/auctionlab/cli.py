@@ -141,6 +141,8 @@ def cmd_run(args) -> int:
         report = run(spec)
     except SpecError as exc:
         raise SystemExit(str(exc)) from None
+    for row, reason in report.metadata["skipped"].items():
+        print(f"skipped {row}: {reason}", file=sys.stderr)
     if args.out:
         write_report(report, args.out)
         print(f"report written to {args.out}")

@@ -2,10 +2,11 @@
 
 A report is a fixed-column CSV (byte-identical across runs for the same spec
 and seeds in rational mode) plus a JSON sidecar holding seeds, versions,
-tolerances, wall times, and per instance what its evaluation tables held
-when its rows were done.  Audit failures are never skipped silently: a row
-whose audit fails keeps its numbers but is flagged, and the run as a whole
-reports failure.
+tolerances, wall times, the reason for each skipped row, and per instance
+what its evaluation tables held when its rows were done and how its oracle
+solve went.  Audit failures are never skipped silently: a row whose audit
+fails keeps its numbers but is flagged, and the run as a whole reports
+failure.
 """
 from __future__ import annotations
 
@@ -146,10 +147,22 @@ def run(spec: ExperimentSpec) -> RatioReport:
     instances = _materialise_instances(spec)
     rows = []
     tables = []
+    oracles = []
     for inst in instances:
-        oracle = opt_revenue(inst).value if spec.compute_oracle else None
-        upper_bound = (opt_upper_bound(inst)
-                       if spec.compute_upper_bound and inst.feas.is_matroid else None)
+        solve = {"instance": inst.name}
+        oracle = upper_bound = None
+        if spec.compute_oracle:
+            start = time.perf_counter()
+            res = opt_revenue(inst)
+            oracle = res.value
+            solve.update(certified=res.solution.certified, fallbacks=res.solution.fallbacks,
+                         pivots=res.solution.pivots, variables=res.stats.variables,
+                         rows=res.stats.rows, oracle_s=round(time.perf_counter() - start, 6))
+        if spec.compute_upper_bound and inst.feas.is_matroid:
+            start = time.perf_counter()
+            upper_bound = opt_upper_bound(inst)
+            solve["upper_bound_s"] = round(time.perf_counter() - start, 6)
+        oracles.append(solve)
         for mech in mechanisms:
             row = RowResult(instance=inst.name or "instance", spec=mech, mode=spec.mode)
             start = time.perf_counter()
@@ -177,10 +190,14 @@ def run(spec: ExperimentSpec) -> RatioReport:
         "generator": ([spec.generator[0], dict(spec.generator[1]), spec.generator[2]]
                       if spec.generator else None),
         "tables": tables,
+        "oracle": oracles,
         "wall_times": {},
+        "skipped": {},
     }
     for r in rows:
         metadata["wall_times"][f"{r.instance}/{r.spec.mech_id}"] = round(r.wall_time, 6)
+        if r.skipped:
+            metadata["skipped"][f"{r.instance}/{r.spec.mech_id}"] = r.skipped
     return RatioReport(rows, metadata)
 
 

@@ -130,3 +130,16 @@ def test_bound_without_oracle_is_refused():
     with pytest.raises(SystemExit, match="need the oracle"):
         main(["run", "--instance", str(fixture_path("tiny1")),
               "--mechanism", "lookahead", "--bound", "lookahead=1/2", "--no-oracle"])
+
+
+def test_skipped_row_reason_reaches_sidecar_and_stderr(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    rc = main(["run", "--instance", str(fixture_path("partition")),
+               "--mechanism", "rand-single", "--skip-inapplicable", "--no-oracle",
+               "--no-upper-bound", "--out", str(out)])
+    assert rc == 0
+    assert out.read_text().splitlines()[1] == "partition,rand-single,none,exact,,,,,,n/a,0,,"
+    meta = json.loads(out.with_suffix(".csv.meta.json").read_text())
+    reason = "the single-item variant needs a 1-uniform system"
+    assert meta["skipped"] == {"partition/rand-single": reason}
+    assert f"skipped partition/rand-single: {reason}" in capsys.readouterr().err

@@ -135,3 +135,14 @@ def test_bound_without_oracle_is_refused():
                           bounds={"lookahead": F(1, 2)}, compute_oracle=False)
     with pytest.raises(ValueError, match="need the oracle"):
         run(spec)
+
+
+def test_sidecar_records_the_oracle_solve(tmp_path):
+    report = run(ExperimentSpec(mechanisms=["lookahead"], paths=[fixture_path("tiny1")]))
+    out = tmp_path / "report.csv"
+    write_report(report, out)
+    (solve,) = json.loads(out.with_suffix(".csv.meta.json").read_text())["oracle"]
+    assert solve["instance"] == "tiny1"
+    assert solve["certified"] is True and solve["fallbacks"] == 0
+    assert solve["pivots"] > 0 and solve["variables"] > 0 and solve["rows"] > 0
+    assert solve["oracle_s"] >= 0 and solve["upper_bound_s"] >= 0
