@@ -64,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--trials", type=int, default=10_000)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--out", default=None, metavar="PATH")
-    p_run.add_argument("--tolerance", type=float, default=1e-9)
     p_run.add_argument("--bound", action="append", default=[], metavar="MECH=RATIO",
                        help="fail when mechanism revenue / oracle drops below RATIO")
     p_run.add_argument("--no-oracle", action="store_true")
@@ -134,7 +133,6 @@ def cmd_run(args) -> int:
         compute_upper_bound=not args.no_upper_bound,
         audit=not args.no_audit,
         bounds=bounds,
-        tolerance=args.tolerance,
         skip_inapplicable=args.skip_inapplicable,
     )
     try:

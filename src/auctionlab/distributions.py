@@ -88,9 +88,16 @@ class SignalGrid:
         return tuple({v: j for j, v in enumerate(self.values[a])} for a in self.agents)
 
     def number(self, profile: Sequence) -> int:
+        """The profile's row-major number; an off-grid profile is an error."""
+        if len(profile) != len(self.agents):
+            raise DistributionError(f"profile {tuple(profile)} has {len(profile)} "
+                                    f"signals for {len(self.agents)} agents")
         k = 0
-        for pos, x in zip(self.positions, profile):
-            k = k * len(pos) + pos[x]
+        try:
+            for pos, x in zip(self.positions, profile):
+                k = k * len(pos) + pos[x]
+        except KeyError:
+            raise DistributionError(f"profile {tuple(profile)} is off the grid") from None
         return k
 
     def profile_at(self, k: int) -> tuple:
@@ -132,11 +139,6 @@ class ScalarDistribution:
 
     def prob_at_least(self, threshold):
         return sum((p for v, p in self if v >= threshold), 0)
-
-    def map_values(self, fn) -> "ScalarDistribution":
-        """Push the pmf through a strictly increasing value map."""
-        mapped = [(fn(v), p) for v, p in self]
-        return ScalarDistribution(mapped, self.arithmetic)
 
 
 def truncate_above(d: ScalarDistribution, threshold) -> ScalarDistribution:

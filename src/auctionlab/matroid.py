@@ -41,15 +41,6 @@ class Basis:
     elements: frozenset
     weight: object
 
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, item):
-        return item in self.elements
-
-    def __len__(self):
-        return len(self.elements)
-
 
 def default_tie_break(ground: Iterable[Agent]) -> tuple[Agent, ...]:
     return tuple(sorted(ground, key=lambda a: (str(type(a).__name__), a)))

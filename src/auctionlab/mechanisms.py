@@ -41,6 +41,7 @@ from .distributions import (
     ConditioningError,
     JointDistribution,
     RATIONAL,
+    ScalarDistribution,
     SignalGrid,
     monopoly_price,
     truncate_above,
@@ -93,12 +94,13 @@ class SizeError(MechanismError):
 class Instance:
     """A complete auction environment; immutable once constructed.
 
-    The auctions table values per (agent, profile), winner sets per
-    (profile, active set), thresholds per (agent, column, active set) and
-    reserve quotes per (agent, column, event mode, critical signal) on the
-    instance, keyed by ints: agent index, profile number k on the grid, agent
-    bitmask (:meth:`mask`), and column number, k less the agent's own grid
-    index times its stride.  The tables rely on the instance not changing.
+    The auctions table values per profile, winner sets per (profile, active
+    set), thresholds per (agent, column, active set) and reserve quotes per
+    (agent, column, event mode, critical signal) on the instance, keyed by
+    ints: profile number k on the grid, agent index, agent bitmask
+    (:meth:`mask`), and column number, k less the agent's own grid index
+    times its stride.  The values are :func:`valuations.grid_values`, built
+    whole on first use.  The tables rely on the instance not changing.
     ``runner.run`` calls :meth:`release_tables` when an instance's rows are
     done.
     """
@@ -124,28 +126,31 @@ class Instance:
         self.tolerance = 0 if self.arithmetic == RATIONAL else DOUBLE_TOLERANCE
         self._restrictions: dict = {}
         self._checks: dict = {}
-        self._values, self._winners, self._thresholds, self._quotes = {}, {}, {}, {}
+        self.everyone = (1 << len(agents)) - 1
+        self._values, self._winners, self._thresholds, self._quotes = [], {}, {}, {}
 
     @property
     def agents(self) -> tuple:
         return self.grid.agents
 
     def mask(self, agents) -> int:
-        """The bitmask of an agent set: bit i stands for ``agents[i]``."""
+        """The bitmask of an agent set: bit i stands for ``agents[i]``.  An
+        agent outside the instance is an error, not dropped."""
+        unknown = set(agents).difference(self.agents)
+        if unknown:
+            raise MechanismError(f"agents {sorted(map(str, unknown))} are not in the instance")
         return sum(1 << i for i, a in enumerate(self.agents) if a in agents)
 
     def members(self, mask: int) -> frozenset:
         return frozenset(a for i, a in enumerate(self.agents) if mask >> i & 1)
 
     def _value(self, i: int, k: int):
-        v = self._values.get((i, k))
-        if v is None:
-            s = self.grid.profile_at(k)
-            v = self._values[i, k] = valuations.value(self.vp, self.agents[i], s)
-        return v
+        if not self._values:
+            self._values = valuations.grid_values(self.vp, self.grid)
+        return self._values[k][i]
 
     def value(self, agent, s: Sequence):
-        """v_agent(s), tabled per (agent index, profile number)."""
+        """v_agent(s), read from the instance's table of grid values."""
         return self._value(self.grid.index_of(agent), self.grid.number(s))
 
     def values_at(self, s: Sequence) -> dict:
@@ -153,7 +158,8 @@ class Instance:
         return {a: self._value(i, k) for i, a in enumerate(self.agents)}
 
     def table_sizes(self) -> dict:
-        return {"values": len(self._values), "winner_sets": len(self._winners),
+        return {"values": len(self.agents) * len(self._values),
+                "winner_sets": len(self._winners),
                 "thresholds": len(self._thresholds), "quotes": len(self._quotes)}
 
     def release_tables(self) -> dict:
@@ -319,7 +325,8 @@ def _own_values(instance: Instance, i: int, col: int, signal_dist):
     ``col``, which must be strictly increasing."""
     instance.require_monotone()
     pos, st = instance.grid.positions[i], instance.grid.strides[i]
-    return signal_dist.map_values(lambda t: instance._value(i, col + pos[t] * st))
+    return ScalarDistribution([(instance._value(i, col + pos[t] * st), p) for t, p in signal_dist],
+                              signal_dist.arithmetic)
 
 
 def conditional_monopoly_reserve(instance: Instance, agent, s: Sequence, *,
@@ -336,7 +343,7 @@ def conditional_monopoly_reserve(instance: Instance, agent, s: Sequence, *,
     empty winner event.  Quotes are tabled per (agent, column, event mode,
     critical signal), so each fallback is logged once per distinct quote.
     """
-    mask = instance.mask(instance.agents if active is None else active)
+    mask = instance.everyone if active is None else instance.mask(active)
     return _quote(instance, instance.grid.index_of(agent), instance.grid.number(s),
                   event_mode, mask)
 
@@ -419,7 +426,7 @@ def resolve_reserves(instance: Instance, s: Sequence, agents, source,
     """
     s = tuple(s)
     return _reserves(instance, s, instance.grid.number(s), instance.mask(agents), source,
-                     instance.mask(instance.agents if active is None else active),
+                     instance.everyone if active is None else instance.mask(active),
                      event_mode)
 
 
@@ -480,7 +487,7 @@ def gvcg_lazy(instance: Instance, s: Sequence, reserves, active: frozenset | Non
     instance.require_single_crossing()
     s = tuple(s)
     k = instance.grid.number(s)
-    mask = instance.mask(instance.agents if active is None else active)
+    mask = instance.everyone if active is None else instance.mask(active)
     w = _winners(instance, k, mask)
     r = _reserves(instance, s, k, w, reserves, mask, event_mode)
     return _offer(instance, k, w, r, [mask] * len(instance.agents), admitted)
@@ -543,8 +550,6 @@ def _admitted_lookahead(instance: Instance, s: Sequence, admission,
     if admission is None:
         raise MechanismError("need an explicit admission set")
     z = frozenset(admission)
-    if not z <= set(instance.agents):
-        raise MechanismError("admission set mentions unknown agents")
     return gvcg_lazy(instance, s, "conditional", active=z, admitted=z,
                      event_mode=event_mode)
 
@@ -593,7 +598,7 @@ def threshold_matching(instance: Instance, s: Sequence, w: frozenset,
     k, index = instance.grid.number(s), {a: i for i, a in enumerate(instance.agents)}
     crit = {}
     for a in winners:
-        j, t_val = _threshold(instance, index[a], k, instance.mask(instance.agents))
+        j, t_val = _threshold(instance, index[a], k, instance.everyone)
         if j is None:
             raise MechanismError(f"winner {a!r} has no critical signal")
         col, _, st = _column(instance.grid, index[a], k)
@@ -787,7 +792,7 @@ def opt_upper_bound(instance: Instance):
     welfare disjoint from the winners; bounds every ex post IC mechanism."""
     if not instance.feas.is_matroid:
         raise WrongVariantError("the revenue upper bound needs a matroid system")
-    everyone = instance.mask(instance.agents)
+    everyone = instance.everyone
     total = 0
     for s, p in instance.dist.enumerate_support():
         k = instance.grid.number(s)

@@ -128,7 +128,7 @@ def build_revenue_lp(instance: Instance, var_cap: int = DEFAULT_VAR_CAP) -> Reve
         raise LPSizeError(
             f"{n_y} allocation + {n_p} payment variables exceed the cap {var_cap}")
 
-    values = [[value(instance.vp, a, s) for a in agents] for s in support]
+    values = [tuple(instance.values_at(s).values()) for s in support]
     objective = [0] * n_y + [instance.dist.probability(s) for s in support for _ in agents]
     lp = LinearProgram(n_y + n_p, objective)
     empty = feasible.index(frozenset())

@@ -2,7 +2,7 @@
 
 A report is a fixed-column CSV (byte-identical across runs for the same spec
 and seeds in rational mode) plus a JSON sidecar holding seeds, versions,
-tolerances, wall times, the reason for each skipped row, and per instance
+wall times, the reason for each skipped row, and per instance
 what its evaluation tables held when its rows were done and how its oracle
 solve went.  Audit failures are never skipped silently: a row whose audit
 fails keeps its numbers but is flagged, and the run as a whole reports
@@ -57,7 +57,6 @@ class ExperimentSpec:
     compute_upper_bound: bool = True
     audit: bool = True
     bounds: dict = field(default_factory=dict)  # mechanism id -> min ratio
-    tolerance: float = 1e-9
     skip_inapplicable: bool = False
 
 
@@ -133,12 +132,8 @@ def _materialise_instances(spec: ExperimentSpec) -> list[Instance]:
     return out
 
 
-def _coerce_mechanism(m) -> MechanismSpec:
-    return m if isinstance(m, MechanismSpec) else MechanismSpec(m)
-
-
 def run(spec: ExperimentSpec) -> RatioReport:
-    mechanisms = [_coerce_mechanism(m) for m in spec.mechanisms]
+    mechanisms = [m if isinstance(m, MechanismSpec) else MechanismSpec(m) for m in spec.mechanisms]
     if spec.bounds and not spec.compute_oracle:
         raise SpecError("ratio bounds need the oracle, which is switched off")
     unbound = sorted(set(spec.bounds) - {m.mech_id for m in mechanisms})
@@ -183,7 +178,6 @@ def run(spec: ExperimentSpec) -> RatioReport:
         "mode": spec.mode,
         "seed": spec.seed,
         "trials": spec.trials if spec.mode == "monte_carlo" else None,
-        "tolerance": spec.tolerance,
         "arithmetic": spec.arithmetic or "per-instance",
         "bounds": {k: _fmt(v) for k, v in spec.bounds.items()},
         "instances": [inst.name for inst in instances],
@@ -225,9 +219,9 @@ def _fill_row(row, inst, mech, spec, oracle, upper_bound):
     if bound is not None and row.ratio is not None:
         row.bound = bound
         if inst.arithmetic == RATIONAL and spec.mode == "exact":
-            row.bound_ok = Fraction(row.ratio) >= Fraction(bound) - Fraction(spec.tolerance)
+            row.bound_ok = Fraction(row.ratio) >= Fraction(bound)
         else:
-            row.bound_ok = float(row.ratio) >= float(bound) - spec.tolerance
+            row.bound_ok = float(row.ratio) >= float(bound) - inst.tolerance
 
 
 def write_report(report: RatioReport, out_path) -> None:

@@ -1,7 +1,8 @@
 """Interdependent valuation families and their assumption check.
 
 ``value(vp, i, s)`` evaluates agent i's worth of the service at a signal
-profile.  Built-in families:
+profile, and :func:`grid_values` evaluates every agent at every grid profile
+once, by profile number.  Built-in families:
 
 * ``private``            -- v_i(s) = s_i
 * ``weighted_sum``       -- v_i(s) = s_i + beta * sum of the other signals
@@ -140,6 +141,12 @@ def value(vp: ValuationProfile, agent, s: Sequence):
         raise ValuationError(f"no tabulated value for agent {agent!r} at {tuple(s)}")
 
 
+def grid_values(vp: ValuationProfile, grid: SignalGrid) -> list:
+    """Every agent's value at every grid profile: entry k holds the values of
+    profile number k (row-major, as ``grid.number``) in agent order."""
+    return [tuple(value(vp, a, s) for a in grid.agents) for s in grid.profiles()]
+
+
 def assumption_violations(vp: ValuationProfile, grid: SignalGrid) -> dict:
     """One walk over the grid for the three valuation assumptions.
 
@@ -164,7 +171,7 @@ def assumption_violations(vp: ValuationProfile, grid: SignalGrid) -> dict:
     # profiles go by the grid's row-major numbers, so no Fraction tuple is
     # hashed; ups[k][j] numbers profile k with signal j one grid step up
     profiles = list(grid.profiles())
-    vals = [tuple(value(vp, a, s) for a in agents) for s in profiles]
+    vals = grid_values(vp, grid)
     ups = [tuple(k + st if k // st % n + 1 < n else None
                  for st, n in zip(grid.strides, grid.sizes))
            for k in range(len(profiles))]
