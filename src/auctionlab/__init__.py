@@ -11,7 +11,6 @@ from .distributions import (  # noqa: F401
     monopoly_price,
     regularity_report,
     revenue_curve,
-    truncate_above,
 )
 from .matroid import (  # noqa: F401
     Basis,

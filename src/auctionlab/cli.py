@@ -20,7 +20,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .generators import GENERATORS, generate_instances
-from .instances import corpus_names, fixture_path, load_instance, save_instance
+from .instances import (InstanceFormatError, corpus_names, fixture_path, load_instance,
+                        save_instance)
 from .mechanisms import (
     MECHANISM_IDS,
     MechanismSpec,
@@ -135,10 +136,7 @@ def cmd_run(args) -> int:
         bounds=bounds,
         skip_inapplicable=args.skip_inapplicable,
     )
-    try:
-        report = run(spec)
-    except SpecError as exc:
-        raise SystemExit(str(exc)) from None
+    report = run(spec)
     for row, reason in report.metadata["skipped"].items():
         print(f"skipped {row}: {reason}", file=sys.stderr)
     if args.out:
@@ -275,7 +273,10 @@ def main(argv=None) -> int:
         "compare": cmd_compare,
         "gen": cmd_gen,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except (SpecError, InstanceFormatError) as exc:
+        raise SystemExit(str(exc)) from None
 
 
 if __name__ == "__main__":

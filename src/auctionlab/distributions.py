@@ -1,4 +1,4 @@
-"""Finite-support signal distributions: conditioning, truncation, pricing.
+"""Finite-support signal distributions: conditioning and pricing.
 
 A joint distribution on a :class:`SignalGrid` can be written two ways, as an
 explicit table of profiles or as a product of per-agent marginals, and is held
@@ -53,7 +53,9 @@ class SignalGrid:
     """Per-agent sorted signal values; the whole type space of the model.
 
     Profile number k (row-major) has agent i's grid index k // strides[i] %
-    sizes[i]; the numbering is built on first use."""
+    sizes[i]; the numbering is built on first use, and :meth:`column` is the
+    one place a profile number is split into the agent's column and own
+    index."""
 
     agents: tuple
     values: Mapping
@@ -100,6 +102,14 @@ class SignalGrid:
             raise DistributionError(f"profile {tuple(profile)} is off the grid") from None
         return k
 
+    def column(self, i: int, k: int) -> tuple:
+        """(column number, own grid index j, stride) of profile k for agent
+        index i: the column number is the profile's number with agent i's own
+        index set to 0, so the column's profiles are col + j * stride."""
+        st = self.strides[i]
+        j = k // st % self.sizes[i]
+        return k - j * st, j, st
+
     def profile_at(self, k: int) -> tuple:
         return tuple(self.values[a][k // st % n]
                      for a, st, n in zip(self.agents, self.strides, self.sizes))
@@ -141,27 +151,22 @@ class ScalarDistribution:
         return sum((p for v, p in self if v >= threshold), 0)
 
 
-def truncate_above(d: ScalarDistribution, threshold) -> ScalarDistribution:
-    """Distribution of X conditioned on X >= threshold."""
-    tail = [(v, p) for v, p in d if v >= threshold and p > 0]
-    mass = sum(p for _, p in tail)
-    if not tail or mass == 0:
-        raise ConditioningError(f"no mass at or above {threshold}")
-    return ScalarDistribution([(v, p / mass) for v, p in tail], d.arithmetic)
-
-
 def revenue_curve(d: ScalarDistribution) -> list[tuple]:
     """Posted-price revenue p * P[X >= p] at every support point."""
     return [(v, v * d.prob_at_least(v)) for v in d.support]
 
 
-def monopoly_price(d: ScalarDistribution) -> tuple:
-    """Revenue-maximising posted price; ties go to the lowest price."""
-    best_price, best_rev = None, None
-    for price, rev in revenue_curve(d):
-        if best_rev is None or rev > best_rev:
-            best_price, best_rev = price, rev
-    return best_price, best_rev
+def monopoly_price(pairs) -> tuple:
+    """Revenue-maximising posted price and its revenue over (value, mass)
+    pairs in increasing value order, such as a :class:`ScalarDistribution`,
+    each mass read relative to their total; ties go to the lowest price."""
+    best_price = best_rev = None
+    tail = 0
+    for v, p in reversed(list(pairs)):
+        tail += p
+        if best_rev is None or v * tail >= best_rev:
+            best_price, best_rev = v, v * tail
+    return best_price, best_rev / tail
 
 
 @dataclass(frozen=True)
@@ -288,28 +293,28 @@ class JointDistribution:
         expected = set(self.grid.agents) - {agent}
         if set(others) != expected:
             raise DistributionError("conditioning must fix exactly the other agents")
-        column = tuple(others[a] for a in self.grid.agents if a != agent)
+        axis = self.grid.axis(agent)
         try:
-            return self._columns(agent)[column]
-        except KeyError:
-            raise ConditioningError(
-                f"zero-probability conditioning event {dict(others)}") from None
+            col = self.grid.number([axis[0] if a == agent else others[a] for a in self.agents])
+        except DistributionError:
+            col = None
+        pairs = self.column_masses(self.grid.index_of(agent), col)
+        if not pairs:
+            raise ConditioningError(f"zero-probability conditioning event {dict(others)}")
+        mass = sum(p for _, p in pairs)
+        return ScalarDistribution([(axis[j], p / mass) for j, p in pairs], self.arithmetic)
 
-    def _columns(self, agent) -> dict:
-        """Conditional pmfs of the agent's signal, keyed by the others' signals."""
-        if agent not in self._column_index:
-            idx = self.grid.index_of(agent)
-            rows: dict = {}
+    def column_masses(self, i: int, col) -> list:
+        """The table's (own grid index, probability) pairs in agent index i's
+        column number ``col`` (see :meth:`SignalGrid.column`), in own-index
+        order and not normalised; empty when the column has no mass.  Each
+        agent's pairs are grouped by column on first use."""
+        if i not in self._column_index:
+            index = self._column_index[i] = {}
             for profile, p in self._table.items():
-                column = profile[:idx] + profile[idx + 1:]
-                rows.setdefault(column, []).append((profile[idx], p))
-            index = {}
-            for column, pairs in rows.items():
-                mass = sum(p for _, p in pairs)
-                index[column] = ScalarDistribution([(v, p / mass) for v, p in pairs],
-                                                   self.arithmetic)
-            self._column_index[agent] = index
-        return self._column_index[agent]
+                c, j, _ = self.grid.column(i, self.grid.number(profile))
+                index.setdefault(c, []).append((j, p))
+        return self._column_index[i].get(col, [])
 
     def sample(self, rng) -> tuple:
         """Draw one profile using the caller's random stream: the first one

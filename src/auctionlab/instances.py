@@ -19,7 +19,7 @@ import yaml
 
 from .distributions import DOUBLE, JointDistribution, RATIONAL, ScalarDistribution, SignalGrid
 from .matroid import FeasibilitySystem
-from .mechanisms import AssumptionError, Instance
+from .mechanisms import AssumptionError, Instance, MechanismError
 from .valuations import (
     PiecewiseLinear,
     StepFunction,
@@ -102,8 +102,11 @@ def from_dict(doc: dict, *, arithmetic: str | None = None,
     if tie_break is not None:
         tie_break = tuple(tie_break)
 
-    inst = Instance(grid=grid, dist=dist, vp=vp, feas=feas, tie_break=tie_break,
-                    name=doc.get("name", name), arithmetic=mode)
+    try:
+        inst = Instance(grid=grid, dist=dist, vp=vp, feas=feas, tie_break=tie_break,
+                        name=doc.get("name", name), arithmetic=mode)
+    except MechanismError as exc:
+        raise InstanceFormatError(str(exc)) from exc
     report = inst.assumption_report()
     if report["monotonicity"]:
         first = report["monotonicity"][0]

@@ -44,7 +44,6 @@ from .distributions import (
     ScalarDistribution,
     SignalGrid,
     monopoly_price,
-    truncate_above,
 )
 from .matching import maximum_bipartite_matching
 from .matroid import (
@@ -118,10 +117,11 @@ class Instance:
         agents = self.grid.agents
         if self.vp.agents != agents or set(self.feas.ground) != set(agents):
             raise MechanismError("agent sets disagree across instance fields")
-        if self.tie_break is None:
-            self.tie_break = default_tie_break(agents)
-        else:
-            self.tie_break = tuple(self.tie_break)
+        self.tie_break = (default_tie_break(agents) if self.tie_break is None
+                          else tuple(self.tie_break))
+        if len(self.tie_break) != len(agents) or set(self.tie_break) != set(agents):
+            raise MechanismError(f"tie_break {list(self.tie_break)} does not list "
+                                 "every agent exactly once")
         self.zero = Fraction(0) if self.arithmetic == RATIONAL else 0.0
         self.tolerance = 0 if self.arithmetic == RATIONAL else DOUBLE_TOLERANCE
         self._restrictions: dict = {}
@@ -245,11 +245,7 @@ class AuctionOutcome:
 # winner selection and thresholds
 
 
-def _column(grid: SignalGrid, i: int, k: int) -> tuple:
-    """(column number, own grid index, stride) of profile k for agent i."""
-    st = grid.strides[i]
-    j0 = k // st % grid.sizes[i]
-    return k - j0 * st, j0, st
+_column = SignalGrid.column
 
 
 def _winners(instance: Instance, k: int, mask: int) -> int:
@@ -270,8 +266,10 @@ def winner_set(instance: Instance, s: Sequence, active: frozenset) -> frozenset:
 
 
 def _threshold(instance: Instance, i: int, k: int, mask: int) -> tuple:
-    """:func:`threshold` of agent i, with the critical grid index in place
-    of the critical signal."""
+    """(critical grid index, threshold value) of agent i within the active
+    mask: the scan goes up the agent's column from below, and the smallest
+    own index at which the agent joins the winner set is critical.  Returns
+    (None, inf) when no grid signal wins."""
     if not mask >> i & 1:
         return None, math.inf
     col, _, st = _column(instance.grid, i, k)
@@ -284,18 +282,6 @@ def _threshold(instance: Instance, i: int, k: int, mask: int) -> tuple:
                 break
         instance._thresholds[i, col, mask] = found
     return found
-
-
-def threshold(instance: Instance, s: Sequence, agent, active: frozenset):
-    """(critical signal, threshold value) for the agent within ``active``.
-
-    Scans the agent's grid from below; the smallest signal at which the agent
-    joins the winner set is critical.  Returns (None, inf) when no grid
-    signal wins.  The scan reads only the agent's column of s.
-    """
-    j, t_val = _threshold(instance, instance.grid.index_of(agent),
-                          instance.grid.number(s), instance.mask(active))
-    return (NEVER_WINS if j is None else instance.grid.axis(agent)[j]), t_val
 
 
 # ----------------------------------------------------------------------
@@ -314,19 +300,15 @@ class ReserveQuote:
 
 def conditional_value_distribution(instance: Instance, agent, s: Sequence):
     """Distribution of v_agent given every other signal, as a value pmf."""
-    others = {a: x for a, x in zip(instance.agents, s) if a != agent}
-    i = instance.grid.index_of(agent)
-    col = _column(instance.grid, i, instance.grid.number(s))[0]
-    return _own_values(instance, i, col, instance.dist.conditional_signal(agent, others))
-
-
-def _own_values(instance: Instance, i: int, col: int, signal_dist):
-    """Push a pmf of agent i's own signal through its values along column
-    ``col``, which must be strictly increasing."""
     instance.require_monotone()
-    pos, st = instance.grid.positions[i], instance.grid.strides[i]
-    return ScalarDistribution([(instance._value(i, col + pos[t] * st), p) for t, p in signal_dist],
-                              signal_dist.arithmetic)
+    i = instance.grid.index_of(agent)
+    col, _, st = _column(instance.grid, i, instance.grid.number(s))
+    pairs = instance.dist.column_masses(i, col)
+    if not pairs:
+        raise ConditioningError(f"agent {agent!r} has no conditional mass at {tuple(s)}")
+    mass = sum(p for _, p in pairs)
+    return ScalarDistribution([(instance._value(i, col + j * st), p / mass) for j, p in pairs],
+                              instance.arithmetic)
 
 
 def conditional_monopoly_reserve(instance: Instance, agent, s: Sequence, *,
@@ -349,36 +331,38 @@ def conditional_monopoly_reserve(instance: Instance, agent, s: Sequence, *,
 
 
 def _quote(instance: Instance, i: int, k: int, event_mode: str, mask: int) -> ReserveQuote:
-    # values rise strictly in the own signal: the critical index stands for
-    # the threshold value in the key
-    col = _column(instance.grid, i, k)[0]
-    j = t_val = None
+    """:func:`conditional_monopoly_reserve` of agent i, priced from the joint
+    table's masses on the agent's column: values rise strictly in the own
+    signal, so the winner event is the own indices at or above the critical
+    one, and that index stands for the threshold value in the key."""
+    col, _, st = _column(instance.grid, i, k)
+    crit = None
     if event_mode == "winner_conditioned":
-        j, t_val = _threshold(instance, i, k, mask)
-    key = (i, col, event_mode, j)
+        crit = _threshold(instance, i, k, mask)[0]
+    elif event_mode != "unconditioned":
+        raise MechanismError(f"unknown reserve event mode {event_mode!r}")
+    key = (i, col, event_mode, crit)
     quote = instance._quotes.get(key)
     if quote is not None:
         return quote
+    instance.require_monotone()
     agent = instance.agents[i]
     fallback = ""
-    try:
-        vdist = conditional_value_distribution(instance, agent, instance.grid.profile_at(k))
-    except ConditioningError:
-        vdist = _own_values(instance, i, col, instance.dist.marginal(agent))
+    pairs = instance.dist.column_masses(i, col)
+    if not pairs:
+        pos = instance.grid.positions[i]
+        pairs = [(pos[t], p) for t, p in instance.dist.marginal(agent)]
         fallback = "prior-marginal"
         log.debug("reserve fallback to prior marginal for agent %r", agent)
-
     if event_mode == "winner_conditioned":
-        try:
-            vdist = truncate_above(vdist, t_val)
-        except ConditioningError:
+        won = [] if crit is None else [(j, p) for j, p in pairs if j >= crit]
+        if won:
+            pairs = won
+        else:
             fallback = fallback or "unconditioned"
             log.debug("winner event of agent %r has no conditional mass; "
                       "using unconditioned reserve", agent)
-    elif event_mode != "unconditioned":
-        raise MechanismError(f"unknown reserve event mode {event_mode!r}")
-
-    price, revenue = monopoly_price(vdist)
+    price, revenue = monopoly_price([(instance._value(i, col + j * st), p) for j, p in pairs])
     quote = instance._quotes[key] = ReserveQuote(agent, price, revenue, fallback)
     return quote
 
@@ -773,6 +757,8 @@ def expected_revenue(instance: Instance, spec: MechanismSpec, mode: str = "exact
 
     if mode != "monte_carlo":
         raise MechanismError(f"unknown mode {mode!r}")
+    if trials < 1:
+        raise MechanismError(f"Monte Carlo needs at least one trial, not {trials}")
     import random
 
     rng = random.Random(seed)

@@ -101,12 +101,13 @@ class OptResult:
     solution: SimplexResult
 
 
-def _truth_telling_pairs(instance: Instance, support: list, k: int):
-    """Positions of support pairs that differ only in agent k's signal:
-    neighbours within each column, or every pair when monotonicity fails."""
+def _truth_telling_pairs(instance: Instance, numbers: list, k: int):
+    """Positions of support pairs that differ only in agent k's signal, given
+    the support's profile numbers: neighbours within each column, or every
+    pair when monotonicity fails."""
     columns: dict = {}
-    for i, s in enumerate(support):
-        columns.setdefault(s[:k] + s[k + 1:], []).append(i)
+    for i, number in enumerate(numbers):
+        columns.setdefault(instance.grid.column(k, number)[0], []).append(i)
     every_pair = bool(instance.assumption_report()["monotonicity"])
     for column in columns.values():
         if every_pair:
@@ -150,8 +151,9 @@ def build_revenue_lp(instance: Instance, var_cap: int = DEFAULT_VAR_CAP) -> Reve
         lp.add_le(coeffs, 0)
 
     n_ic = 0
+    numbers = [instance.grid.number(s) for s in support]
     for k in range(n):
-        for i, j in _truth_telling_pairs(instance, support, k):
+        for i, j in _truth_telling_pairs(instance, numbers, k):
             add_ic(k, i, j)
             add_ic(k, j, i)
             n_ic += 2

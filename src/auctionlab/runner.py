@@ -20,7 +20,6 @@ from pathlib import Path
 
 from . import __version__
 from .distributions import RATIONAL
-from .generators import generate_instances
 from .instances import load_instance
 from .mechanisms import (
     MECHANISMS,
@@ -48,7 +47,6 @@ class ExperimentSpec:
     mechanisms: list
     paths: list = field(default_factory=list)
     instances: list = field(default_factory=list)
-    generator: tuple | None = None          # (name, params, seed)
     mode: str = "exact"
     trials: int = 10_000
     seed: int = 0
@@ -124,9 +122,6 @@ def _materialise_instances(spec: ExperimentSpec) -> list[Instance]:
     out = list(spec.instances)
     for p in spec.paths:
         out.append(load_instance(p, arithmetic=spec.arithmetic))
-    if spec.generator is not None:
-        name, params, seed = spec.generator
-        out.extend(generate_instances(name, params, seed))
     if not out:
         raise SpecError("experiment needs at least one instance")
     return out
@@ -134,6 +129,8 @@ def _materialise_instances(spec: ExperimentSpec) -> list[Instance]:
 
 def run(spec: ExperimentSpec) -> RatioReport:
     mechanisms = [m if isinstance(m, MechanismSpec) else MechanismSpec(m) for m in spec.mechanisms]
+    if spec.mode == "monte_carlo" and spec.trials < 1:
+        raise SpecError(f"Monte Carlo needs at least one trial, not {spec.trials}")
     if spec.bounds and not spec.compute_oracle:
         raise SpecError("ratio bounds need the oracle, which is switched off")
     unbound = sorted(set(spec.bounds) - {m.mech_id for m in mechanisms})
@@ -181,8 +178,6 @@ def run(spec: ExperimentSpec) -> RatioReport:
         "arithmetic": spec.arithmetic or "per-instance",
         "bounds": {k: _fmt(v) for k, v in spec.bounds.items()},
         "instances": [inst.name for inst in instances],
-        "generator": ([spec.generator[0], dict(spec.generator[1]), spec.generator[2]]
-                      if spec.generator else None),
         "tables": tables,
         "oracle": oracles,
         "wall_times": {},

@@ -143,3 +143,18 @@ def test_skipped_row_reason_reaches_sidecar_and_stderr(tmp_path, capsys):
     reason = "the single-item variant needs a 1-uniform system"
     assert meta["skipped"] == {"partition/rand-single": reason}
     assert f"skipped partition/rand-single: {reason}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_monte_carlo_without_trials_exits_with_one_line(trials):
+    with pytest.raises(SystemExit, match=f"at least one trial, not {trials}$"):
+        main(["run", "--instance", str(fixture_path("tiny1")), "--mechanism", "lookahead",
+              "--mode", "mc", "--trials", trials, "--no-oracle"])
+
+
+@pytest.mark.parametrize("command", [["run", "--mechanism", "lookahead"], ["oracle"]])
+def test_malformed_instance_exits_with_one_line(tmp_path, command):
+    path = tmp_path / "bad.yaml"
+    path.write_text("agents: [1, 2]\n")
+    with pytest.raises(SystemExit, match="^top level: missing required field 'distribution'$"):
+        main(command + ["--instance", str(path)])

@@ -15,7 +15,6 @@ from auctionlab.distributions import (
     monopoly_price,
     regularity_report,
     revenue_curve,
-    truncate_above,
 )
 from auctionlab.generators import generate_instances
 
@@ -58,15 +57,6 @@ def test_grid_validation():
         SignalGrid(agents=(1,), values={1: ()})
 
 
-def test_truncate_above():
-    assert truncate_above(uniform(1, 2, 3), 2) == uniform(2, 3)
-    assert truncate_above(uniform(1, 2), 0) == uniform(1, 2)
-    d = ScalarDistribution([(1, Fraction(3, 4)), (4, Q)])
-    assert truncate_above(d, 2) == ScalarDistribution([(4, 1)])
-    with pytest.raises(ConditioningError):
-        truncate_above(uniform(1, 2), 5)
-
-
 def test_revenue_curve():
     assert revenue_curve(ScalarDistribution([(5, 1)])) == [(5, 5)]
     assert revenue_curve(uniform(1, 2)) == [(1, 1), (2, 1)]
@@ -96,15 +86,17 @@ def test_monopoly_is_brute_force_argmax():
         assert price == min(p for p in d.support if p * d.prob_at_least(p) == best)
 
 
-def test_truncation_scaling_identity():
-    # after truncation the curve is the original curve restricted to p >= t,
-    # scaled by 1 / P[X >= t]
+def test_pricing_the_tail_scales_the_curve():
+    # pricing the masses at or above t, read relative to their total, gives
+    # the best of the curve restricted to p >= t, scaled by 1 / P[X >= t];
+    # ties go to the lowest price
     d = ScalarDistribution([(1, H), (2, Q), (3, Fraction(1, 8)), (5, Fraction(1, 8))])
     for t in d.support:
         scale = d.prob_at_least(t)
-        cut = truncate_above(d, t)
-        expect = [(p, rev / scale) for p, rev in revenue_curve(d) if p >= t]
-        assert revenue_curve(cut) == expect
+        curve = [(p, rev) for p, rev in revenue_curve(d) if p >= t]
+        best = max(rev for _, rev in curve)
+        expect = (min(p for p, rev in curve if rev == best), best / scale)
+        assert monopoly_price([(v, p) for v, p in d if v >= t]) == expect
 
 
 def test_regularity_examples():

@@ -12,7 +12,14 @@ from auctionlab.instances import (
     save_instance,
     to_dict,
 )
-from auctionlab.mechanisms import AssumptionError, MechanismSpec, expected_revenue
+from auctionlab.mechanisms import (
+    AssumptionError,
+    Instance,
+    MechanismError,
+    MechanismSpec,
+    expected_revenue,
+    gvcg,
+)
 from auctionlab.valuations import value
 
 F = Fraction
@@ -95,6 +102,17 @@ feasibility: {kind: uniform, k: 1}
 """
     with pytest.raises(AssumptionError, match="monotonicity"):
         loads(text)
+
+
+def test_tie_break_must_list_every_agent_once():
+    inst = loads(TINY1_TEXT + "tie_break: [2, 1]\n")
+    assert gvcg(inst, (F(2), F(2))).tentative == {2}
+    for order in ([2, 1, 2], [1, 2, 99], [1]):
+        with pytest.raises(InstanceFormatError, match="every agent exactly once"):
+            loads(TINY1_TEXT + f"tie_break: {order}\n")
+        with pytest.raises(MechanismError, match="every agent exactly once"):
+            Instance(grid=inst.grid, dist=inst.dist, vp=inst.vp, feas=inst.feas,
+                     tie_break=order)
 
 
 def test_double_arithmetic_override():

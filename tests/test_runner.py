@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from auctionlab.instances import fixture_path
-from auctionlab.mechanisms import MechanismSpec
-from auctionlab.runner import ExperimentSpec, run, write_report
+from auctionlab.generators import generate_instances
+from auctionlab.instances import fixture_path, load_fixture
+from auctionlab.mechanisms import MechanismError, MechanismSpec, expected_revenue
+from auctionlab.runner import ExperimentSpec, SpecError, run, write_report
 
 F = Fraction
 
@@ -102,13 +103,23 @@ def test_double_arithmetic_end_to_end():
 def test_generator_backed_experiment():
     spec = ExperimentSpec(
         mechanisms=["lookahead"],
-        generator=("correlated-private", {"n": 2, "grid": 2, "count": 3}, 17),
+        instances=generate_instances("correlated-private", {"n": 2, "grid": 2, "count": 3}, 17),
         bounds={"lookahead": F(1, 2)})
     report = run(spec)
     assert len(report.rows) == 3
     assert report.ok
     assert all(r.bound_ok for r in report.rows)
-    assert report.metadata["generator"][0] == "correlated-private"
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_monte_carlo_needs_a_trial(trials):
+    spec = ExperimentSpec(mechanisms=["lookahead"], paths=[fixture_path("tiny1")],
+                          mode="monte_carlo", trials=trials, compute_oracle=False)
+    with pytest.raises(SpecError, match="at least one trial"):
+        run(spec)
+    with pytest.raises(MechanismError, match="at least one trial"):
+        expected_revenue(load_fixture("tiny1"), MechanismSpec("lookahead"),
+                         mode="monte_carlo", trials=trials)
 
 
 def test_inapplicable_mechanism_propagates_with_name():
