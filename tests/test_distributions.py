@@ -86,7 +86,22 @@ def test_monopoly_is_brute_force_argmax():
         assert price == min(p for p in d.support if p * d.prob_at_least(p) == best)
 
 
-def test_pricing_the_tail_scales_the_curve():
+def tail(d, t):
+    return [(v, p) for v, p in d if v >= t]
+
+
+def test_truncate_above():
+    # the tail at or above t prices as the distribution conditioned on X >= t
+    assert monopoly_price(tail(uniform(1, 2, 3), 2)) == monopoly_price(uniform(2, 3))
+    assert monopoly_price(tail(uniform(1, 2), 0)) == monopoly_price(uniform(1, 2))
+    d = ScalarDistribution([(1, Fraction(3, 4)), (4, Q)])
+    assert monopoly_price(tail(d, 2)) == monopoly_price(ScalarDistribution([(4, 1)])) == (4, 4)
+    # an empty tail is the reserve quote's `unconditioned` fallback, checked
+    # in tests/test_mechanisms.py::test_reserve_fallback_labels
+    assert tail(uniform(1, 2), 5) == []
+
+
+def test_truncation_scaling_identity():
     # pricing the masses at or above t, read relative to their total, gives
     # the best of the curve restricted to p >= t, scaled by 1 / P[X >= t];
     # ties go to the lowest price
