@@ -19,11 +19,14 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import yaml
+
 from .generators import GENERATORS, generate_instances
 from .instances import (InstanceFormatError, corpus_names, fixture_path, load_instance,
                         save_instance)
 from .mechanisms import (
     MECHANISM_IDS,
+    AssumptionError,
     MechanismSpec,
     ic_ir_audit,
     realizations,
@@ -275,8 +278,10 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (SpecError, InstanceFormatError) as exc:
-        raise SystemExit(str(exc)) from None
+    except (SpecError, InstanceFormatError, AssumptionError, yaml.YAMLError,
+            FileNotFoundError) as exc:
+        # a YAML error spans lines; the exit message is one
+        raise SystemExit(" ".join(str(exc).split())) from None
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ All systems are immutable after construction and safe to share.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .matching import maximum_bipartite_matching
@@ -36,10 +36,14 @@ class ExchangeInvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class Basis:
-    """A maximal independent set together with its total weight."""
+    """An independent set and the weights it was chosen by."""
 
     elements: frozenset
-    weight: object
+    weights: Mapping = field(repr=False, compare=False)
+
+    @property
+    def weight(self):
+        return sum((self.weights[a] for a in self.elements), 0)
 
 
 def default_tie_break(ground: Iterable[Agent]) -> tuple[Agent, ...]:
@@ -270,18 +274,16 @@ def max_weight_basis(system: FeasibilitySystem, weights: Mapping[Agent, object],
     if system.kind == "explicit":
         return _best_explicit(system, weights, rank_of, full=full)
     chosen: set = set()
-    order = sorted(system.ground, key=lambda a: (_neg(weights[a]), rank_of[a]))
+    # two stable sorts: by weight, heaviest first, and within equal weights
+    # by tie rank
+    order = sorted(sorted(system.ground, key=rank_of.__getitem__),
+                   key=weights.__getitem__, reverse=True)
     for a in order:
         if not full and not weights[a] > 0:
             continue
         if system.is_independent(chosen | {a}):
             chosen.add(a)
-    total = sum((weights[a] for a in chosen), 0)
-    return Basis(frozenset(chosen), total)
-
-
-def _neg(w):
-    return -w
+    return Basis(frozenset(chosen), weights)
 
 
 def _best_explicit(system, weights, rank_of, *, full):
@@ -295,10 +297,10 @@ def _best_explicit(system, weights, rank_of, *, full):
     for f in family:
         total = sum((weights[a] for a in f), 0)
         sig = tuple(sorted(rank_of[a] for a in f))
-        key = (_neg(total), -len(f), sig)
+        key = (-total, -len(f), sig)
         if best_key is None or key < best_key:
             best, best_key = f, key
-    return Basis(best, sum((weights[a] for a in best), 0))
+    return Basis(best, weights)
 
 
 # ----------------------------------------------------------------------

@@ -2,18 +2,23 @@
 and the randomized-admission variants, together with exact expected-revenue
 evaluation, the revenue upper bound, and the incentive audit.
 
-Every auction but the eager one is the lazy auction (:func:`gvcg_lazy`) on
-an active set with a reserve rule: generalized VCG picks the tentative
-winners within the active set, and each one is offered the higher of its
-reserve and its threshold value.  Plain generalized VCG has no reserves;
-lookahead admits everyone and posts winner-conditioned monopoly reserves;
-the randomized variants run the lookahead rule inside an admitted set.  An
-agent's threshold reads only the others' signals (its column) and the active
-set, so it is scanned once per (agent, column, active set) per instance, not
-once per run, and tabled on the :class:`Instance`; the winner-conditioned
-reserve reads that same threshold.  The tables are keyed by ints: each run
-numbers its profile once on the grid and its active set as a bitmask, while
-the public functions take profile tuples and agent frozensets.
+Every auction but the eager one is the lazy auction on an active set with a
+reserve rule: generalized VCG picks the tentative winners within the active
+set, and each one is offered the higher of its reserve and its threshold
+value.  Plain generalized VCG has no reserves; lookahead admits everyone and
+posts winner-conditioned monopoly reserves; the randomized variants run the
+lookahead rule inside an admitted set.  An agent's threshold reads only the
+others' signals (its column) and the active set, so it is scanned once per
+(agent, column, active set) per instance and tabled on the
+:class:`Instance`; the winner-conditioned reserve reads that same threshold.
+
+One int core runs every auction: :data:`MECHANISMS` gives each mechanism an
+offer (tentative winners, reserves, threshold scans) at a profile number and
+an admitted bitmask, and :func:`_core` settles it into the served bitmask and
+the payments by agent index.  The public functions take profile tuples and
+agent frozensets and build an :class:`AuctionOutcome` from the same offer.
+:func:`walk` builds each (realization, profile) outcome once through the core
+and reads both the IC/IR audit and the exact revenue from it.
 
 Threshold semantics on grids: an agent's critical signal s* is the smallest
 own grid value at which the agent enters the welfare-maximising set, holding
@@ -34,7 +39,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import valuations
 from .distributions import (
@@ -173,10 +178,12 @@ class Instance:
         return held
 
     def restricted(self, active: frozenset) -> FeasibilitySystem:
-        key = self.mask(active)
-        sub = self._restrictions.get(key)
+        return self._restricted(self.mask(active))
+
+    def _restricted(self, mask: int) -> FeasibilitySystem:
+        sub = self._restrictions.get(mask)
         if sub is None:
-            sub = self._restrictions[key] = self.feas.restriction(active)
+            sub = self._restrictions[mask] = self.feas.restriction(self.members(mask))
         return sub
 
     @cached_property
@@ -248,15 +255,22 @@ class AuctionOutcome:
 _column = SignalGrid.column
 
 
+def _basis(instance: Instance, k: int, mask: int, full: bool):
+    """:func:`max_weight_basis` of the agents in bitmask ``mask``, weighted
+    by their values at profile number k."""
+    agents = instance.agents
+    weights = {agents[i]: instance._value(i, k) for i in range(len(agents)) if mask >> i & 1}
+    tie = [a for a in instance.tie_break if a in weights]
+    return max_weight_basis(instance._restricted(mask), weights, tie, full=full)
+
+
 def _winners(instance: Instance, k: int, mask: int) -> int:
     """:func:`winner_set` of profile number k and active bitmask, as a bitmask."""
     w = instance._winners.get((k, mask)) if mask else 0
     if w is None:
-        active = instance.members(mask)
-        weights = {a: instance._value(i, k) for i, a in enumerate(instance.agents) if a in active}
-        tie = [a for a in instance.tie_break if a in active]
-        basis = max_weight_basis(instance.restricted(active), weights, tie, full=True)
-        w = instance._winners[k, mask] = instance.mask(basis.elements)
+        chosen = _basis(instance, k, mask, True).elements
+        w = instance._winners[k, mask] = sum(
+            1 << i for i, a in enumerate(instance.agents) if a in chosen)
     return w
 
 
@@ -408,13 +422,12 @@ def resolve_reserves(instance: Instance, s: Sequence, agents, source,
     ``conditional`` reserves condition on the winner event within
     ``active`` (all agents by default).
     """
-    s = tuple(s)
-    return _reserves(instance, s, instance.grid.number(s), instance.mask(agents), source,
+    return _reserves(instance, instance.grid.number(s), instance.mask(agents), source,
                      instance.everyone if active is None else instance.mask(active),
                      event_mode)
 
 
-def _reserves(instance: Instance, s: tuple, k: int, priced: int, source, mask: int,
+def _reserves(instance: Instance, k: int, priced: int, source, mask: int,
               event_mode: str) -> dict:
     """:func:`resolve_reserves` for the bitmask ``priced``, profile number k
     and active bitmask."""
@@ -442,6 +455,7 @@ def _reserves(instance: Instance, s: tuple, k: int, priced: int, source, mask: i
             raise MechanismError(f"reserves given for unknown agents {sorted(map(str, unknown))}")
         return {a: source.get(a, zero) for _, a in agents}
     if callable(source):
+        s = instance.grid.profile_at(k)
         return {a: source(a, SignalView(instance, s, a)) for _, a in agents}
     raise MechanismError(f"unknown reserve source {source!r}")
 
@@ -461,41 +475,81 @@ def _fixed_reserves(instance: Instance, source: str) -> dict:
 # the auctions
 
 
-def gvcg_lazy(instance: Instance, s: Sequence, reserves, active: frozenset | None = None,
-              *, admitted: frozenset | None = None,
-              event_mode: str = "winner_conditioned") -> AuctionOutcome:
+def _lazy_offer(instance: Instance, k: int, reserves, mask: int | None = None,
+                event_mode: str = "winner_conditioned") -> tuple:
+    """(tentative winners, reserves, threshold scan masks) of the lazy
+    auction: generalized VCG within the active mask, everyone by default."""
+    instance.require_monotone()
+    instance.require_single_crossing()
+    mask = instance.everyone if mask is None else mask
+    w = _winners(instance, k, mask)
+    return w, _reserves(instance, k, w, reserves, mask, event_mode), (mask,) * len(instance.agents)
+
+
+def _admitted(z: int | None, applies: bool, refusal: str) -> int:
+    """The admitted mask z of a randomized variant that applies."""
+    if not applies:
+        raise WrongVariantError(refusal)
+    if z is None:
+        raise MechanismError("need an explicit admission set")
+    return z
+
+
+def _eager_offer(instance: Instance, k: int, reserves) -> tuple:
+    """The eager auction's offer: winners among the agents u at or above their
+    reserves, each agent's threshold scanned within u plus itself."""
+    instance.require_private("the eager-reserve auction")
+    everyone = instance.everyone
+    r = _reserves(instance, k, everyone, reserves, everyone, "winner_conditioned")
+    u = sum(1 << i for i, a in enumerate(instance.agents) if instance._value(i, k) >= r[a])
+    return _winners(instance, k, u), r, tuple(u | 1 << i for i in range(len(r)))
+
+
+def _settle(instance: Instance, k: int, w: int, r: dict, scans: tuple) -> tuple:
+    """(served bitmask, payments by agent index) of an offer: each tentative
+    winner is served at the higher of its reserve and its threshold value
+    within ``scans[i]`` when its value reaches that price; the rest pay zero."""
+    agents = instance.agents
+    served, pay = 0, [instance.zero] * len(agents)
+    for i in range(len(agents)):
+        if w >> i & 1:
+            price = max(r[agents[i]], _threshold(instance, i, k, scans[i])[1])
+            if instance._value(i, k) >= price:
+                served |= 1 << i
+                pay[i] = price
+    return served, pay
+
+
+def _core(instance: Instance, spec: "MechanismSpec", k: int, z: int | None) -> tuple:
+    """The one int path of every mechanism: (served bitmask, payments by
+    agent index) at profile number k under admitted mask z (None for a
+    deterministic mechanism)."""
+    return _settle(instance, k, *MECHANISMS[spec.mech_id].offer(instance, spec, k, z))
+
+
+def _outcome(instance: Instance, k: int, offer: tuple, admitted) -> AuctionOutcome:
+    """The :class:`AuctionOutcome` of an offer: :func:`_settle` plus every
+    agent's threshold and reserve, and the tentative set."""
+    w, r, scans = offer
+    served, pay = _settle(instance, k, *offer)
+    agents = instance.agents
+    crit = [_threshold(instance, i, k, scans[i]) for i in range(len(agents))]
+    return AuctionOutcome(
+        {a: served >> i & 1 for i, a in enumerate(agents)}, dict(zip(agents, pay)),
+        {a: NEVER_WINS if j is None else instance.grid.values[a][j]
+         for a, (j, _) in zip(agents, crit)},
+        {a: t for a, (_, t) in zip(agents, crit)}, {a: r.get(a, instance.zero) for a in agents},
+        tentative=instance.members(w), served=instance.members(served), admitted=admitted)
+
+
+def gvcg_lazy(instance: Instance, s: Sequence, reserves,
+              active: frozenset | None = None) -> AuctionOutcome:
     """Tentative winners by generalized VCG within ``active`` (everyone by
     default), then take-it-or-leave-it at the higher of the reserve and the
     threshold value."""
-    instance.require_monotone()
-    instance.require_single_crossing()
-    s = tuple(s)
     k = instance.grid.number(s)
-    mask = instance.everyone if active is None else instance.mask(active)
-    w = _winners(instance, k, mask)
-    r = _reserves(instance, s, k, w, reserves, mask, event_mode)
-    return _offer(instance, k, w, r, [mask] * len(instance.agents), admitted)
-
-
-def _offer(instance: Instance, k: int, w: int, r: dict, scans: list, admitted):
-    """Offer each tentative winner in bitmask w the higher of its reserve
-    r[a] and its threshold value within the active mask ``scans[i]``."""
-    grid, zero = instance.grid, instance.zero
-    alloc, payment, t_sig, t_val = {}, {}, {}, {}
-    served = set()
-    for i, a in enumerate(instance.agents):
-        j, t_val[a] = _threshold(instance, i, k, scans[i])
-        t_sig[a] = NEVER_WINS if j is None else grid.values[a][j]
-        alloc[a], payment[a] = 0, zero
-        if w >> i & 1:
-            price = max(r[a], t_val[a])
-            if instance._value(i, k) >= price:
-                served.add(a)
-                alloc[a], payment[a] = 1, price
-    return AuctionOutcome(alloc, payment, t_sig, t_val,
-                          {a: r.get(a, zero) for a in instance.agents},
-                          tentative=instance.members(w), served=frozenset(served),
-                          admitted=admitted)
+    mask = None if active is None else instance.mask(active)
+    return _outcome(instance, k, _lazy_offer(instance, k, reserves, mask), None)
 
 
 def gvcg(instance: Instance, s: Sequence, active: frozenset | None = None) -> AuctionOutcome:
@@ -514,9 +568,8 @@ def randomized_single_item(instance: Instance, s: Sequence,
     """Single-item variant: run the lazy auction inside the admitted set
     (drawn by the admission law in :data:`MECHANISMS`); reserves still
     condition on every other agent's signal, admitted or not."""
-    if not instance.single_item:
-        raise WrongVariantError("the single-item variant needs a 1-uniform system")
-    return _admitted_lookahead(instance, s, admission, event_mode)
+    return run_realized(instance, MechanismSpec("rand-single", event_mode=event_mode), s,
+                        admission)
 
 
 def randomized_matroid(instance: Instance, s: Sequence, admission, *,
@@ -524,32 +577,16 @@ def randomized_matroid(instance: Instance, s: Sequence, admission, *,
     """Matroid variant: the lazy auction inside the admitted set, drawn by
     the admission law in :data:`MECHANISMS`; admitting everyone is the
     all-agents set."""
-    if not instance.feas.is_matroid:
-        raise WrongVariantError("the matroid variant needs a matroid system")
-    return _admitted_lookahead(instance, s, admission, event_mode)
-
-
-def _admitted_lookahead(instance: Instance, s: Sequence, admission,
-                        event_mode: str) -> AuctionOutcome:
-    if admission is None:
-        raise MechanismError("need an explicit admission set")
-    z = frozenset(admission)
-    return gvcg_lazy(instance, s, "conditional", active=z, admitted=z,
-                     event_mode=event_mode)
+    return run_realized(instance, MechanismSpec("rand-matroid", event_mode=event_mode), s,
+                        admission)
 
 
 def vcg_eager(instance: Instance, s: Sequence, reserves) -> AuctionOutcome:
     """Remove agents below their reserves first, then run the auction on the
     survivors; winners pay the higher of reserve and the threshold within the
     surviving set.  Private values only."""
-    instance.require_private("the eager-reserve auction")
-    s = tuple(s)
     k = instance.grid.number(s)
-    n = len(instance.agents)
-    r = _reserves(instance, s, k, (1 << n) - 1, reserves, (1 << n) - 1, "winner_conditioned")
-    u = sum(1 << i for i, a in enumerate(instance.agents) if instance._value(i, k) >= r[a])
-    return _offer(instance, k, _winners(instance, k, u), r, [u | 1 << i for i in range(n)],
-                  None)
+    return _outcome(instance, k, _eager_offer(instance, k, reserves), None)
 
 
 # ----------------------------------------------------------------------
@@ -618,27 +655,34 @@ class Admission:
 
 @dataclass(frozen=True)
 class Mechanism:
-    """Entry point run(instance, spec, s, admitted), admission law, and
-    whether the run reads ``spec.reserve_source``; a deterministic mechanism
-    has no law and runs with ``admitted=None``."""
+    """Entry offer(instance, spec, k, z) into the auction core at profile
+    number k and admitted mask z, admission law, and whether the run reads
+    ``spec.reserve_source``; a deterministic mechanism has no law and runs
+    with ``z=None``."""
 
-    run: Callable
+    offer: Callable
     admission: Admission | None = None
     reads_reserves: bool = False
 
 
 MECHANISMS = {
-    "gvcg": Mechanism(lambda inst, spec, s, z: gvcg(inst, s)),
-    "gvcg-lazy": Mechanism(lambda inst, spec, s, z: gvcg_lazy(inst, s, spec.reserve_source),
+    "gvcg": Mechanism(lambda inst, spec, k, z: _lazy_offer(inst, k, "none")),
+    "gvcg-lazy": Mechanism(lambda inst, spec, k, z: _lazy_offer(inst, k, spec.reserve_source),
                            reads_reserves=True),
-    "lookahead": Mechanism(lambda inst, spec, s, z: lookahead(inst, s)),
+    "lookahead": Mechanism(lambda inst, spec, k, z: _lazy_offer(inst, k, "conditional")),
+    # the randomized variants run the lookahead rule inside the admitted set;
+    # reserves still condition on every other agent's signal
     "rand-single": Mechanism(
-        lambda inst, spec, s, z: randomized_single_item(inst, s, z, event_mode=spec.event_mode),
+        lambda inst, spec, k, z: _lazy_offer(inst, k, "conditional", _admitted(
+            z, inst.single_item, "the single-item variant needs a 1-uniform system"),
+            spec.event_mode),
         Admission(p_all=Fraction(0), p_in=Fraction(2, 3))),
     "rand-matroid": Mechanism(
-        lambda inst, spec, s, z: randomized_matroid(inst, s, z, event_mode=spec.event_mode),
+        lambda inst, spec, k, z: _lazy_offer(inst, k, "conditional", _admitted(
+            z, inst.feas.is_matroid, "the matroid variant needs a matroid system"),
+            spec.event_mode),
         Admission(p_all=Fraction(1, 2), p_in=Fraction(1, 2))),
-    "vcg-eager": Mechanism(lambda inst, spec, s, z: vcg_eager(inst, s, spec.reserve_source),
+    "vcg-eager": Mechanism(lambda inst, spec, k, z: _eager_offer(inst, k, spec.reserve_source),
                            reads_reserves=True),
 }
 MECHANISM_IDS = tuple(MECHANISMS)
@@ -677,7 +721,12 @@ def realizations(instance: Instance, spec: MechanismSpec):
 
 def run_realized(instance: Instance, spec: MechanismSpec, s: Sequence,
                  realization) -> AuctionOutcome:
-    return MECHANISMS[spec.mech_id].run(instance, spec, s, realization)
+    """The mechanism's outcome at profile s under one realization."""
+    mech = MECHANISMS[spec.mech_id]
+    k = instance.grid.number(s)
+    z = None if realization is None or mech.admission is None else frozenset(realization)
+    offer = mech.offer(instance, spec, k, None if z is None else instance.mask(z))
+    return _outcome(instance, k, offer, z)
 
 
 def sample_realization(instance: Instance, spec: MechanismSpec, rng):
@@ -727,8 +776,8 @@ def _single_sample_revenue(instance: Instance, s: tuple) -> object:
 def expected_revenue(instance: Instance, spec: MechanismSpec, mode: str = "exact",
                      *, trials: int = 10_000, seed: int = 0,
                      atom_cap: int = DEFAULT_ATOM_CAP) -> RevenueEstimate:
-    """Expected revenue, exactly (profiles x internal randomness) or by
-    Monte Carlo with the given seed."""
+    """Expected revenue, exactly (profiles x internal randomness, see
+    :func:`walk`) or by Monte Carlo with the given seed."""
     if spec.reserve_source == "single-sample":
         if spec.mech_id != "gvcg-lazy":
             raise MechanismError("single-sample reserves integrate exactly for the "
@@ -743,17 +792,7 @@ def expected_revenue(instance: Instance, spec: MechanismSpec, mode: str = "exact
         return RevenueEstimate(total, atoms=atoms)
 
     if mode == "exact":
-        support = list(instance.dist.enumerate_support())
-        reals = list(realizations(instance, spec))
-        atoms = len(support) * len(reals)
-        if atoms > atom_cap:
-            raise SizeError(f"exact evaluation needs {atoms} atoms (cap {atom_cap})")
-        total = 0
-        for s, p in support:
-            for realization, weight in reals:
-                out = run_realized(instance, spec, s, realization)
-                total += p * weight * out.revenue
-        return RevenueEstimate(total, atoms=atoms)
+        return walk(instance, spec, audit=False, atom_cap=atom_cap).revenue
 
     if mode != "monte_carlo":
         raise MechanismError(f"unknown mode {mode!r}")
@@ -764,13 +803,18 @@ def expected_revenue(instance: Instance, spec: MechanismSpec, mode: str = "exact
     rng = random.Random(seed)
     draws = []
     for _ in range(trials):
-        s = instance.dist.sample(rng)
-        realization = sample_realization(instance, spec, rng)
-        out = run_realized(instance, spec, s, realization)
-        draws.append(float(out.revenue))
+        k = instance.grid.number(instance.dist.sample(rng))
+        z = sample_realization(instance, spec, rng)
+        draws.append(float(_revenue(*_core(instance, spec, k, None if z is None
+                                            else instance.mask(z)))))
     mean = sum(draws) / trials
     var = sum((x - mean) ** 2 for x in draws) / max(trials - 1, 1)
     return RevenueEstimate(mean, std_error=math.sqrt(var / trials), atoms=trials)
+
+
+def _revenue(served: int, pay: list):
+    """The payments of the served agents, summed in agent index order."""
+    return sum((x for i, x in enumerate(pay) if served >> i & 1), 0)
 
 
 def opt_upper_bound(instance: Instance):
@@ -790,11 +834,7 @@ def opt_upper_bound(instance: Instance):
                 quote_sum += q.expected_revenue
         loser_value = 0
         if w != everyone:
-            rest = instance.members(everyone & ~w)
-            weights = {a: instance._value(i, k)
-                       for i, a in enumerate(instance.agents) if a in rest}
-            tie = [a for a in instance.tie_break if a in rest]
-            loser_value = max_weight_basis(instance.restricted(rest), weights, tie).weight
+            loser_value = _basis(instance, k, everyone & ~w, False).weight
         total += p * (quote_sum + loser_value)
     return total
 
@@ -820,34 +860,74 @@ def ic_ir_audit(instance: Instance, spec: MechanismSpec) -> list[AuditViolation]
     agent, and every own-grid deviation: truthful utility must be at least
     the deviating utility and nonnegative, measured at the agent's true
     values.  Exact in rational mode; ``DOUBLE_TOLERANCE`` applies in double
-    mode.  Each realization's outcomes are held by profile number, so the
-    deviation to own grid index j is outcome k + (j - j0) * stride.
+    mode.
     """
+    return walk(instance, spec, revenue=False).violations
+
+
+class Walk(NamedTuple):
+    """What :func:`walk` found: the audit's violations (None when it did not
+    audit), the exact revenue (None when not asked) and the outcomes built."""
+
+    violations: list | None
+    revenue: RevenueEstimate | None
+    outcomes: int
+
+
+def walk(instance: Instance, spec: MechanismSpec, *, audit: bool = True,
+         revenue: bool = True, atom_cap: int = DEFAULT_ATOM_CAP) -> Walk:
+    """The incentive audit and the exact expected revenue from one walk.
+
+    Each realization's outcomes are built once by :func:`_core`, over the
+    whole grid when auditing and over the support otherwise, and held by
+    profile number.  The revenue sums p * weight * revenue with the support
+    outer and the realizations inner.  The atom cap (support x realizations)
+    is checked before any outcome is built.
+    """
+    support = [(s, instance.grid.number(s), p) for s, p in instance.dist.enumerate_support()]
+    reals = list(realizations(instance, spec))
+    atoms = len(support) * len(reals)
+    if revenue and atoms > atom_cap:
+        raise SizeError(f"exact evaluation needs {atoms} atoms (cap {atom_cap})")
+    numbers = (range(math.prod(instance.grid.sizes)) if audit
+               else [k for _, k, _ in support] if revenue else [])
+    violations, revenues = [] if audit else None, []
+    for realization, _ in reals:
+        z = None if realization is None else instance.mask(realization)
+        outcomes = {k: _core(instance, spec, k, z) for k in numbers}
+        if audit:
+            _audit(instance, support, outcomes, realization, violations)
+        if revenue:
+            revenues.append([_revenue(*outcomes[k]) for _, k, _ in support])
+    total = sum((p * weight * row[j] for j, (_, _, p) in enumerate(support)
+                 for (_, weight), row in zip(reals, revenues)), 0)
+    return Walk(violations, RevenueEstimate(total, atoms=atoms) if revenue else None,
+                len(reals) * len(numbers))
+
+
+def _audit(instance: Instance, support: list, outcomes: dict, realization,
+           violations: list) -> None:
+    """Append one realization's violations; ``outcomes`` maps each profile
+    number to its (served bitmask, payments), so the deviation of agent i to
+    own grid index j is outcome col + j * stride."""
     tolerance = instance.tolerance
     grid = instance.grid
-    support = [(s, grid.number(s)) for s in instance.dist.support_profiles()]
-    violations = []
-    for realization, _ in realizations(instance, spec):
-        outcomes = [run_realized(instance, spec, s, realization)
-                    for s in grid.profiles()]
-        for s, k in support:
-            truth = outcomes[k]
-            for i, a in enumerate(instance.agents):
-                # alloc is 0 or 1: utility is v - payment when served, else
-                # -payment, so a deviation gains past the tolerance exactly
-                # when its payment is below pays_less[alloc]
-                v_true = instance._value(i, k)
-                u_truth = v_true - truth.payment[a] if truth.alloc[a] else -truth.payment[a]
-                if u_truth < -tolerance:
+    for s, k, _ in support:
+        served, pay = outcomes[k]
+        for i, a in enumerate(instance.agents):
+            # alloc is 0 or 1: utility is v - payment when served, else
+            # -payment, so a deviation gains past the tolerance exactly
+            # when its payment is below pays_less[alloc]
+            v_true = instance._value(i, k)
+            u_truth = v_true - pay[i] if served >> i & 1 else -pay[i]
+            if u_truth < -tolerance:
+                violations.append(AuditViolation("ir", realization, s, a, None, -u_truth))
+            bar = u_truth + tolerance if tolerance else u_truth
+            pays_less = (-bar, v_true - bar)
+            col, j0, st = _column(grid, i, k)
+            for j, t in enumerate(grid.values[a]):
+                dev_served, dev_pay = outcomes[col + j * st]
+                alloc = dev_served >> i & 1
+                if j != j0 and dev_pay[i] < pays_less[alloc]:
                     violations.append(AuditViolation(
-                        "ir", realization, s, a, None, -u_truth))
-                bar = u_truth + tolerance if tolerance else u_truth
-                pays_less = (-bar, v_true - bar)
-                col, j0, st = _column(grid, i, k)
-                for j, t in enumerate(grid.values[a]):
-                    out = outcomes[col + j * st]
-                    if j != j0 and out.payment[a] < pays_less[out.alloc[a]]:
-                        u_dev = v_true * out.alloc[a] - out.payment[a]
-                        violations.append(AuditViolation(
-                            "ic", realization, s, a, t, u_dev - u_truth))
-    return violations
+                        "ic", realization, s, a, t, v_true * alloc - dev_pay[i] - u_truth))

@@ -2,11 +2,11 @@
 
 A report is a fixed-column CSV (byte-identical across runs for the same spec
 and seeds in rational mode) plus a JSON sidecar holding seeds, versions,
-wall times, the reason for each skipped row, and per instance
-what its evaluation tables held when its rows were done and how its oracle
-solve went.  Audit failures are never skipped silently: a row whose audit
-fails keeps its numbers but is flagged, and the run as a whole reports
-failure.
+wall times and outcomes built per row, the reason for each skipped row, and
+per instance what its evaluation tables held when its rows were done and how
+its oracle solve went.  Audit failures are never skipped silently: a row
+whose audit fails keeps its numbers but is flagged, and the run as a whole
+reports failure.
 """
 from __future__ import annotations
 
@@ -28,8 +28,8 @@ from .mechanisms import (
     WrongVariantError,
     AssumptionError,
     expected_revenue,
-    ic_ir_audit,
     opt_upper_bound,
+    walk,
 )
 from .oracle import opt_revenue
 
@@ -74,6 +74,7 @@ class RowResult:
     bound_ok: object = None
     wall_time: float = 0.0
     skipped: str = ""
+    outcomes: int = 0
 
 
 @dataclass
@@ -181,27 +182,35 @@ def run(spec: ExperimentSpec) -> RatioReport:
         "tables": tables,
         "oracle": oracles,
         "wall_times": {},
+        "outcomes": {},
         "skipped": {},
     }
     for r in rows:
-        metadata["wall_times"][f"{r.instance}/{r.spec.mech_id}"] = round(r.wall_time, 6)
+        key = f"{r.instance}/{r.spec.mech_id}"
+        metadata["wall_times"][key] = round(r.wall_time, 6)
+        # rows of one mechanism with other reserve sources share a key
+        metadata["outcomes"][key] = metadata["outcomes"].get(key, 0) + r.outcomes
         if r.skipped:
-            metadata["skipped"][f"{r.instance}/{r.spec.mech_id}"] = r.skipped
+            metadata["skipped"][key] = r.skipped
     return RatioReport(rows, metadata)
 
 
 def _fill_row(row, inst, mech, spec, oracle, upper_bound):
-    if spec.audit:
-        if mech.reserve_source == "single-sample":
-            # the reserve draw is integrated over in expectation, so there is
-            # no per-run realization to audit; each draw is a fixed-reserve
-            # lazy auction, which the audit covers through the fixed source
-            row.audit_status = "n/a"
-        else:
-            violations = ic_ir_audit(inst, mech)
-            row.violations = len(violations)
-            row.audit_status = "pass" if not violations else "fail"
-    est = expected_revenue(inst, mech, spec.mode, trials=spec.trials, seed=spec.seed)
+    # the reserve draw of single-sample is integrated over in expectation, so
+    # there is no per-run realization to audit; each draw is a fixed-reserve
+    # lazy auction, which the audit covers through the fixed source
+    sampled = mech.reserve_source == "single-sample"
+    found = walk(inst, mech, audit=spec.audit and not sampled,
+                 revenue=spec.mode == "exact" and not sampled)
+    if found.violations is not None:
+        row.violations = len(found.violations)
+        row.audit_status = "pass" if not found.violations else "fail"
+    elif spec.audit:
+        row.audit_status = "n/a"
+    est = found.revenue or expected_revenue(inst, mech, spec.mode, trials=spec.trials,
+                                            seed=spec.seed)
+    # a Monte Carlo draw or a single-sample profile builds one outcome
+    row.outcomes = found.outcomes + (0 if found.revenue else est.atoms)
     row.revenue = est.value
     row.std_error = est.std_error
     row.oracle = oracle

@@ -158,3 +158,27 @@ def test_malformed_instance_exits_with_one_line(tmp_path, command):
     path.write_text("agents: [1, 2]\n")
     with pytest.raises(SystemExit, match="^top level: missing required field 'distribution'$"):
         main(command + ["--instance", str(path)])
+
+
+NON_MONOTONE = """\
+agents: [1]
+grid: {1: [1, 2]}
+distribution: {form: product, marginals: {1: [[1, 1/2], [2, 1/2]]}}
+valuation: {family: table, values: {1: [[[1], 5], [[2], 5]]}}
+feasibility: {kind: uniform, k: 1}
+"""
+
+
+@pytest.mark.parametrize("text, message", [
+    (NON_MONOTONE, "valuation violates monotonicity"),
+    ("agents: [1, 2\n", "while parsing a flow sequence"),
+    (None, "No such file or directory"),
+], ids=["assumption", "yaml-syntax", "missing-file"])
+def test_bad_instance_file_exits_with_one_line(tmp_path, text, message):
+    path = tmp_path / "bad.yaml"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--instance", str(path), "--mechanism", "lookahead"])
+    assert message in str(exc.value.code)
+    assert "\n" not in str(exc.value.code)
