@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -99,6 +100,8 @@ class OptResult:
     witness: dict
     stats: LPStats
     solution: SimplexResult
+    build_s: float                # wall time of the LP build
+    solve_s: float                # and of its solve
 
 
 def _truth_telling_pairs(instance: Instance, numbers: list, k: int):
@@ -197,12 +200,15 @@ def witness_mechanism(rlp: RevenueLP, solution: SimplexResult) -> dict:
 def opt_revenue(instance: Instance, var_cap: int = DEFAULT_VAR_CAP,
                 arithmetic: str | None = None) -> OptResult:
     """Optimal expected revenue plus the mechanism achieving it."""
+    start = time.perf_counter()
     rlp = build_revenue_lp(instance, var_cap)
+    built = time.perf_counter()
     solution = solve_lp(rlp, arithmetic)
+    solved = time.perf_counter()
     if solution.status != "optimal":
         raise RuntimeError(f"revenue LP terminated {solution.status}")
     return OptResult(solution.objective, witness_mechanism(rlp, solution),
-                     rlp.stats, solution)
+                     rlp.stats, solution, built - start, solved - built)
 
 
 def verify_witness(instance: Instance, witness: Mapping) -> list[str]:

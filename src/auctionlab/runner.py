@@ -97,9 +97,7 @@ class RatioReport:
         writer.writerow(CSV_COLUMNS)
         for r in self.rows:
             writer.writerow([
-                r.instance, r.spec.mech_id,
-                _fmt(r.spec.reserve_source)
-                if MECHANISMS[r.spec.mech_id].reads_reserves else "none", r.mode,
+                r.instance, r.spec.mech_id, _reserve_column(r.spec), r.mode,
                 _fmt(r.revenue), _fmt(r.std_error), _fmt(r.oracle),
                 _fmt(r.upper_bound), _fmt(r.ratio), r.audit_status,
                 r.violations, _fmt(r.bound), _fmt(r.bound_ok),
@@ -117,6 +115,12 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return repr(x)
     return str(x)
+
+
+def _reserve_column(spec: MechanismSpec) -> str:
+    """The row's reserve_source as the CSV writes it: none for a mechanism
+    that reads no reserves."""
+    return _fmt(spec.reserve_source) if MECHANISMS[spec.mech_id].reads_reserves else "none"
 
 
 def _materialise_instances(spec: ExperimentSpec) -> list[Instance]:
@@ -150,7 +154,9 @@ def run(spec: ExperimentSpec) -> RatioReport:
             oracle = res.value
             solve.update(certified=res.solution.certified, fallbacks=res.solution.fallbacks,
                          pivots=res.solution.pivots, variables=res.stats.variables,
-                         rows=res.stats.rows, oracle_s=round(time.perf_counter() - start, 6))
+                         rows=res.stats.rows, build_s=round(res.build_s, 6),
+                         solve_s=round(res.solve_s, 6),
+                         oracle_s=round(time.perf_counter() - start, 6))
         if spec.compute_upper_bound and inst.feas.is_matroid:
             start = time.perf_counter()
             upper_bound = opt_upper_bound(inst)
@@ -186,10 +192,11 @@ def run(spec: ExperimentSpec) -> RatioReport:
         "skipped": {},
     }
     for r in rows:
-        key = f"{r.instance}/{r.spec.mech_id}"
+        # one key per row: the reserve source only where the CSV names one
+        source = _reserve_column(r.spec)
+        key = f"{r.instance}/{r.spec.mech_id}" + ("" if source == "none" else f"/{source}")
         metadata["wall_times"][key] = round(r.wall_time, 6)
-        # rows of one mechanism with other reserve sources share a key
-        metadata["outcomes"][key] = metadata["outcomes"].get(key, 0) + r.outcomes
+        metadata["outcomes"][key] = r.outcomes
         if r.skipped:
             metadata["skipped"][key] = r.skipped
     return RatioReport(rows, metadata)

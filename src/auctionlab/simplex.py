@@ -10,16 +10,18 @@ and removes any need for a phase-one.
 
 Rational mode is a certified floating-point solve (Applegate, Cook, Dash &
 Espinoza, "Exact solutions to linear programming problems", Oper. Res. Lett.
-2007).  The double kernel finds an optimal basis and reads the row duals y
-from row 0 at the start-basis columns: the slack of each ``<=`` row and the
-designated basic column of each equality row are unit columns with zero
-cost, so their reduced cost is that row's dual.  x and y are rounded to
-rationals with denominators at most ``DENOMINATOR_LIMIT`` and accepted only
-if :func:`verify_certificate` proves, in exact arithmetic, that x is
-feasible, y is dual feasible and c.x = b.y; weak duality then makes x
-optimal.  Otherwise (or when the double kernel reports
-``NumericalInstability`` or unboundedness) the fraction-free rational
-simplex solves the LP and the result counts one fallback.
+2007).  A double pivot updates only the rows its entering column reaches:
+any other row would have +-0.0 subtracted, which leaves it bit for bit the
+same, as no -0.0 reaches rows 1..m unless the LP holds one.  At an optimal
+basis the double kernel reads the row duals y from row 0 at the start-basis
+columns: the slack of each ``<=`` row and the designated basic column of
+each equality row are unit columns with zero cost, so their reduced cost is
+that row's dual.  x and y are rounded to rationals with denominators at most
+``DENOMINATOR_LIMIT`` and accepted only if :func:`verify_certificate`
+proves, in exact arithmetic, that x is feasible, y is dual feasible and
+c.x = b.y; weak duality then makes x optimal.  Otherwise (or when the double
+kernel reports ``NumericalInstability`` or unboundedness) the fraction-free
+rational simplex solves the LP and the result counts one fallback.
 
 The fraction-free kernel keeps the tableau integral via Gauss-Jordan
 pivoting: the true tableau is M / d where d is the previous pivot element,
@@ -366,15 +368,18 @@ def _solve_double(lp: LinearProgram) -> SimplexResult:
             col = j if row0[j] < -EPS else None
         if col is None:
             break
-        ratios = np.full(m + 1, np.inf)
-        positive = M[1:, col] > EPS
-        ratios[1:][positive] = M[1:, -1][positive] / M[1:, col][positive]
-        pr = int(np.argmin(ratios))
-        if not np.isfinite(ratios[pr]):
+        rows = np.flatnonzero(M[:, col])  # row 0 among them: its entry is < -EPS
+        ratios = np.full(rows.size, np.inf)
+        positive = M[rows, col] > EPS
+        ratios[positive] = M[rows[positive], -1] / M[rows[positive], col]
+        k = int(np.argmin(ratios))
+        if not np.isfinite(ratios[k]):
             return SimplexResult("unbounded", None, [], pivots)
+        pr = int(rows[k])
         piv_row = M[pr] / M[pr, col]
-        M -= np.outer(M[:, col], piv_row)
-        M[pr] = piv_row
+        block = M[rows] - np.outer(M[rows, col], piv_row)
+        block[k] = piv_row
+        M[rows] = block
         basis[pr - 1] = col
         pivots += 1
         if pivots > MAX_PIVOTS:
@@ -385,7 +390,7 @@ def _solve_double(lp: LinearProgram) -> SimplexResult:
         else:
             stall = 0
             last_obj = M[0, -1]
-        if not np.all(np.isfinite(M)):
+        if not np.all(np.isfinite(block)):
             raise NumericalInstability(
                 "tableau lost finiteness; retry with arithmetic='rational'")
 

@@ -157,3 +157,16 @@ def test_sidecar_records_the_oracle_solve(tmp_path):
     assert solve["certified"] is True and solve["fallbacks"] == 0
     assert solve["pivots"] > 0 and solve["variables"] > 0 and solve["rows"] > 0
     assert solve["oracle_s"] >= 0 and solve["upper_bound_s"] >= 0
+    # the build and the solve are timed apart inside the oracle call
+    assert 0 <= solve["build_s"] <= solve["oracle_s"]
+    assert 0 <= solve["solve_s"] <= solve["oracle_s"]
+
+
+def test_sidecar_keys_one_entry_per_reserve_source():
+    mechanisms = [MechanismSpec("gvcg-lazy", "conditional"),
+                  MechanismSpec("gvcg-lazy", "monopoly"), "lookahead"]
+    report = run(ExperimentSpec(mechanisms=mechanisms, paths=[fixture_path("tiny1")],
+                                compute_oracle=False, compute_upper_bound=False))
+    keys = ["tiny1/gvcg-lazy/conditional", "tiny1/gvcg-lazy/monopoly", "tiny1/lookahead"]
+    assert list(report.metadata["wall_times"]) == keys
+    assert report.metadata["outcomes"] == {k: r.outcomes for k, r in zip(keys, report.rows)}
