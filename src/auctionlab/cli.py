@@ -26,7 +26,7 @@ from .instances import (InstanceFormatError, corpus_names, fixture_path, load_in
                         save_instance)
 from .mechanisms import (
     MECHANISM_IDS,
-    AssumptionError,
+    MechanismError,
     MechanismSpec,
     ic_ir_audit,
     realizations,
@@ -278,7 +278,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (SpecError, InstanceFormatError, AssumptionError, yaml.YAMLError,
+    except (SpecError, InstanceFormatError, MechanismError, yaml.YAMLError,
             FileNotFoundError) as exc:
         # a YAML error spans lines; the exit message is one
         raise SystemExit(" ".join(str(exc).split())) from None

@@ -168,12 +168,14 @@ class Instance:
                 "thresholds": len(self._thresholds), "quotes": len(self._quotes)}
 
     def release_tables(self) -> dict:
-        """Empty the tables; return their entry counts and the reserve
-        fallback labels counted over the distinct tabled quotes."""
+        """Empty the tables and the restricted systems; return the tables'
+        entry counts and the reserve fallback labels counted over the
+        distinct tabled quotes."""
         labels = [q.fallback for q in self._quotes.values()]
         held = {"entries": self.table_sizes(), "fallbacks_over_distinct_quotes":
                 {f: labels.count(f) for f in RESERVE_FALLBACKS}}
-        for table in (self._values, self._winners, self._thresholds, self._quotes):
+        for table in (self._values, self._winners, self._thresholds, self._quotes,
+                      self._restrictions):
             table.clear()
         return held
 
@@ -700,6 +702,11 @@ class MechanismSpec:
         if self.mech_id not in MECHANISMS:
             raise MechanismError(f"unknown mechanism {self.mech_id!r}")
 
+    @property
+    def sampled(self) -> bool:
+        """Single-sample reserves, which a mechanism without reserves ignores."""
+        return self.reserve_source == "single-sample" and MECHANISMS[self.mech_id].reads_reserves
+
 
 def realizations(instance: Instance, spec: MechanismSpec):
     """Every internal-randomness outcome with its probability.
@@ -778,7 +785,7 @@ def expected_revenue(instance: Instance, spec: MechanismSpec, mode: str = "exact
                      atom_cap: int = DEFAULT_ATOM_CAP) -> RevenueEstimate:
     """Expected revenue, exactly (profiles x internal randomness, see
     :func:`walk`) or by Monte Carlo with the given seed."""
-    if spec.reserve_source == "single-sample":
+    if spec.sampled:
         if spec.mech_id != "gvcg-lazy":
             raise MechanismError("single-sample reserves integrate exactly for the "
                                  "lazy auction only")

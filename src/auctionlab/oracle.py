@@ -3,18 +3,19 @@
 The benchmark optimises over randomized mechanisms: at every support profile
 the mechanism holds a probability distribution over feasible sets plus a
 payment per agent.  Every other grid profile gets the empty allocation at
-zero payment.  Constraints are the simplex rows (one per support profile),
-nonnegative truthful utility for every agent at every support profile, and
-truth-telling between neighbouring support points of each column: a column
-fixes the others' signals s_-i, and each support point must not gain by
-reporting the next support point above or below it in that column.  When
-the valuations fail the monotonicity check, truth-telling binds every pair
-of support points of a column instead.
+zero payment.  Constraints are the lottery rows (one per support profile:
+the nonempty sets' probabilities sum to at most 1, and the empty set's is
+the row's slack), nonnegative truthful utility for every agent at every
+support profile, and truth-telling between neighbouring support points of
+each column: a column fixes the others' signals s_-i, and each support
+point must not gain by reporting the next support point above or below it
+in that column.  When the valuations fail the monotonicity check,
+truth-telling binds every pair of support points of a column instead.
 
 Columns are addressed by position.  With the support profiles sorted and
-the feasible sets F in ``feasible_sets()`` order, support profile i and set
-f own allocation column i * |F| + f, and agent k's payment at support
-profile i owns column |support| * |F| + i * n + k.
+the nonempty feasible sets F in ``feasible_sets()`` order, support profile
+i and set f own allocation column i * |F| + f, and agent k's payment at
+support profile i owns column |support| * |F| + i * n + k.
 
 Why the optimum is the full-grid optimum, the LP with a variable at every
 grid profile and truth-telling against every own-grid deviation:
@@ -84,8 +85,9 @@ class LPStats:
 
 @dataclass
 class RevenueLP:
-    """The LP and its column order: support profile i and feasible set f own
-    column i * |F| + f, and agent k's payment at i column y_vars + i * n + k."""
+    """The LP and its column order: support profile i and nonempty feasible
+    set f own column i * |F| + f, and agent k's payment at i column
+    y_vars + i * n + k."""
 
     instance: Instance
     lp: LinearProgram
@@ -124,7 +126,7 @@ def build_revenue_lp(instance: Instance, var_cap: int = DEFAULT_VAR_CAP) -> Reve
     agents = instance.agents
     n = len(agents)
     support = sorted(instance.dist.support_profiles())
-    feasible = instance.feas.feasible_sets()
+    feasible = instance.feas.feasible_sets()[1:]  # the empty set sorts first
     n_f = len(feasible)
     n_y = len(support) * n_f
     n_p = len(support) * n
@@ -135,9 +137,8 @@ def build_revenue_lp(instance: Instance, var_cap: int = DEFAULT_VAR_CAP) -> Reve
     values = [tuple(instance.values_at(s).values()) for s in support]
     objective = [0] * n_y + [instance.dist.probability(s) for s in support for _ in agents]
     lp = LinearProgram(n_y + n_p, objective)
-    empty = feasible.index(frozenset())
     for i in range(len(support)):
-        lp.add_eq({i * n_f + f: 1 for f in range(n_f)}, 1, basic=i * n_f + empty)
+        lp.add_le({i * n_f + f: 1 for f in range(n_f)}, 1)
 
     serving = [[f for f, fs in enumerate(feasible) if a in fs] for a in agents]
 
@@ -170,7 +171,7 @@ def build_revenue_lp(instance: Instance, var_cap: int = DEFAULT_VAR_CAP) -> Reve
 
     grid = math.prod(len(instance.grid.axis(a)) for a in agents)
     stats = LPStats(profiles=grid, support=len(support),
-                    feasible_sets=n_f, y_vars=n_y, p_vars=n_p,
+                    feasible_sets=n_f + 1, y_vars=n_y, p_vars=n_p,
                     simplex_rows=len(support), ic_rows=n_ic,
                     ir_rows=len(support) * n)
     return RevenueLP(instance, lp, support, feasible, stats)
@@ -183,17 +184,21 @@ def solve_lp(rlp: RevenueLP, arithmetic: str | None = None) -> SimplexResult:
 
 def witness_mechanism(rlp: RevenueLP, solution: SimplexResult) -> dict:
     """Support profile -> (allocation, payments): the allocation lottery as
-    (feasible set, probability) pairs with nonzero probability, and the
-    payments in agent order.  Absent grid profiles are the empty cell."""
+    (feasible set, probability) pairs with nonzero probability, the empty
+    set first at 1 minus the rest, and the payments in agent order.  Absent
+    grid profiles are the empty cell."""
     x = solution.x
     n_f = len(rlp.feasible)
     n = len(rlp.instance.agents)
     pay = rlp.stats.y_vars
+    zero = solution.objective * 0  # a Fraction in rational mode, a float in double
     witness = {}
     for i, s in enumerate(rlp.support):
-        lottery = zip(rlp.feasible, x[i * n_f:(i + 1) * n_f])
-        alloc = tuple((f, p) for f, p in lottery if p != 0)
-        witness[s] = (alloc, tuple(x[pay + i * n:pay + (i + 1) * n]))
+        lottery = [(f, p) for f, p in zip(rlp.feasible, x[i * n_f:(i + 1) * n_f]) if p != 0]
+        rest = 1 - sum((p for _, p in lottery), zero)
+        if rest != 0:
+            lottery.insert(0, (frozenset(), rest))
+        witness[s] = (tuple(lottery), tuple(x[pay + i * n:pay + (i + 1) * n]))
     return witness
 
 

@@ -206,7 +206,7 @@ def _fill_row(row, inst, mech, spec, oracle, upper_bound):
     # the reserve draw of single-sample is integrated over in expectation, so
     # there is no per-run realization to audit; each draw is a fixed-reserve
     # lazy auction, which the audit covers through the fixed source
-    sampled = mech.reserve_source == "single-sample"
+    sampled = mech.sampled
     found = walk(inst, mech, audit=spec.audit and not sampled,
                  revenue=spec.mode == "exact" and not sampled)
     if found.violations is not None:

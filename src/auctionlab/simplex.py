@@ -1,24 +1,22 @@
 """Dense simplex for small LPs, exact by default.
 
-Problems are maximisations over nonnegative variables with rows that are
-either ``<=`` inequalities (a slack is added automatically) or equalities
-that designate an initial basic variable whose column is already canonical:
-coefficient 1 in its own row, absent from every other row, zero cost (the
-revenue oracle uses the empty-allocation probabilities for this).  All
-right-hand sides must be nonnegative, which makes the start basis feasible
-and removes any need for a phase-one.
+Problems are maximisations over nonnegative variables with ``<=`` rows; row
+i gets a slack at column n + i.  All right-hand sides must be nonnegative,
+which makes the slack basis feasible and removes any need for a phase-one.
+An equality whose zero-cost variable appears in no other row is that row's
+slack: the revenue oracle states each lottery row over the nonempty feasible
+sets only and leaves the empty allocation to the slack.
 
 Rational mode is a certified floating-point solve (Applegate, Cook, Dash &
 Espinoza, "Exact solutions to linear programming problems", Oper. Res. Lett.
 2007).  A double pivot updates only the rows its entering column reaches:
 any other row would have +-0.0 subtracted, which leaves it bit for bit the
 same, as no -0.0 reaches rows 1..m unless the LP holds one.  At an optimal
-basis the double kernel reads the row duals y from row 0 at the start-basis
-columns: the slack of each ``<=`` row and the designated basic column of
-each equality row are unit columns with zero cost, so their reduced cost is
-that row's dual.  x and y are rounded to rationals with denominators at most
-``DENOMINATOR_LIMIT`` and accepted only if :func:`verify_certificate`
-proves, in exact arithmetic, that x is feasible, y is dual feasible and
+basis the double kernel reads the row duals y from row 0 at the slack
+columns n..n+m-1: a slack is a unit column with zero cost, so its reduced
+cost is its row's dual.  x and y are rounded to rationals with denominators
+at most ``DENOMINATOR_LIMIT`` and accepted only if :func:`verify_certificate`
+proves, in exact arithmetic, that x is feasible, y >= 0, y^T A >= c and
 c.x = b.y; weak duality then makes x optimal.  Otherwise (or when the double
 kernel reports ``NumericalInstability`` or unboundedness) the fraction-free
 rational simplex solves the LP and the result counts one fallback.
@@ -63,14 +61,8 @@ class NumericalInstability(SimplexError):
 class Row:
     coeffs: Mapping[int, object]
     rhs: object
-    kind: str = "le"              # "le" or "eq"
-    basic: int | None = None      # required for "eq" rows
 
     def __post_init__(self):
-        if self.kind not in ("le", "eq"):
-            raise SimplexError(f"unknown row kind {self.kind!r}")
-        if self.kind == "eq" and self.basic is None:
-            raise SimplexError("equality rows must designate a basic variable")
         if self.rhs < 0:
             raise SimplexError("right-hand sides must be nonnegative")
 
@@ -82,10 +74,7 @@ class LinearProgram:
     rows: list[Row] = field(default_factory=list)
 
     def add_le(self, coeffs: Mapping[int, object], rhs) -> None:
-        self.rows.append(Row(coeffs, rhs, "le"))
-
-    def add_eq(self, coeffs: Mapping[int, object], rhs, basic: int) -> None:
-        self.rows.append(Row(coeffs, rhs, "eq", basic))
+        self.rows.append(Row(coeffs, rhs))
 
 
 @dataclass
@@ -107,32 +96,13 @@ def solve(lp: LinearProgram, arithmetic: str = "rational") -> SimplexResult:
             return SimplexResult("optimal", 0.0, [], 0, [])
         return SimplexResult("optimal", Fraction(0), [], 0, [], certified=True)
     rows = len(lp.rows) + 1
-    cols = lp.n_vars + sum(1 for r in lp.rows if r.kind == "le") + 1
+    cols = lp.n_vars + len(lp.rows) + 1
     if rows * cols > MAX_TABLEAU_CELLS:
         raise SimplexError(f"a {rows} x {cols} tableau has {rows * cols} cells "
                            f"(cap {MAX_TABLEAU_CELLS})")
-    _check_start_basis(lp)
     if arithmetic == "double":
         return _solve_double(lp)
     return _solve_certified(lp)
-
-
-def _check_start_basis(lp: LinearProgram) -> None:
-    """Each equality row's designated column must be a unit column of zero
-    cost, or the start tableau and the duals read from it are wrong."""
-    owner = {r.basic: i for i, r in enumerate(lp.rows) if r.kind == "eq"}
-    for i in owner.values():
-        if lp.rows[i].coeffs.get(lp.rows[i].basic) != 1:
-            raise SimplexError(
-                "equality rows must carry their basic variable with coefficient 1")
-    for j in owner:
-        if lp.objective[j] != 0:
-            raise SimplexError(f"basic variable {j} of an equality row has a nonzero cost")
-    for i, row in enumerate(lp.rows):
-        for j, v in row.coeffs.items():
-            if v != 0 and owner.get(j, i) != i:
-                raise SimplexError(
-                    f"basic variable {j} of equality row {owner[j]} also appears in row {i}")
 
 
 # ----------------------------------------------------------------------
@@ -174,9 +144,9 @@ def verify_certificate(lp: LinearProgram, x: Sequence, y: Sequence) -> list[str]
     """Check in exact arithmetic that x is optimal with dual y; an empty list
     means the certificate holds.
 
-    x must be feasible (x >= 0, every row holds), y dual feasible (y >= 0 on
-    ``<=`` rows, y^T A >= c) and c.x = b.y.  By weak duality no feasible
-    point then beats c.x.  Floats are read at their exact binary value.
+    x must be feasible (x >= 0, every row holds), y dual feasible (y >= 0,
+    y^T A >= c) and c.x = b.y.  By weak duality no feasible point then
+    beats c.x.  Floats are read at their exact binary value.
     """
     if len(x) != lp.n_vars or len(y) != len(lp.rows):
         return [f"need {lp.n_vars} primal and {len(lp.rows)} dual values, "
@@ -197,13 +167,10 @@ def verify_certificate(lp: LinearProgram, x: Sequence, y: Sequence) -> list[str]
         rhs = _exact(row.rhs)
         if yi:
             by += rhs * yi
-        if row.kind == "le":
-            if lhs > rhs:
-                problems.append(f"row {i}: {lhs} > {rhs}")
-            if yi < 0:
-                problems.append(f"row {i}: dual {yi} < 0 on a <= row")
-        elif lhs != rhs:
-            problems.append(f"row {i}: {lhs} != {rhs}")
+        if lhs > rhs:
+            problems.append(f"row {i}: {lhs} > {rhs}")
+        if yi < 0:
+            problems.append(f"row {i}: dual {yi} < 0 on a <= row")
     cx = 0
     for j, c in enumerate(lp.objective):
         c = _exact(c)
@@ -231,35 +198,22 @@ def _lcm_of_denominators(values) -> int:
 def _solve_rational(lp: LinearProgram) -> SimplexResult:
     m = len(lp.rows)
     n = lp.n_vars
-    n_slack = sum(1 for r in lp.rows if r.kind == "le")
-    cols = n + n_slack + 1
-    M = np.zeros((m + 1, cols), dtype=object)
-    M[:] = 0
+    M = np.zeros((m + 1, n + m + 1), dtype=object)
 
     obj_scale = _lcm_of_denominators(lp.objective)
     for j, c in enumerate(lp.objective):
         M[0, j] = -int(Fraction(c) * obj_scale)
 
-    basis = [0] * m
-    slack = n
+    basis = list(range(n, n + m))
     for i, row in enumerate(lp.rows, start=1):
         lam = _lcm_of_denominators(list(row.coeffs.values()) + [row.rhs])
         for j, v in row.coeffs.items():
             M[i, j] = int(Fraction(v) * lam)
         M[i, -1] = int(Fraction(row.rhs) * lam)
-        if row.kind == "le":
-            M[i, slack] = 1
-            basis[i - 1] = slack
-            slack += 1
-        else:
-            basis[i - 1] = row.basic
+        # the slack keeps coefficient 1 on the scaled row
+        M[i, n + i - 1] = 1
 
     d = 1
-    # scaling an equality row to integers also scales its basic coefficient;
-    # one pivot on it restores the unit column (solve checked it is canonical)
-    for i, row in enumerate(lp.rows, start=1):
-        if row.kind == "eq" and M[i, row.basic] != 1:
-            d = _pivot_int(M, d, i, row.basic)
     pivots = 0
     stall = 0
     last_obj = (0, 1)
@@ -333,27 +287,21 @@ def _pivot_int(M, d, pr, pc):
 # double kernel
 
 
+# overflow leaves an inf or a nan in the tableau, which the finiteness guard
+# turns into NumericalInstability
+@np.errstate(over="ignore", invalid="ignore")
 def _solve_double(lp: LinearProgram) -> SimplexResult:
     m = len(lp.rows)
     n = lp.n_vars
-    n_slack = sum(1 for r in lp.rows if r.kind == "le")
-    cols = n + n_slack + 1
-    M = np.zeros((m + 1, cols))
+    M = np.zeros((m + 1, n + m + 1))
     for j, c in enumerate(lp.objective):
         M[0, j] = -float(c)
-    basis = [0] * m
-    slack = n
+    basis = list(range(n, n + m))
     for i, row in enumerate(lp.rows, start=1):
         for j, v in row.coeffs.items():
             M[i, j] = float(v)
         M[i, -1] = float(row.rhs)
-        if row.kind == "le":
-            M[i, slack] = 1.0
-            basis[i - 1] = slack
-            slack += 1
-        else:
-            basis[i - 1] = row.basic
-    start_basis = list(basis)
+        M[i, n + i - 1] = 1.0
 
     pivots = 0
     stall = 0
@@ -402,5 +350,5 @@ def _solve_double(lp: LinearProgram) -> SimplexResult:
     for i in range(1, m + 1):
         if basis[i - 1] < n:
             x[basis[i - 1]] = float(M[i, -1])
-    y = [float(M[0, j]) for j in start_basis]
+    y = M[0, n:n + m].tolist()
     return SimplexResult("optimal", float(M[0, -1]), x, pivots, y)

@@ -52,7 +52,7 @@ def test_oracle_command(tmp_path, capsys):
     assert "optimal revenue = 3/2" in text
     payload = json.loads(out.read_text())
     assert payload["tiny1"]["optimal_revenue"] == "3/2"
-    assert payload["tiny1"]["lp"]["variables"] == 20
+    assert payload["tiny1"]["lp"]["variables"] == 16
     assert payload["tiny1"]["lp"]["certified"] is True
     assert payload["tiny1"]["lp"]["fallbacks"] == 0
     witness = payload["tiny1"]["witness"]
@@ -92,6 +92,26 @@ def test_reserve_source_reads_none_for_mechanisms_without_reserves(capsys):
     assert rc == 0
     assert "tiny1,lookahead,none,exact,3/2," in out
     assert "tiny1,gvcg-lazy,\"fixed:3,3\",exact," in out
+
+
+@pytest.mark.parametrize("source, message", [
+    ("bogus", "unknown reserve source 'bogus'"),
+    ("fixed:abc", "bad fixed reserves 'fixed:abc'"),
+    ("fixed:1,2,3", "'fixed:1,2,3' lists 3 reserves for 2 agents"),
+], ids=["unknown", "not-a-number", "wrong-count"])
+def test_bad_reserve_source_exits_with_one_line(source, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--instance", str(fixture_path("tiny1")), "--mechanism", "gvcg-lazy",
+              "--no-oracle", "--reserve-source", source])
+    assert message in str(exc.value.code)
+    assert "\n" not in str(exc.value.code)
+
+
+def test_single_sample_is_ignored_by_mechanisms_without_reserves(capsys):
+    rc = main(["run", "--instance", str(fixture_path("tiny1")), "--mechanism", "lookahead",
+               "--no-oracle", "--reserve-source", "single-sample"])
+    assert rc == 0
+    assert "tiny1,lookahead,none,exact,3/2," in capsys.readouterr().out
 
 
 def test_audit_defaults_to_corpus(capsys):

@@ -47,7 +47,7 @@ def tiny1():
 def test_lp_counts_single_agent():
     inst = single_agent([(1, F(1, 2)), (2, F(1, 2))])
     rlp = build_revenue_lp(inst)
-    assert rlp.stats.variables == 6        # 2 profiles x 2 sets + 2 payments
+    assert rlp.stats.variables == 4        # 2 profiles x 1 nonempty set + 2 payments
     assert rlp.stats.simplex_rows == 2
     assert rlp.stats.ic_rows == 2
     assert rlp.stats.ir_rows == 2
@@ -55,9 +55,9 @@ def test_lp_counts_single_agent():
 
 def test_lp_counts_tiny1():
     rlp = build_revenue_lp(tiny1())
-    assert rlp.stats.y_vars == 12          # 4 profiles x 3 feasible sets
+    assert rlp.stats.y_vars == 8           # 4 profiles x 2 nonempty feasible sets
     assert rlp.stats.p_vars == 8
-    assert rlp.stats.variables == 20
+    assert rlp.stats.variables == 16
 
 
 def test_var_cap():
@@ -117,6 +117,16 @@ def test_witness_lists_support_profiles_only_and_absent_cells_are_empty():
     assert verify_witness(inst, overcharged) == [
         "IR violated for 1 at (2,): utility -1",
         "IC violated for 1 at (2,) deviating to 1: 0 > -1"]
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_witness_lotteries_sum_to_one_with_the_empty_set_taking_the_rest(name):
+    res = opt_revenue(load_fixture(name))
+    for alloc, _ in res.witness.values():
+        assert sum(p for _, p in alloc) == 1
+        rest = 1 - sum(p for f, p in alloc if f)
+        assert [(f, p) for f, p in alloc if not f] == ([(frozenset(), rest)] if rest else [])
+        assert all(f for f, _ in alloc[1:])
 
 
 def test_correlated_point_masses_extract_full_surplus():
@@ -202,8 +212,7 @@ def _lp_digest(instances):
     for inst in instances:
         lp = build_revenue_lp(inst).lp
         lps.append((lp.n_vars, lp.objective,
-                    [(sorted(row.coeffs.items()), row.rhs, row.kind, row.basic)
-                     for row in lp.rows]))
+                    [(sorted(row.coeffs.items()), row.rhs) for row in lp.rows]))
     return hashlib.sha256(repr(lps).encode()).hexdigest()
 
 
@@ -226,11 +235,11 @@ def non_monotone():
 
 @pytest.mark.parametrize("corpus, digest", [
     ("fixtures",
-     "279deb5d97813b450d21a253e9026907dd4c10e08667917adc0a3b3258a352ef"),
+     "aef969e335fd6c1b99ff58d375cd82b8f5e4c77f820162526202ab1503d5ab59"),
     ("correlated-private",
-     "23440d7bc14e6c39252da1fe17da4371c92d6a79960bba085becdcb1457071e8"),
+     "7a84afc9bca1317640b39fa2326227f01ffab8cc6134e8197f1b3716cde32851"),
     ("non-monotone",
-     "b17afad8cf43fd00a8b206e05538b5ceeb5dc492b384245774b2bd6b0767c6b1"),
+     "db5fd9bc6df71469ac0b11f230f2a9b64cc3adf49234e3c4c449fdd57d59ba5d"),
 ])
 def test_revenue_lp_is_pinned(corpus, digest):
     if corpus == "fixtures":

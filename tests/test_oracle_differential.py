@@ -36,7 +36,7 @@ def full_grid_optimum(inst):
             objective[p[(s, a)]] = prob
     lp = LinearProgram(len(objective), objective)
     for s in profiles:
-        lp.add_eq({y[(s, f)]: 1 for f in sets}, 1, basic=y[(s, frozenset())])
+        lp.add_le({y[(s, f)]: 1 for f in sets if f}, 1)
     for s in inst.dist.support_profiles():
         for k, a in enumerate(agents):
             v = value(inst.vp, a, s)

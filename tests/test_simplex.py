@@ -65,39 +65,35 @@ def test_degenerate_does_not_cycle():
 
 
 def test_equality_row_with_designated_basic():
-    # distribute one unit between two activities
-    lp = LinearProgram(3, [0, 2, 3])
-    lp.add_eq({0: 1, 1: 1, 2: 1}, 1, basic=0)
-    lp.add_le({2: 1}, F(1, 4))
+    # distribute one unit between two activities: the equality
+    # x0 + x1 + x2 = 1 with basic x0 is the <= row below, x0 its slack
+    lp = LinearProgram(2, [2, 3])
+    lp.add_le({0: 1, 1: 1}, 1)
+    lp.add_le({1: 1}, F(1, 4))
     res = solve(lp)
     assert res.objective == 3 * F(1, 4) + 2 * F(3, 4)
-    assert res.x == [0, F(3, 4), F(1, 4)]
-
-
-def test_equality_requires_unit_coefficient():
-    lp = LinearProgram(2, [1, 1])
-    lp.add_eq({0: 2, 1: 1}, 1, basic=0)
-    with pytest.raises(SimplexError, match="coefficient 1"):
-        solve(lp)
+    assert res.x == [F(3, 4), F(1, 4)]
 
 
 def test_exact_kernel_takes_fractional_equality_rows():
-    # scaling x0 + x1/2 = 1 to integers leaves x0's coefficient at 2
-    lp = LinearProgram(2, [0, 1])
-    lp.add_eq({0: 1, 1: F(1, 2)}, 1, basic=0)
+    # an equality x_b + a.x = b whose zero-cost basic x_b appears in no other
+    # row is the row a.x <= b with x_b as its slack; scaling x/2 <= 1 to
+    # integers gives x <= 2 with a unit slack
+    lp = LinearProgram(1, [1])
+    lp.add_le({0: F(1, 2)}, 1)
     exact = _solve_rational(lp)
-    assert exact.objective == 2 and exact.x == [0, 2]
+    assert exact.objective == 2 and exact.x == [2]
     assert solve(lp).objective == 2
-    # two fractional equality rows and a fractional inequality
-    lp = LinearProgram(4, [0, 0, 1, 1])
-    lp.add_eq({0: 1, 2: F(2, 3), 3: F(1, 2)}, F(2, 3), basic=0)
-    lp.add_eq({1: 1, 2: 1, 3: 3}, F(2, 3), basic=1)
-    lp.add_le({2: 2, 3: F(1, 2)}, F(3, 4))
+    # two fractional equalities stated that way and a fractional inequality
+    lp = LinearProgram(2, [1, 1])
+    lp.add_le({0: F(2, 3), 1: F(1, 2)}, F(2, 3))
+    lp.add_le({0: 1, 1: 3}, F(2, 3))
+    lp.add_le({0: 2, 1: F(1, 2)}, F(3, 4))
     certified = solve(lp)
     assert certified.certified and certified.objective == F(5, 11)
     exact = _solve_rational(lp)
     assert exact.objective == F(5, 11) and exact.x == certified.x
-    assert exact.x == [F(151, 396), 0, F(23, 66), F(7, 66)]
+    assert exact.x == [F(23, 66), F(7, 66)]
 
 
 def test_negative_rhs_rejected():
@@ -194,6 +190,13 @@ def test_certified_solve_carries_its_certificate():
     assert verify_certificate(lp, res.x, res.y) == []
 
 
+def test_double_duals_read_from_the_slack_columns_certify():
+    lp = blend_lp()
+    res = solve(lp, "double")
+    assert res.y == [0, 1.5, 1]
+    assert verify_certificate(lp, res.x, res.y) == []
+
+
 def test_certificate_rejects_perturbed_solutions():
     lp = blend_lp()
     x, y = [F(2), F(6)], [F(0), F(3, 2), F(1)]
@@ -220,11 +223,3 @@ def test_uncertifiable_double_solution_falls_back_to_exact_kernel():
     res = solve(lp)
     assert res.objective == F(1, 1000003) and res.x == [F(1, 1000003)]
     assert res.fallbacks == 1 and not res.certified
-
-
-def test_equality_basic_column_must_be_canonical():
-    lp = LinearProgram(2, [0, 1])
-    lp.add_eq({0: 1, 1: 1}, 1, basic=0)
-    lp.add_le({0: 1, 1: 1}, 1)
-    with pytest.raises(SimplexError, match="also appears in row 1"):
-        solve(lp)
