@@ -225,6 +225,7 @@ class JointDistribution:
         # Built on first use, so a fresh copy pays for them where it is used.
         self._marginal_cache: dict = {}
         self._column_index: dict = {}
+        self._numbered = None
         self._cumulative = None
 
     def _init_table(self, table):
@@ -274,6 +275,13 @@ class JointDistribution:
     def support_profiles(self) -> list[tuple]:
         return list(self._table)
 
+    def numbered_support(self) -> list[tuple]:
+        """(profile, profile number, probability) for every support profile,
+        in table order; numbered on first use."""
+        if self._numbered is None:
+            self._numbered = [(s, self.grid.number(s), p) for s, p in self._table.items()]
+        return self._numbered
+
     def marginal(self, agent) -> ScalarDistribution:
         """The agent's signal pmf over its positive-probability values."""
         if agent not in self._marginal_cache:
@@ -311,8 +319,8 @@ class JointDistribution:
         agent's pairs are grouped by column on first use."""
         if i not in self._column_index:
             index = self._column_index[i] = {}
-            for profile, p in self._table.items():
-                c, j, _ = self.grid.column(i, self.grid.number(profile))
+            for _, k, p in self.numbered_support():
+                c, j, _ = self.grid.column(i, k)
                 index.setdefault(c, []).append((j, p))
         return self._column_index[i].get(col, [])
 

@@ -831,8 +831,7 @@ def opt_upper_bound(instance: Instance):
         raise WrongVariantError("the revenue upper bound needs a matroid system")
     everyone = instance.everyone
     total = 0
-    for s, p in instance.dist.enumerate_support():
-        k = instance.grid.number(s)
+    for _, k, p in instance.dist.numbered_support():
         w = _winners(instance, k, everyone)
         quote_sum = 0
         for i in range(len(instance.agents)):
@@ -889,15 +888,18 @@ def walk(instance: Instance, spec: MechanismSpec, *, audit: bool = True,
     whole grid when auditing and over the support otherwise, and held by
     profile number.  The revenue sums p * weight * revenue with the support
     outer and the realizations inner.  The atom cap (support x realizations)
-    is checked before any outcome is built.
+    is checked before any outcome is built.  Asked for neither, it builds
+    nothing.
     """
-    support = [(s, instance.grid.number(s), p) for s, p in instance.dist.enumerate_support()]
+    if not (audit or revenue):
+        return Walk(None, None, 0)
+    support = instance.dist.numbered_support()
     reals = list(realizations(instance, spec))
     atoms = len(support) * len(reals)
     if revenue and atoms > atom_cap:
         raise SizeError(f"exact evaluation needs {atoms} atoms (cap {atom_cap})")
     numbers = (range(math.prod(instance.grid.sizes)) if audit
-               else [k for _, k, _ in support] if revenue else [])
+               else [k for _, k, _ in support])
     violations, revenues = [] if audit else None, []
     for realization, _ in reals:
         z = None if realization is None else instance.mask(realization)

@@ -186,19 +186,22 @@ def witness_mechanism(rlp: RevenueLP, solution: SimplexResult) -> dict:
     """Support profile -> (allocation, payments): the allocation lottery as
     (feasible set, probability) pairs with nonzero probability, the empty
     set first at 1 minus the rest, and the payments in agent order.  Absent
-    grid profiles are the empty cell."""
+    grid profiles are the empty cell.  Equal lotteries, and equal payment
+    tuples, are one object."""
     x = solution.x
     n_f = len(rlp.feasible)
     n = len(rlp.instance.agents)
     pay = rlp.stats.y_vars
     zero = solution.objective * 0  # a Fraction in rational mode, a float in double
-    witness = {}
+    witness, shared = {}, {}
     for i, s in enumerate(rlp.support):
         lottery = [(f, p) for f, p in zip(rlp.feasible, x[i * n_f:(i + 1) * n_f]) if p != 0]
         rest = 1 - sum((p for _, p in lottery), zero)
         if rest != 0:
             lottery.insert(0, (frozenset(), rest))
-        witness[s] = (tuple(lottery), tuple(x[pay + i * n:pay + (i + 1) * n]))
+        lottery, payments = tuple(lottery), tuple(x[pay + i * n:pay + (i + 1) * n])
+        witness[s] = (shared.setdefault(lottery, lottery),
+                      shared.setdefault(payments, payments))
     return witness
 
 

@@ -9,14 +9,15 @@ sets only and leaves the empty allocation to the slack.
 
 Rational mode is a certified floating-point solve (Applegate, Cook, Dash &
 Espinoza, "Exact solutions to linear programming problems", Oper. Res. Lett.
-2007).  A double pivot updates only the rows its entering column reaches:
+2007).  A double pivot reads its entering column once, runs the ratio test
+over the rows that column reaches and updates only those rows, in place:
 any other row would have +-0.0 subtracted, which leaves it bit for bit the
 same, as no -0.0 reaches rows 1..m unless the LP holds one.  At an optimal
 basis the double kernel reads the row duals y from row 0 at the slack
 columns n..n+m-1: a slack is a unit column with zero cost, so its reduced
 cost is its row's dual.  x and y are rounded to rationals with denominators
 at most ``DENOMINATOR_LIMIT`` and accepted only if :func:`verify_certificate`
-proves, in exact arithmetic, that x is feasible, y >= 0, y^T A >= c and
+proves, in integer arithmetic, that x is feasible, y >= 0, y^T A >= c and
 c.x = b.y; weak duality then makes x optimal.  Otherwise (or when the double
 kernel reports ``NumericalInstability`` or unboundedness) the fraction-free
 rational simplex solves the LP and the result counts one fallback.
@@ -115,8 +116,9 @@ def _solve_certified(lp: LinearProgram) -> SimplexResult:
     except NumericalInstability:
         approx = None
     if approx is not None and approx.status == "optimal":
-        x = [_rational(v) for v in approx.x]
-        y = [_rational(v) for v in approx.y]
+        seen = {0.0: Fraction(0)}
+        x = [_rational(v, seen) for v in approx.x]
+        y = [_rational(v, seen) for v in approx.y]
         if not verify_certificate(lp, x, y):
             objective = sum((_exact(c) * v for c, v in zip(lp.objective, x) if v),
                             Fraction(0))
@@ -132,12 +134,11 @@ def _exact(v):
     return Fraction(v) if isinstance(v, float) else v
 
 
-_ZERO = Fraction(0)
-
-
-def _rational(v: float) -> Fraction:
-    # one shared zero: most entries of x and y are zero, and Fractions are immutable
-    return Fraction(v).limit_denominator(DENOMINATOR_LIMIT) if v else _ZERO
+def _rational(v: float, seen: dict) -> Fraction:
+    # one Fraction per distinct float in a solve: x and y repeat a few values
+    if v not in seen:
+        seen[v] = Fraction(v).limit_denominator(DENOMINATOR_LIMIT)
+    return seen[v]
 
 
 def verify_certificate(lp: LinearProgram, x: Sequence, y: Sequence) -> list[str]:
@@ -146,40 +147,51 @@ def verify_certificate(lp: LinearProgram, x: Sequence, y: Sequence) -> list[str]
 
     x must be feasible (x >= 0, every row holds), y dual feasible (y >= 0,
     y^T A >= c) and c.x = b.y.  By weak duality no feasible point then
-    beats c.x.  Floats are read at their exact binary value.
+    beats c.x.  Entries are ints, Fractions or floats, floats read at their
+    exact binary value.  The checks run over integers: x over one common
+    denominator, row i times the lcm lam_i of its denominators, and y_i / lam_i
+    over one common denominator; only a problem's message builds Fractions.
     """
     if len(x) != lp.n_vars or len(y) != len(lp.rows):
         return [f"need {lp.n_vars} primal and {len(lp.rows)} dual values, "
                 f"got {len(x)} and {len(y)}"]
-    x = [_exact(v) for v in x]
-    y = [_exact(v) for v in y]
-    problems = [f"x[{j}] = {v} < 0" for j, v in enumerate(x) if v < 0]
+    xr = [v.as_integer_ratio() for v in x]
+    dx = math.lcm(*(d for _, d in xr))
+    X = [n * (dx // d) for n, d in xr]
+    problems = [f"x[{j}] = {Fraction(*r)} < 0" for j, r in enumerate(xr) if r[0] < 0]
+    scaled = []  # per row: its coefficients and rhs times lam_i, y_i / lam_i as n, d
+    for i, (row, yi) in enumerate(zip(lp.rows, y)):
+        coeffs = [(j, *a.as_integer_ratio()) for j, a in row.coeffs.items()]
+        bn, bd = row.rhs.as_integer_ratio()
+        lam = math.lcm(bd, *(d for _, _, d in coeffs))
+        coeffs = [(j, n * (lam // d)) for j, n, d in coeffs]
+        b = bn * (lam // bd)
+        lhs = sum(a * X[j] for j, a in coeffs)
+        if lhs > b * dx:
+            problems.append(f"row {i}: {Fraction(lhs, lam * dx)} > {Fraction(b, lam)}")
+        yn, yd = yi.as_integer_ratio()
+        if yn < 0:
+            problems.append(f"row {i}: dual {Fraction(yn, yd)} < 0 on a <= row")
+        scaled.append((coeffs, b, yn, yd * lam))
+    dy = math.lcm(*(d for _, _, yn, d in scaled if yn))
     dual_lhs = [0] * lp.n_vars
     by = 0
-    for i, (row, yi) in enumerate(zip(lp.rows, y)):
-        lhs = 0
-        for j, a in row.coeffs.items():
-            a = _exact(a)
-            if x[j]:
-                lhs += a * x[j]
-            if yi:
-                dual_lhs[j] += a * yi
-        rhs = _exact(row.rhs)
-        if yi:
-            by += rhs * yi
-        if lhs > rhs:
-            problems.append(f"row {i}: {lhs} > {rhs}")
-        if yi < 0:
-            problems.append(f"row {i}: dual {yi} < 0 on a <= row")
+    for coeffs, b, yn, d in scaled:
+        if yn:
+            Y = yn * (dy // d)
+            by += b * Y
+            for j, a in coeffs:
+                dual_lhs[j] += a * Y
+    cr = [c.as_integer_ratio() for c in lp.objective]
+    dc = math.lcm(*(d for _, d in cr))
     cx = 0
-    for j, c in enumerate(lp.objective):
-        c = _exact(c)
-        if dual_lhs[j] < c:
-            problems.append(f"column {j}: y^T A = {dual_lhs[j]} < c = {c}")
-        if x[j]:
-            cx += c * x[j]
-    if cx != by:
-        problems.append(f"c.x = {cx} != b.y = {by}")
+    for j, ((cn, cd), s) in enumerate(zip(cr, dual_lhs)):
+        C = cn * (dc // cd)
+        if s * dc < C * dy:
+            problems.append(f"column {j}: y^T A = {Fraction(s, dy)} < c = {Fraction(cn, cd)}")
+        cx += C * X[j]
+    if cx * dy != by * dc * dx:
+        problems.append(f"c.x = {Fraction(cx, dc * dx)} != b.y = {Fraction(by, dy)}")
     return problems
 
 
@@ -188,11 +200,7 @@ def verify_certificate(lp: LinearProgram, x: Sequence, y: Sequence) -> list[str]
 
 
 def _lcm_of_denominators(values) -> int:
-    out = 1
-    for v in values:
-        f = Fraction(v)
-        out = out * f.denominator // math.gcd(out, f.denominator)
-    return out
+    return math.lcm(*(Fraction(v).denominator for v in values))
 
 
 def _solve_rational(lp: LinearProgram) -> SimplexResult:
@@ -303,6 +311,7 @@ def _solve_double(lp: LinearProgram) -> SimplexResult:
         M[i, -1] = float(row.rhs)
         M[i, n + i - 1] = 1.0
 
+    rhs = M[:, -1]
     pivots = 0
     stall = 0
     last_obj = 0.0
@@ -312,20 +321,21 @@ def _solve_double(lp: LinearProgram) -> SimplexResult:
             candidates = np.nonzero(row0 < -EPS)[0]
             col = int(candidates[0]) if candidates.size else None
         else:
-            j = int(np.argmin(row0))
+            j = int(row0.argmin())
             col = j if row0[j] < -EPS else None
         if col is None:
             break
-        rows = np.flatnonzero(M[:, col])  # row 0 among them: its entry is < -EPS
-        ratios = np.full(rows.size, np.inf)
-        positive = M[rows, col] > EPS
-        ratios[positive] = M[rows[positive], -1] / M[rows[positive], col]
-        k = int(np.argmin(ratios))
-        if not np.isfinite(ratios[k]):
+        column = M[:, col]
+        rows = np.flatnonzero(column)  # row 0 among them: its entry is < -EPS
+        cv = column[rows]
+        ratios = np.where(cv > EPS, rhs[rows] / cv, np.inf)
+        k = ratios.argmin()
+        if not math.isfinite(ratios[k]):
             return SimplexResult("unbounded", None, [], pivots)
         pr = int(rows[k])
-        piv_row = M[pr] / M[pr, col]
-        block = M[rows] - np.outer(M[rows, col], piv_row)
+        piv_row = M[pr] / cv[k]
+        block = M[rows]
+        block -= np.multiply.outer(cv, piv_row)
         block[k] = piv_row
         M[rows] = block
         basis[pr - 1] = col
@@ -333,12 +343,13 @@ def _solve_double(lp: LinearProgram) -> SimplexResult:
         if pivots > MAX_PIVOTS:
             raise NumericalInstability(
                 "pivot limit exceeded; retry with arithmetic='rational'")
-        if abs(M[0, -1] - last_obj) <= EPS * max(1.0, abs(last_obj)):
+        obj = float(rhs[0])
+        if abs(obj - last_obj) <= EPS * max(1.0, abs(last_obj)):
             stall += 1
         else:
             stall = 0
-            last_obj = M[0, -1]
-        if not np.all(np.isfinite(block)):
+            last_obj = obj
+        if not np.isfinite(block).all():
             raise NumericalInstability(
                 "tableau lost finiteness; retry with arithmetic='rational'")
 
