@@ -45,7 +45,6 @@ def _add_common(p):
     p.add_argument("--instance", action="append", default=[], metavar="PATH",
                    help="instance file; repeatable; defaults to the bundled "
                         "fixture corpus (see AUCTIONLAB_FIXTURES)")
-    p.add_argument("--arithmetic", choices=["rational", "double"], default=None)
     p.add_argument("--reserve-source", default=None,
                    help="none | monopoly | conditional | fixed:r1,r2,... | "
                         "single-sample | unsafe-own-value; fixed reserves "
@@ -112,8 +111,7 @@ def _instance_paths(args) -> list[str]:
 
 
 def _load_all(args):
-    return [load_instance(p, arithmetic=args.arithmetic)
-            for p in _instance_paths(args)]
+    return [load_instance(p) for p in _instance_paths(args)]
 
 
 def cmd_run(args) -> int:
@@ -132,7 +130,6 @@ def cmd_run(args) -> int:
         mode="exact" if args.mode == "exact" else "monte_carlo",
         trials=args.trials,
         seed=args.seed,
-        arithmetic=args.arithmetic,
         compute_oracle=not args.no_oracle,
         compute_upper_bound=not args.no_upper_bound,
         audit=not args.no_audit,

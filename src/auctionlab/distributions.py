@@ -3,9 +3,8 @@
 A joint distribution on a :class:`SignalGrid` can be written two ways, as an
 explicit table of profiles or as a product of per-agent marginals, and is held
 one way: a table of its positive-probability profiles in row-major order, which
-every query reads.  Two arithmetic modes are supported: exact rationals (the
-default, probabilities must sum to one exactly) and doubles (normalisation
-checked to 1e-12).
+every query reads.  Probabilities are exact rationals and must sum to one
+exactly.
 """
 from __future__ import annotations
 
@@ -16,10 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
-DOUBLE_NORMALISATION_TOL = 1e-12
-
+# The one arithmetic: exact rationals.  The benchmark's tracing reads it.
 RATIONAL = "rational"
-DOUBLE = "double"
 
 
 class DistributionError(ValueError):
@@ -42,9 +39,8 @@ def _check_grid_axis(values) -> tuple:
     return vals
 
 
-def _check_total(total, arithmetic: str):
-    if (total != 1 if arithmetic == RATIONAL
-            else abs(total - 1) > DOUBLE_NORMALISATION_TOL):
+def _check_total(total):
+    if total != 1:
         raise DistributionError(f"probabilities sum to {total}, expected 1")
 
 
@@ -122,7 +118,7 @@ class SignalGrid:
 class ScalarDistribution:
     """One-dimensional pmf with sorted support."""
 
-    def __init__(self, pairs, arithmetic: str = RATIONAL):
+    def __init__(self, pairs):
         items = sorted(pairs, key=lambda kv: kv[0])
         support = tuple(v for v, _ in items)
         probs = tuple(p for _, p in items)
@@ -132,10 +128,9 @@ class ScalarDistribution:
             raise DistributionError("negative probability")
         if not support:
             raise DistributionError("empty support")
-        _check_total(sum(probs), arithmetic)
+        _check_total(sum(probs))
         self.support = support
         self.probs = probs
-        self.arithmetic = arithmetic
 
     def __iter__(self):
         return iter(zip(self.support, self.probs))
@@ -211,10 +206,8 @@ class JointDistribution:
     :attr:`marginals` (else ``None``) only to write the instance back.
     """
 
-    def __init__(self, grid: SignalGrid, *, form: str, arithmetic: str = RATIONAL,
-                 table=None, marginals=None):
+    def __init__(self, grid: SignalGrid, *, form: str, table=None, marginals=None):
         self.grid = grid
-        self.arithmetic = arithmetic
         self.marginals = None
         if form == "table":
             self._init_table(table)
@@ -241,7 +234,7 @@ class JointDistribution:
             if prob < 0:
                 raise DistributionError("negative probability")
             seen[profile] = prob
-        _check_total(sum(seen.values()), self.arithmetic)
+        _check_total(sum(seen.values()))
         self._table = {p: q for p, q in sorted(seen.items()) if q > 0}
 
     def _init_product(self, marginals):
@@ -253,7 +246,7 @@ class JointDistribution:
                 raise DistributionError(f"missing marginal for agent {a!r}")
             m = marginals[a]
             if not isinstance(m, ScalarDistribution):
-                m = ScalarDistribution(m, self.arithmetic)
+                m = ScalarDistribution(m)
             if not set(m.support) <= set(self.grid.axis(a)):
                 raise DistributionError(f"marginal support off the grid for agent {a!r}")
             self.marginals[a] = m
@@ -289,7 +282,7 @@ class JointDistribution:
             acc: dict = {}
             for profile, p in self._table.items():
                 acc[profile[idx]] = acc.get(profile[idx], 0) + p
-            self._marginal_cache[agent] = ScalarDistribution(acc.items(), self.arithmetic)
+            self._marginal_cache[agent] = ScalarDistribution(acc.items())
         return self._marginal_cache[agent]
 
     def conditional_signal(self, agent, others: Mapping) -> ScalarDistribution:
@@ -310,7 +303,7 @@ class JointDistribution:
         if not pairs:
             raise ConditioningError(f"zero-probability conditioning event {dict(others)}")
         mass = sum(p for _, p in pairs)
-        return ScalarDistribution([(axis[j], p / mass) for j, p in pairs], self.arithmetic)
+        return ScalarDistribution([(axis[j], p / mass) for j, p in pairs])
 
     def column_masses(self, i: int, col) -> list:
         """The table's (own grid index, probability) pairs in agent index i's

@@ -4,10 +4,11 @@ fixture corpus.
 A file has top-level blocks ``agents``, ``grid``, ``distribution``,
 ``valuation``, ``feasibility`` and an optional ``tie_break``.  Probabilities
 and other numbers may be written as ints, floats, or fraction strings such
-as ``3/10``; in rational mode (the default) everything becomes an exact
-Fraction.  Loading validates normalisation, grid membership, and the
-monotonicity assumption; single-crossing and the concavity-type condition
-are checked and attached as metadata flags.
+as ``3/10``, and every one becomes an exact Fraction (a float through its
+decimal text).  ``distribution.arithmetic`` may be omitted or say
+``rational``; any other value is refused.  Loading validates normalisation,
+grid membership, and the monotonicity assumption; single-crossing and the
+concavity-type condition are checked and attached as metadata flags.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import yaml
 
-from .distributions import DOUBLE, JointDistribution, RATIONAL, ScalarDistribution, SignalGrid
+from .distributions import JointDistribution, RATIONAL, ScalarDistribution, SignalGrid
 from .matroid import FeasibilitySystem
 from .mechanisms import AssumptionError, Instance, MechanismError
 from .valuations import (
@@ -38,31 +39,25 @@ class InstanceFormatError(ValueError):
     pass
 
 
-def _num(x, arithmetic: str):
-    """Parse a YAML scalar into the instance's number type."""
+def _num(x):
+    """Parse a YAML scalar into an exact Fraction."""
     if isinstance(x, bool) or x is None:
         raise InstanceFormatError(f"expected a number, got {x!r}")
-    if arithmetic == RATIONAL:
-        if isinstance(x, int):
-            return Fraction(x)
-        if isinstance(x, float):
-            return Fraction(str(x))
-        if isinstance(x, str):
-            try:
-                return Fraction(x)
-            except ValueError:
-                raise InstanceFormatError(f"cannot parse number {x!r}")
-        raise InstanceFormatError(f"expected a number, got {x!r}")
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, float):
+        return Fraction(str(x))
     if isinstance(x, str):
-        return float(Fraction(x))
-    return float(x)
+        try:
+            return Fraction(x)
+        except ValueError:
+            raise InstanceFormatError(f"cannot parse number {x!r}")
+    raise InstanceFormatError(f"expected a number, got {x!r}")
 
 
 def _format_num(x):
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    if isinstance(x, float) and x.is_integer():
-        return int(x)
     return x
 
 
@@ -72,8 +67,7 @@ def _require(block: dict, key: str, where: str):
     return block[key]
 
 
-def from_dict(doc: dict, *, arithmetic: str | None = None,
-              name: str = "") -> Instance:
+def from_dict(doc: dict, *, name: str = "") -> Instance:
     if not isinstance(doc, dict):
         raise InstanceFormatError("instance document must be a mapping")
     agents = tuple(_require(doc, "agents", "top level"))
@@ -81,21 +75,21 @@ def from_dict(doc: dict, *, arithmetic: str | None = None,
         raise InstanceFormatError("agents: duplicate identifiers")
 
     dist_block = dict(_require(doc, "distribution", "top level"))
-    mode = arithmetic or dist_block.get("arithmetic", RATIONAL)
-    if mode not in (RATIONAL, DOUBLE):
-        raise InstanceFormatError(f"distribution.arithmetic: unknown mode {mode!r}")
+    mode = dist_block.get("arithmetic", RATIONAL)
+    if mode != RATIONAL:
+        raise InstanceFormatError(f"distribution.arithmetic: {mode!r} is not "
+                                  f"{RATIONAL!r}, the only arithmetic")
 
     grid_block = _require(doc, "grid", "top level")
     axes = {}
     for a in agents:
         if a not in grid_block:
             raise InstanceFormatError(f"grid: missing axis for agent {a!r}")
-        axes[a] = tuple(_num(v, mode) for v in grid_block[a])
+        axes[a] = tuple(_num(v) for v in grid_block[a])
     grid = SignalGrid(agents=agents, values=axes)
 
-    dist = _parse_distribution(dist_block, grid, mode)
-    vp = _parse_valuation(dict(_require(doc, "valuation", "top level")),
-                          agents, grid, mode)
+    dist = _parse_distribution(dist_block, grid)
+    vp = _parse_valuation(dict(_require(doc, "valuation", "top level")), agents, grid)
     feas = _parse_feasibility(dict(_require(doc, "feasibility", "top level")), agents)
 
     tie_break = doc.get("tie_break")
@@ -104,7 +98,7 @@ def from_dict(doc: dict, *, arithmetic: str | None = None,
 
     try:
         inst = Instance(grid=grid, dist=dist, vp=vp, feas=feas, tie_break=tie_break,
-                        name=doc.get("name", name), arithmetic=mode)
+                        name=doc.get("name", name))
     except MechanismError as exc:
         raise InstanceFormatError(str(exc)) from exc
     report = inst.assumption_report()
@@ -117,7 +111,7 @@ def from_dict(doc: dict, *, arithmetic: str | None = None,
     return inst
 
 
-def _parse_distribution(block: dict, grid: SignalGrid, mode: str) -> JointDistribution:
+def _parse_distribution(block: dict, grid: SignalGrid) -> JointDistribution:
     form = _require(block, "form", "distribution")
     try:
         if form == "product":
@@ -126,15 +120,12 @@ def _parse_distribution(block: dict, grid: SignalGrid, mode: str) -> JointDistri
             for a in grid.agents:
                 if a not in raw:
                     raise InstanceFormatError(f"distribution.marginals: agent {a!r} missing")
-                pairs = [(_num(v, mode), _num(p, mode)) for v, p in raw[a]]
-                marginals[a] = ScalarDistribution(pairs, mode)
-            return JointDistribution(grid, form="product", arithmetic=mode,
-                                     marginals=marginals)
+                marginals[a] = ScalarDistribution([(_num(v), _num(p)) for v, p in raw[a]])
+            return JointDistribution(grid, form="product", marginals=marginals)
         if form == "table":
             entries = _require(block, "entries", "distribution")
-            parsed = [(tuple(_num(v, mode) for v in profile), _num(p, mode))
-                      for profile, p in entries]
-            return JointDistribution(grid, form="table", arithmetic=mode, table=parsed)
+            parsed = [(tuple(_num(v) for v in profile), _num(p)) for profile, p in entries]
+            return JointDistribution(grid, form="table", table=parsed)
     except InstanceFormatError:
         raise
     except ValueError as exc:
@@ -142,12 +133,12 @@ def _parse_distribution(block: dict, grid: SignalGrid, mode: str) -> JointDistri
     raise InstanceFormatError(f"distribution.form: unknown form {form!r}")
 
 
-def _parse_valuation(block: dict, agents, grid: SignalGrid, mode: str) -> ValuationProfile:
+def _parse_valuation(block: dict, agents, grid: SignalGrid) -> ValuationProfile:
     family = _require(block, "family", "valuation")
     if family == "private":
         return private(agents)
     if family == "weighted_sum":
-        return weighted_sum(agents, _num(_require(block, "beta", "valuation"), mode))
+        return weighted_sum(agents, _num(_require(block, "beta", "valuation")))
     if family in ("additive", "concave_additive"):
         raw_g = _require(block, "g", "valuation")
         g = {}
@@ -159,14 +150,12 @@ def _parse_valuation(block: dict, agents, grid: SignalGrid, mode: str) -> Valuat
                 if b not in raw_g[a]:
                     raise InstanceFormatError(
                         f"valuation.g[{a!r}]: component for agent {b!r} missing")
-                pairs = [(_num(x, mode), _num(y, mode)) for x, y in raw_g[a][b]]
-                g[a][b] = StepFunction.from_pairs(pairs)
+                g[a][b] = StepFunction.from_pairs([(_num(x), _num(y)) for x, y in raw_g[a][b]])
         if family == "additive":
             return additive(agents, g)
         raw_outer = _require(block, "outer", "valuation")
-        outer = {a: PiecewiseLinear.from_pairs(
-            [(_num(x, mode), _num(y, mode)) for x, y in raw_outer[a]])
-            for a in agents}
+        outer = {a: PiecewiseLinear.from_pairs([(_num(x), _num(y)) for x, y in raw_outer[a]])
+                 for a in agents}
         return concave_additive(agents, g, outer)
     if family == "table":
         raw = _require(block, "values", "valuation")
@@ -174,7 +163,7 @@ def _parse_valuation(block: dict, agents, grid: SignalGrid, mode: str) -> Valuat
         for a in agents:
             if a not in raw:
                 raise InstanceFormatError(f"valuation.values: agent {a!r} missing")
-            values[a] = {tuple(_num(v, mode) for v in profile): _num(val, mode)
+            values[a] = {tuple(_num(v) for v in profile): _num(val)
                          for profile, val in raw[a]}
             for s in grid.profiles():
                 if tuple(s) not in values[a]:
@@ -210,15 +199,15 @@ def _parse_feasibility(block: dict, agents) -> FeasibilitySystem:
     raise InstanceFormatError(f"feasibility.kind: unknown kind {kind!r}")
 
 
-def loads(text: str, *, arithmetic: str | None = None, name: str = "") -> Instance:
-    return from_dict(yaml.safe_load(text), arithmetic=arithmetic, name=name)
+def loads(text: str, *, name: str = "") -> Instance:
+    return from_dict(yaml.safe_load(text), name=name)
 
 
-def load_instance(path, *, arithmetic: str | None = None) -> Instance:
+def load_instance(path) -> Instance:
     path = Path(path)
     with open(path) as fh:
         doc = yaml.safe_load(fh)
-    return from_dict(doc, arithmetic=arithmetic, name=path.stem)
+    return from_dict(doc, name=path.stem)
 
 
 def to_dict(instance: Instance) -> dict:
@@ -230,12 +219,12 @@ def to_dict(instance: Instance) -> dict:
     dist = instance.dist
     if dist.marginals is not None:
         doc["distribution"] = {
-            "form": "product", "arithmetic": instance.arithmetic,
+            "form": "product", "arithmetic": RATIONAL,
             "marginals": {a: [[_format_num(v), _format_num(p)] for v, p in m]
                           for a, m in dist.marginals.items()}}
     else:
         doc["distribution"] = {
-            "form": "table", "arithmetic": instance.arithmetic,
+            "form": "table", "arithmetic": RATIONAL,
             "entries": [[[_format_num(v) for v in s], _format_num(p)]
                         for s, p in dist.enumerate_support()]}
     vp = instance.vp
@@ -302,8 +291,8 @@ def fixture_path(name: str) -> Path:
     return p
 
 
-def load_fixture(name: str, *, arithmetic: str | None = None) -> Instance:
-    return load_instance(fixture_path(name), arithmetic=arithmetic)
+def load_fixture(name: str) -> Instance:
+    return load_instance(fixture_path(name))
 
 
 def corpus_names() -> list[str]:

@@ -66,8 +66,7 @@ NEVER_WINS = None  # threshold-signal marker; threshold value becomes +inf
 DEFAULT_ATOM_CAP = 10 ** 7
 
 RESERVE_FALLBACKS = ("unconditioned", "prior-marginal")
-# The slack double-mode audits give rounding noise; rational audits are exact.
-DOUBLE_TOLERANCE = 1e-9
+ZERO = Fraction(0)
 
 
 class MechanismError(RuntimeError):
@@ -115,8 +114,9 @@ class Instance:
     feas: FeasibilitySystem
     tie_break: tuple = None
     name: str = ""
-    arithmetic: str = RATIONAL
     metadata: dict = field(default_factory=dict)
+    # not a field: every instance is exact; bench/tracing.py still reads it
+    arithmetic = RATIONAL
 
     def __post_init__(self):
         agents = self.grid.agents
@@ -127,8 +127,6 @@ class Instance:
         if len(self.tie_break) != len(agents) or set(self.tie_break) != set(agents):
             raise MechanismError(f"tie_break {list(self.tie_break)} does not list "
                                  "every agent exactly once")
-        self.zero = Fraction(0) if self.arithmetic == RATIONAL else 0.0
-        self.tolerance = 0 if self.arithmetic == RATIONAL else DOUBLE_TOLERANCE
         self._restrictions: dict = {}
         self._checks: dict = {}
         self.everyone = (1 << len(agents)) - 1
@@ -323,8 +321,7 @@ def conditional_value_distribution(instance: Instance, agent, s: Sequence):
     if not pairs:
         raise ConditioningError(f"agent {agent!r} has no conditional mass at {tuple(s)}")
     mass = sum(p for _, p in pairs)
-    return ScalarDistribution([(instance._value(i, col + j * st), p / mass) for j, p in pairs],
-                              instance.arithmetic)
+    return ScalarDistribution([(instance._value(i, col + j * st), p / mass) for j, p in pairs])
 
 
 def conditional_monopoly_reserve(instance: Instance, agent, s: Sequence, *,
@@ -433,11 +430,10 @@ def _reserves(instance: Instance, k: int, priced: int, source, mask: int,
               event_mode: str) -> dict:
     """:func:`resolve_reserves` for the bitmask ``priced``, profile number k
     and active bitmask."""
-    zero = instance.zero
     agents = [(i, a) for i, a in enumerate(instance.agents) if priced >> i & 1]
     # named sources first: a Mapping check goes through the ABC machinery
     if source is None or source == "none":
-        return {a: zero for _, a in agents}
+        return {a: ZERO for _, a in agents}
     if source == "conditional":
         return {a: _quote(instance, i, k, event_mode, mask).price for i, a in agents}
     if source == "monopoly":
@@ -455,7 +451,7 @@ def _reserves(instance: Instance, k: int, priced: int, source, mask: int,
         unknown = set(source) - set(instance.agents)
         if unknown:
             raise MechanismError(f"reserves given for unknown agents {sorted(map(str, unknown))}")
-        return {a: source.get(a, zero) for _, a in agents}
+        return {a: source.get(a, ZERO) for _, a in agents}
     if callable(source):
         s = instance.grid.profile_at(k)
         return {a: source(a, SignalView(instance, s, a)) for _, a in agents}
@@ -512,7 +508,7 @@ def _settle(instance: Instance, k: int, w: int, r: dict, scans: tuple) -> tuple:
     winner is served at the higher of its reserve and its threshold value
     within ``scans[i]`` when its value reaches that price; the rest pay zero."""
     agents = instance.agents
-    served, pay = 0, [instance.zero] * len(agents)
+    served, pay = 0, [ZERO] * len(agents)
     for i in range(len(agents)):
         if w >> i & 1:
             price = max(r[agents[i]], _threshold(instance, i, k, scans[i])[1])
@@ -540,7 +536,7 @@ def _outcome(instance: Instance, k: int, offer: tuple, admitted) -> AuctionOutco
         {a: served >> i & 1 for i, a in enumerate(agents)}, dict(zip(agents, pay)),
         {a: NEVER_WINS if j is None else instance.grid.values[a][j]
          for a, (j, _) in zip(agents, crit)},
-        {a: t for a, (_, t) in zip(agents, crit)}, {a: r.get(a, instance.zero) for a in agents},
+        {a: t for a, (_, t) in zip(agents, crit)}, {a: r.get(a, ZERO) for a in agents},
         tentative=instance.members(w), served=instance.members(served), admitted=admitted)
 
 
@@ -865,8 +861,7 @@ def ic_ir_audit(instance: Instance, spec: MechanismSpec) -> list[AuditViolation]
     For every internal-randomness realization, every support profile, every
     agent, and every own-grid deviation: truthful utility must be at least
     the deviating utility and nonnegative, measured at the agent's true
-    values.  Exact in rational mode; ``DOUBLE_TOLERANCE`` applies in double
-    mode.
+    values, in exact arithmetic.
     """
     return walk(instance, spec, revenue=False).violations
 
@@ -919,20 +914,18 @@ def _audit(instance: Instance, support: list, outcomes: dict, realization,
     """Append one realization's violations; ``outcomes`` maps each profile
     number to its (served bitmask, payments), so the deviation of agent i to
     own grid index j is outcome col + j * stride."""
-    tolerance = instance.tolerance
     grid = instance.grid
     for s, k, _ in support:
         served, pay = outcomes[k]
         for i, a in enumerate(instance.agents):
             # alloc is 0 or 1: utility is v - payment when served, else
-            # -payment, so a deviation gains past the tolerance exactly
-            # when its payment is below pays_less[alloc]
+            # -payment, so a deviation gains exactly when its payment is
+            # below pays_less[alloc]
             v_true = instance._value(i, k)
             u_truth = v_true - pay[i] if served >> i & 1 else -pay[i]
-            if u_truth < -tolerance:
+            if u_truth < 0:
                 violations.append(AuditViolation("ir", realization, s, a, None, -u_truth))
-            bar = u_truth + tolerance if tolerance else u_truth
-            pays_less = (-bar, v_true - bar)
+            pays_less = (-u_truth, v_true - u_truth)
             col, j0, st = _column(grid, i, k)
             for j, t in enumerate(grid.values[a]):
                 dev_served, dev_pay = outcomes[col + j * st]

@@ -37,8 +37,8 @@ grid profile and truth-telling against every own-grid deviation:
   :func:`verify_witness` re-checks this on every solution against every
   own-grid deviation.
 
-The solution is exact: rational mode accepts a floating-point solve only
-with a checked primal-dual certificate (see :mod:`auctionlab.simplex`).
+The solution is exact: a floating-point solve is accepted only with a
+checked primal-dual certificate (see :mod:`auctionlab.simplex`).
 The optimum weakly dominates every implemented auction, so approximation
 ratios measured against it are conservative.
 """
@@ -51,7 +51,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .distributions import RATIONAL
 from .mechanisms import Instance
 from .simplex import LinearProgram, SimplexResult, solve
 from .valuations import value
@@ -125,7 +124,9 @@ def build_revenue_lp(instance: Instance, var_cap: int = DEFAULT_VAR_CAP) -> Reve
     """Assemble the revenue LP; errors out with exact counts past the cap."""
     agents = instance.agents
     n = len(agents)
-    support = sorted(instance.dist.support_profiles())
+    numbered = instance.dist.numbered_support()  # row-major, so sorted
+    support = [s for s, _, _ in numbered]
+    numbers = [number for _, number, _ in numbered]
     feasible = instance.feas.feasible_sets()[1:]  # the empty set sorts first
     n_f = len(feasible)
     n_y = len(support) * n_f
@@ -134,8 +135,9 @@ def build_revenue_lp(instance: Instance, var_cap: int = DEFAULT_VAR_CAP) -> Reve
         raise LPSizeError(
             f"{n_y} allocation + {n_p} payment variables exceed the cap {var_cap}")
 
-    values = [tuple(instance.values_at(s).values()) for s in support]
-    objective = [0] * n_y + [instance.dist.probability(s) for s in support for _ in agents]
+    values = [[instance._value(k, number) for k in range(n)] for number in numbers]
+    negated = [[-v for v in row] for row in values]
+    objective = [0] * n_y + [p for _, _, p in numbered for _ in agents]
     lp = LinearProgram(n_y + n_p, objective)
     for i in range(len(support)):
         lp.add_le({i * n_f + f: 1 for f in range(n_f)}, 1)
@@ -144,18 +146,17 @@ def build_revenue_lp(instance: Instance, var_cap: int = DEFAULT_VAR_CAP) -> Reve
 
     def add_ic(k, i, j):
         """Agent k gains nothing at support profile i by reporting j."""
-        v_true = values[i][k]
+        v_true, loss = values[i][k], negated[i][k]
         coeffs: dict = {}
-        if v_true != 0:
+        if v_true:
             for f in serving[k]:
                 coeffs[j * n_f + f] = v_true
-                coeffs[i * n_f + f] = -v_true
+                coeffs[i * n_f + f] = loss
         coeffs[n_y + j * n + k] = -1
         coeffs[n_y + i * n + k] = 1
         lp.add_le(coeffs, 0)
 
     n_ic = 0
-    numbers = [instance.grid.number(s) for s in support]
     for k in range(n):
         for i, j in _truth_telling_pairs(instance, numbers, k):
             add_ic(k, i, j)
@@ -164,8 +165,8 @@ def build_revenue_lp(instance: Instance, var_cap: int = DEFAULT_VAR_CAP) -> Reve
 
     for i in range(len(support)):
         for k in range(n):
-            v = values[i][k]
-            coeffs = {i * n_f + f: -v for f in serving[k]} if v != 0 else {}
+            loss = negated[i][k]
+            coeffs = {i * n_f + f: loss for f in serving[k]} if loss else {}
             coeffs[n_y + i * n + k] = 1
             lp.add_le(coeffs, 0)
 
@@ -177,9 +178,8 @@ def build_revenue_lp(instance: Instance, var_cap: int = DEFAULT_VAR_CAP) -> Reve
     return RevenueLP(instance, lp, support, feasible, stats)
 
 
-def solve_lp(rlp: RevenueLP, arithmetic: str | None = None) -> SimplexResult:
-    mode = arithmetic or rlp.instance.arithmetic
-    return solve(rlp.lp, "rational" if mode == RATIONAL else "double")
+def solve_lp(rlp: RevenueLP) -> SimplexResult:
+    return solve(rlp.lp)
 
 
 def witness_mechanism(rlp: RevenueLP, solution: SimplexResult) -> dict:
@@ -192,11 +192,10 @@ def witness_mechanism(rlp: RevenueLP, solution: SimplexResult) -> dict:
     n_f = len(rlp.feasible)
     n = len(rlp.instance.agents)
     pay = rlp.stats.y_vars
-    zero = solution.objective * 0  # a Fraction in rational mode, a float in double
     witness, shared = {}, {}
     for i, s in enumerate(rlp.support):
         lottery = [(f, p) for f, p in zip(rlp.feasible, x[i * n_f:(i + 1) * n_f]) if p != 0]
-        rest = 1 - sum((p for _, p in lottery), zero)
+        rest = 1 - sum((p for _, p in lottery), Fraction(0))
         if rest != 0:
             lottery.insert(0, (frozenset(), rest))
         lottery, payments = tuple(lottery), tuple(x[pay + i * n:pay + (i + 1) * n])
@@ -205,13 +204,12 @@ def witness_mechanism(rlp: RevenueLP, solution: SimplexResult) -> dict:
     return witness
 
 
-def opt_revenue(instance: Instance, var_cap: int = DEFAULT_VAR_CAP,
-                arithmetic: str | None = None) -> OptResult:
+def opt_revenue(instance: Instance, var_cap: int = DEFAULT_VAR_CAP) -> OptResult:
     """Optimal expected revenue plus the mechanism achieving it."""
     start = time.perf_counter()
     rlp = build_revenue_lp(instance, var_cap)
     built = time.perf_counter()
-    solution = solve_lp(rlp, arithmetic)
+    solution = solve_lp(rlp)
     solved = time.perf_counter()
     if solution.status != "optimal":
         raise RuntimeError(f"revenue LP terminated {solution.status}")
@@ -226,20 +224,18 @@ def verify_witness(instance: Instance, witness: Mapping) -> list[str]:
     Every cell's lottery is checked, and every agent at every support
     profile against every own-grid deviation, with service probabilities
     derived from the lotteries.  A profile missing from the witness is the
-    empty, zero-payment cell.  Exact in rational mode; double mode lets
-    rounding noise up to ``DOUBLE_TOLERANCE`` pass, as the IC/IR audit does.
+    empty, zero-payment cell.  Every check is exact.
     """
-    tolerance = instance.tolerance
     problems = []
     agents = instance.agents
     none = (0,) * len(agents)
     served, paid = {}, {}
     for s, (alloc, payments) in witness.items():
         total = sum((p for _, p in alloc), Fraction(0))
-        if not abs(total - 1) <= tolerance:
+        if total != 1:
             problems.append(f"allocation at {s} sums to {total}")
         for f, p in alloc:
-            if p < -tolerance:
+            if p < 0:
                 problems.append(f"negative lottery weight at {s}")
             if not instance.feas.is_independent(f):
                 problems.append(f"infeasible set {sorted(map(str, f))} at {s}")
@@ -252,14 +248,14 @@ def verify_witness(instance: Instance, witness: Mapping) -> list[str]:
         for k, a in enumerate(agents):
             v_true = value(instance.vp, a, s)
             u_truth = v_true * served.get(s, none)[k] - paid.get(s, none)[k]
-            if u_truth < -tolerance:
+            if u_truth < 0:
                 problems.append(f"IR violated for {a} at {s}: utility {u_truth}")
             for t in instance.grid.axis(a):
                 if t == s[k]:
                     continue
                 dev = s[:k] + (t,) + s[k + 1:]
                 u_dev = v_true * served.get(dev, none)[k] - paid.get(dev, none)[k]
-                if u_dev > u_truth + tolerance:
+                if u_dev > u_truth:
                     problems.append(
                         f"IC violated for {a} at {s} deviating to {t}: "
                         f"{u_dev} > {u_truth}")

@@ -1,10 +1,10 @@
 """Experiment runner: audits, revenues, oracle ratios, CSV reports.
 
 A report is a fixed-column CSV (byte-identical across runs for the same spec
-and seeds in rational mode) plus a JSON sidecar holding seeds, versions,
-wall times and outcomes built per row, the reason for each skipped row, and
-per instance what its evaluation tables held when its rows were done and how
-its oracle solve went.  Audit failures are never skipped silently: a row
+and seeds) plus a JSON sidecar holding seeds, versions, wall times and
+outcomes built per row, the reason for each skipped row, and per instance
+what its evaluation tables held when its rows were done and how its oracle
+solve went.  Audit failures are never skipped silently: a row
 whose audit fails keeps its numbers but is flagged, and the run as a whole
 reports failure.
 """
@@ -19,7 +19,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .distributions import RATIONAL
 from .instances import load_instance
 from .mechanisms import (
     MECHANISMS,
@@ -50,7 +49,6 @@ class ExperimentSpec:
     mode: str = "exact"
     trials: int = 10_000
     seed: int = 0
-    arithmetic: str | None = None
     compute_oracle: bool = True
     compute_upper_bound: bool = True
     audit: bool = True
@@ -126,7 +124,7 @@ def _reserve_column(spec: MechanismSpec) -> str:
 def _materialise_instances(spec: ExperimentSpec) -> list[Instance]:
     out = list(spec.instances)
     for p in spec.paths:
-        out.append(load_instance(p, arithmetic=spec.arithmetic))
+        out.append(load_instance(p))
     if not out:
         raise SpecError("experiment needs at least one instance")
     return out
@@ -182,7 +180,6 @@ def run(spec: ExperimentSpec) -> RatioReport:
         "mode": spec.mode,
         "seed": spec.seed,
         "trials": spec.trials if spec.mode == "monte_carlo" else None,
-        "arithmetic": spec.arithmetic or "per-instance",
         "bounds": {k: _fmt(v) for k, v in spec.bounds.items()},
         "instances": [inst.name for inst in instances],
         "tables": tables,
@@ -222,17 +219,15 @@ def _fill_row(row, inst, mech, spec, oracle, upper_bound):
     row.std_error = est.std_error
     row.oracle = oracle
     row.upper_bound = upper_bound
+    exact = spec.mode == "exact"
     if oracle:
-        row.ratio = (Fraction(row.revenue) / Fraction(oracle)
-                     if inst.arithmetic == RATIONAL and spec.mode == "exact"
+        row.ratio = (Fraction(row.revenue) / Fraction(oracle) if exact
                      else float(row.revenue) / float(oracle))
     bound = spec.bounds.get(mech.mech_id)
     if bound is not None and row.ratio is not None:
         row.bound = bound
-        if inst.arithmetic == RATIONAL and spec.mode == "exact":
-            row.bound_ok = Fraction(row.ratio) >= Fraction(bound)
-        else:
-            row.bound_ok = float(row.ratio) >= float(bound) - inst.tolerance
+        row.bound_ok = (Fraction(row.ratio) >= Fraction(bound) if exact
+                        else float(row.ratio) >= float(bound))
 
 
 def write_report(report: RatioReport, out_path) -> None:

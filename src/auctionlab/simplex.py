@@ -1,4 +1,4 @@
-"""Dense simplex for small LPs, exact by default.
+"""Dense simplex for small LPs, with exact results.
 
 Problems are maximisations over nonnegative variables with ``<=`` rows; row
 i gets a slack at column n + i.  All right-hand sides must be nonnegative,
@@ -7,9 +7,10 @@ An equality whose zero-cost variable appears in no other row is that row's
 slack: the revenue oracle states each lottery row over the nonempty feasible
 sets only and leaves the empty allocation to the slack.
 
-Rational mode is a certified floating-point solve (Applegate, Cook, Dash &
+:func:`solve` is a certified floating-point solve (Applegate, Cook, Dash &
 Espinoza, "Exact solutions to linear programming problems", Oper. Res. Lett.
-2007).  A double pivot reads its entering column once, runs the ratio test
+2007); its result is always exact.  The double kernel is only its first
+stage.  A double pivot reads its entering column once, runs the ratio test
 over the rows that column reaches and updates only those rows, in place:
 any other row would have +-0.0 subtracted, which leaves it bit for bit the
 same, as no -0.0 reaches rows 1..m unless the LP holds one.  At an optimal
@@ -55,7 +56,7 @@ class SimplexError(RuntimeError):
 
 
 class NumericalInstability(SimplexError):
-    """Double-precision run went sour; rational mode falls back by itself."""
+    """Double-precision run went sour; :func:`solve` falls back by itself."""
 
 
 @dataclass
@@ -86,31 +87,19 @@ class SimplexResult:
     pivots: int                   # of every kernel that ran
     y: list | None = None         # row duals, when a kernel reports them
     certified: bool = False       # x and y passed verify_certificate
-    fallbacks: int = 0            # rational-mode solves the fraction-free kernel redid
+    fallbacks: int = 0            # solves the fraction-free kernel redid
 
 
-def solve(lp: LinearProgram, arithmetic: str = "rational") -> SimplexResult:
-    if arithmetic not in ("rational", "double"):
-        raise SimplexError(f"unknown arithmetic {arithmetic!r}")
+def solve(lp: LinearProgram) -> SimplexResult:
+    """The exact optimum: the double kernel's, when its rounded certificate
+    holds, else the fraction-free kernel's."""
     if lp.n_vars == 0 and not lp.rows:
-        if arithmetic == "double":
-            return SimplexResult("optimal", 0.0, [], 0, [])
         return SimplexResult("optimal", Fraction(0), [], 0, [], certified=True)
     rows = len(lp.rows) + 1
     cols = lp.n_vars + len(lp.rows) + 1
     if rows * cols > MAX_TABLEAU_CELLS:
         raise SimplexError(f"a {rows} x {cols} tableau has {rows * cols} cells "
                            f"(cap {MAX_TABLEAU_CELLS})")
-    if arithmetic == "double":
-        return _solve_double(lp)
-    return _solve_certified(lp)
-
-
-# ----------------------------------------------------------------------
-# certified solve
-
-
-def _solve_certified(lp: LinearProgram) -> SimplexResult:
     try:
         approx = _solve_double(lp)
     except NumericalInstability:
@@ -127,6 +116,10 @@ def _solve_certified(lp: LinearProgram) -> SimplexResult:
     exact.pivots += approx.pivots if approx is not None else 0
     exact.fallbacks = 1
     return exact
+
+
+# ----------------------------------------------------------------------
+# certificate
 
 
 def _exact(v):
@@ -341,8 +334,7 @@ def _solve_double(lp: LinearProgram) -> SimplexResult:
         basis[pr - 1] = col
         pivots += 1
         if pivots > MAX_PIVOTS:
-            raise NumericalInstability(
-                "pivot limit exceeded; retry with arithmetic='rational'")
+            raise NumericalInstability("pivot limit exceeded in the double kernel")
         obj = float(rhs[0])
         if abs(obj - last_obj) <= EPS * max(1.0, abs(last_obj)):
             stall += 1
@@ -350,13 +342,11 @@ def _solve_double(lp: LinearProgram) -> SimplexResult:
             stall = 0
             last_obj = obj
         if not np.isfinite(block).all():
-            raise NumericalInstability(
-                "tableau lost finiteness; retry with arithmetic='rational'")
+            raise NumericalInstability("the double kernel's tableau lost finiteness")
 
     if M[1:, -1].size and M[1:, -1].min() < -1e-6:
         raise NumericalInstability(
-            "infeasible basic solution after termination; retry with "
-            "arithmetic='rational'")
+            "the double kernel ended at an infeasible basic solution")
     x = [0.0] * n
     for i in range(1, m + 1):
         if basis[i - 1] < n:

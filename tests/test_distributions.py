@@ -245,16 +245,6 @@ def test_sample_frequencies_within_three_sigma():
         assert abs(counts[profile] - n * p) <= 3 * sigma
 
 
-def test_double_mode_normalisation():
-    g = grid2()
-    d = JointDistribution(g, form="table", arithmetic="double",
-                          table=[((1, 1), 0.5), ((2, 2), 0.5 + 1e-13)])
-    assert abs(d.total_mass() - 1) < 1e-12
-    with pytest.raises(DistributionError):
-        JointDistribution(g, form="table", arithmetic="double",
-                          table=[((1, 1), 0.5), ((2, 2), 0.51)])
-
-
 # ----------------------------------------------------------------------
 # one distribution written both ways
 

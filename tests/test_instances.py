@@ -115,10 +115,14 @@ def test_tie_break_must_list_every_agent_once():
                      tie_break=order)
 
 
-def test_double_arithmetic_override():
-    inst = loads(TINY1_TEXT, arithmetic="double")
-    assert inst.arithmetic == "double"
-    assert isinstance(inst.dist.probability((1, 1)), float)
+def test_arithmetic_is_rational_or_absent():
+    rational = loads(TINY1_TEXT.replace("form: product", "form: product\n  arithmetic: rational"))
+    assert to_dict(rational) == to_dict(loads(TINY1_TEXT))
+    assert isinstance(rational.dist.probability((1, 1)), Fraction)
+    for mode in ("double", "float", None):
+        text = TINY1_TEXT.replace("form: product", f"form: product\n  arithmetic: {mode}")
+        with pytest.raises(InstanceFormatError, match="arithmetic"):
+            loads(text)
 
 
 def test_round_trip(tmp_path):

@@ -95,7 +95,7 @@ def test_revenue_lps_agree(lps):
         res = solve(lp)
         assert res.certified
         assert agree(lp, res.x, res.y) == []
-        double = solve(lp, "double")
+        double = simplex._solve_double(lp)
         agree(lp, double.x, double.y)
         for x, y in perturbations(rng, res.x, res.y):
             agree(lp, x, y)

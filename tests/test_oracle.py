@@ -15,7 +15,7 @@ from auctionlab.mechanisms import (
 )
 from auctionlab.distributions import monopoly_price
 from auctionlab.generators import generate_instances
-from auctionlab.instances import corpus_names, from_dict, load_fixture, to_dict
+from auctionlab.instances import corpus_names, load_fixture
 from auctionlab.oracle import (
     LPSizeError,
     build_revenue_lp,
@@ -166,13 +166,6 @@ def test_oracle_dominates_mechanisms_and_respects_upper_bound():
             assert rev <= opt
 
 
-def test_double_mode_close_to_rational():
-    inst = tiny1()
-    exact = opt_revenue(inst)
-    approx = opt_revenue(inst, arithmetic="double")
-    assert abs(float(exact.value) - approx.value) < 1e-7
-
-
 def test_no_agents_trivial():
     grid = SignalGrid(agents=(), values={})
     dist = JointDistribution(grid, form="table", table=[((), F(1))])
@@ -255,19 +248,3 @@ def test_revenue_lp_is_pinned(corpus, digest):
         instances = [non_monotone()]
         assert instances[0].assumption_report()["monotonicity"]
     assert _lp_digest(instances) == digest
-
-
-def test_double_witness_passes_with_rounding_noise():
-    # this draw's double-mode optimum charges agent 2 a payment one rounding
-    # step above its value, which an exact check reports as an IR violation
-    inst = generate_instances("correlated-private", {"n": 3, "grid": 3, "count": 14},
-                              seed=7)[13]
-    double = from_dict(to_dict(inst), arithmetic="double")
-    res = opt_revenue(double)
-    assert verify_witness(double, res.witness) == []
-    # the tolerance passes noise, not violations
-    alloc, payments = res.witness[(5, 2, 0)]
-    overcharged = dict(res.witness)
-    overcharged[(5, 2, 0)] = (alloc, (payments[0], payments[1] + 1e-6, payments[2]))
-    assert any(p.startswith("IR violated for 2 at (5.0, 2.0, 0.0)")
-               for p in verify_witness(double, overcharged))

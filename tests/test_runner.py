@@ -89,17 +89,6 @@ def test_single_sample_rows_are_not_audited_per_run():
     assert report.ok
 
 
-def test_double_arithmetic_end_to_end():
-    spec = ExperimentSpec(mechanisms=["gvcg", "lookahead", "rand-single"],
-                          paths=[fixture_path("tiny1")], arithmetic="double")
-    report = run(spec)
-    assert report.ok
-    by_mech = {r.spec.mech_id: r for r in report.rows}
-    assert abs(by_mech["lookahead"].revenue - 1.5) < 1e-9
-    assert abs(by_mech["rand-single"].revenue - 10 / 9) < 1e-9
-    assert all(r.audit_status == "pass" for r in report.rows)
-
-
 def test_generator_backed_experiment():
     spec = ExperimentSpec(
         mechanisms=["lookahead"],

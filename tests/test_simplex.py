@@ -9,6 +9,7 @@ from auctionlab.simplex import (
     LinearProgram,
     Row,
     SimplexError,
+    _solve_double,
     _solve_rational,
     solve,
     verify_certificate,
@@ -109,20 +110,9 @@ def test_zero_lp():
 def test_tableau_cap_refuses_before_allocating():
     # no rows, so the LP itself is tiny; only the tableau would be large
     lp = LinearProgram(n_vars=MAX_TABLEAU_CELLS, objective=[])
-    for arithmetic in ("rational", "double"):
-        with pytest.raises(SimplexError, match=rf"1 x {MAX_TABLEAU_CELLS + 1} tableau has "
-                                               rf"{MAX_TABLEAU_CELLS + 1} cells"):
-            solve(lp, arithmetic)
-
-
-def test_double_mode_matches_rational():
-    lp = LinearProgram(2, [3, 5])
-    lp.add_le({0: 1}, 4)
-    lp.add_le({1: 2}, 12)
-    lp.add_le({0: 3, 1: 2}, 18)
-    res = solve(lp, arithmetic="double")
-    assert res.status == "optimal"
-    assert abs(res.objective - 36) < 1e-9
+    with pytest.raises(SimplexError, match=rf"1 x {MAX_TABLEAU_CELLS + 1} tableau has "
+                                           rf"{MAX_TABLEAU_CELLS + 1} cells"):
+        solve(lp)
 
 
 def random_lp(rng, n, m):
@@ -192,7 +182,7 @@ def test_certified_solve_carries_its_certificate():
 
 def test_double_duals_read_from_the_slack_columns_certify():
     lp = blend_lp()
-    res = solve(lp, "double")
+    res = _solve_double(lp)
     assert res.y == [0, 1.5, 1]
     assert verify_certificate(lp, res.x, res.y) == []
 
