@@ -26,10 +26,10 @@ from .instances import (InstanceFormatError, corpus_names, fixture_path, load_in
                         save_instance)
 from .mechanisms import (
     MECHANISM_IDS,
+    MECHANISMS,
     MechanismError,
     MechanismSpec,
     ic_ir_audit,
-    realizations,
     run_realized,
 )
 from .oracle import opt_revenue
@@ -41,10 +41,12 @@ def _mechanism_spec(mech_id: str, args) -> MechanismSpec:
                          event_mode=args.reserve_conditioning)
 
 
-def _add_common(p):
+def _add_common(p, reserves: bool = True):
     p.add_argument("--instance", action="append", default=[], metavar="PATH",
                    help="instance file; repeatable; defaults to the bundled "
                         "fixture corpus (see AUCTIONLAB_FIXTURES)")
+    if not reserves:
+        return
     p.add_argument("--reserve-source", default=None,
                    help="none | monopoly | conditional | fixed:r1,r2,... | "
                         "single-sample | unsafe-own-value; fixed reserves "
@@ -82,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--out", default=None)
 
     p_oracle = sub.add_parser("oracle", help="optimal revenue and witness")
-    _add_common(p_oracle)
+    _add_common(p_oracle, reserves=False)
     p_oracle.add_argument("--out", default=None)
     p_oracle.add_argument("--witness", action="store_true",
                           help="print the witness mechanism as well")
@@ -108,6 +110,10 @@ def _instance_paths(args) -> list[str]:
     if args.instance:
         return list(args.instance)
     return [str(fixture_path(n)) for n in corpus_names()]
+
+
+def _profile(s) -> str:
+    return "(" + ", ".join(map(str, s)) + ")"
 
 
 def _load_all(args):
@@ -159,8 +165,7 @@ def cmd_audit(args) -> int:
             status = "pass" if not violations else f"FAIL ({len(violations)} violations)"
             lines.append(f"{inst.name} {mech_id}: {status}")
             for v in violations[:10]:
-                profile = "(" + ", ".join(str(x) for x in v.profile) + ")"
-                lines.append(f"  {v.kind} at s={profile} agent={v.agent} "
+                lines.append(f"  {v.kind} at s={_profile(v.profile)} agent={v.agent} "
                              f"deviation={v.deviation} gap={v.gap}")
             failures += len(violations)
     text = "\n".join(lines) + "\n"
@@ -189,7 +194,7 @@ def cmd_oracle(args) -> int:
         }
         if args.witness:
             entry["witness"] = {
-                "(" + ", ".join(map(str, s)) + ")": {
+                _profile(s): {
                     "allocation": [[sorted(map(str, f)), str(p)] for f, p in alloc],
                     "payments": {str(a): str(v) for a, v in zip(inst.agents, payments)},
                 }
@@ -216,7 +221,7 @@ def cmd_compare(args) -> int:
         for s, prob in inst.dist.enumerate_support():
             out_a = _single_realization(inst, spec_a, s)
             out_b = _single_realization(inst, spec_b, s)
-            lines.append(f"  s={s} (p={prob}): "
+            lines.append(f"  s={_profile(s)} (p={prob}): "
                          f"revenue {out_a.revenue} vs {out_b.revenue}; "
                          f"served {sorted(map(str, out_a.served))} vs "
                          f"{sorted(map(str, out_b.served))}")
@@ -238,11 +243,10 @@ def cmd_compare(args) -> int:
 
 
 def _single_realization(inst, spec, s):
-    reals = list(realizations(inst, spec))
-    if len(reals) != 1:
+    if MECHANISMS[spec.mech_id].admission is not None:
         raise SystemExit(f"{spec.mech_id} is randomized; compare runs "
                          "deterministic mechanisms only")
-    return run_realized(inst, spec, s, reals[0][0])
+    return run_realized(inst, spec, s, None)
 
 
 def cmd_gen(args) -> int:

@@ -8,7 +8,7 @@ as ``3/10``, and every one becomes an exact Fraction (a float through its
 decimal text).  ``distribution.arithmetic`` may be omitted or say
 ``rational``; any other value is refused.  Loading validates normalisation,
 grid membership, and the monotonicity assumption; single-crossing and the
-concavity-type condition are checked and attached as metadata flags.
+concavity-type condition are listed by ``Instance.assumption_report()``.
 """
 from __future__ import annotations
 

@@ -444,7 +444,7 @@ def _reserves(instance: Instance, k: int, priced: int, source, mask: int,
         return {a: instance._value(i, k) for i, a in agents}
     if source == "single-sample":
         raise MechanismError("single-sample reserves are integrated over by "
-                             "expected_revenue, not resolved per run")
+                             "the exact walk, not resolved per run")
     if isinstance(source, str) and source.startswith("fixed:"):
         source = _fixed_reserves(instance, source)
     if isinstance(source, Mapping):
@@ -755,24 +755,24 @@ class RevenueEstimate:
     atoms: int = 0
 
 
-def _single_sample_revenue(instance: Instance, s: tuple) -> object:
-    """Exact per-profile expected revenue of the lazy auction whose reserve
-    for each tentative winner is an independent draw from that agent's value
-    distribution given the others' signals.
-
-    The serving decision is separable per winner, so the expectation over
-    the reserve vector factors agent by agent.
-    """
-    base = gvcg(instance, s)
-    vals = instance.values_at(s)
+def _single_sample_revenue(instance: Instance, k: int):
+    """Exact expected revenue at profile number k of the lazy auction whose
+    reserve for each tentative winner is an independent draw from that
+    agent's value distribution given the others' signals.  The serving
+    decision is separable per winner, so the expectation over the reserve
+    vector factors agent by agent."""
+    w = _lazy_offer(instance, k, "none")[0]
     total = 0
-    for a in base.tentative:
-        vdist = conditional_value_distribution(instance, a, s)
-        p_bar = base.threshold_value[a]
-        for rho, p in vdist:
-            price = max(rho, p_bar)
-            if vals[a] >= price:
-                total += p * price
+    for i in range(len(instance.agents)):
+        if w >> i & 1:
+            p_bar = _threshold(instance, i, k, instance.everyone)[1]
+            col, _, st = _column(instance.grid, i, k)
+            pairs = instance.dist.column_masses(i, col)
+            mass = sum(p for _, p in pairs)
+            for j, p in pairs:
+                price = max(instance._value(i, col + j * st), p_bar)
+                if instance._value(i, k) >= price:
+                    total += p / mass * price
     return total
 
 
@@ -781,24 +781,12 @@ def expected_revenue(instance: Instance, spec: MechanismSpec, mode: str = "exact
                      atom_cap: int = DEFAULT_ATOM_CAP) -> RevenueEstimate:
     """Expected revenue, exactly (profiles x internal randomness, see
     :func:`walk`) or by Monte Carlo with the given seed."""
-    if spec.sampled:
-        if spec.mech_id != "gvcg-lazy":
-            raise MechanismError("single-sample reserves integrate exactly for the "
-                                 "lazy auction only")
-        if mode != "exact":
-            raise MechanismError("single-sample reserves run in exact mode")
-        total = 0
-        atoms = 0
-        for s, p in instance.dist.enumerate_support():
-            total += p * _single_sample_revenue(instance, s)
-            atoms += 1
-        return RevenueEstimate(total, atoms=atoms)
-
     if mode == "exact":
         return walk(instance, spec, audit=False, atom_cap=atom_cap).revenue
-
     if mode != "monte_carlo":
         raise MechanismError(f"unknown mode {mode!r}")
+    if spec.sampled:
+        raise MechanismError("single-sample reserves run in exact mode")
     if trials < 1:
         raise MechanismError(f"Monte Carlo needs at least one trial, not {trials}")
     import random
@@ -863,7 +851,10 @@ def ic_ir_audit(instance: Instance, spec: MechanismSpec) -> list[AuditViolation]
     the deviating utility and nonnegative, measured at the agent's true
     values, in exact arithmetic.
     """
-    return walk(instance, spec, revenue=False).violations
+    violations = walk(instance, spec, revenue=False).violations
+    if violations is None:
+        raise MechanismError("single-sample reserves have no per-run outcome to audit")
+    return violations
 
 
 class Walk(NamedTuple):
@@ -884,7 +875,8 @@ def walk(instance: Instance, spec: MechanismSpec, *, audit: bool = True,
     profile number.  The revenue sums p * weight * revenue with the support
     outer and the realizations inner.  The atom cap (support x realizations)
     is checked before any outcome is built.  Asked for neither, it builds
-    nothing.
+    nothing.  A single-sample spec sums p * :func:`_single_sample_revenue`
+    over the support instead and is not audited (``violations`` is None).
     """
     if not (audit or revenue):
         return Walk(None, None, 0)
@@ -893,6 +885,14 @@ def walk(instance: Instance, spec: MechanismSpec, *, audit: bool = True,
     atoms = len(support) * len(reals)
     if revenue and atoms > atom_cap:
         raise SizeError(f"exact evaluation needs {atoms} atoms (cap {atom_cap})")
+    if spec.sampled:
+        if spec.mech_id != "gvcg-lazy":
+            raise MechanismError("single-sample reserves integrate exactly for the "
+                                 "lazy auction only")
+        if not revenue:
+            return Walk(None, None, 0)
+        total = sum((p * _single_sample_revenue(instance, k) for _, k, p in support), 0)
+        return Walk(None, RevenueEstimate(total, atoms=atoms), atoms)
     numbers = (range(math.prod(instance.grid.sizes)) if audit
                else [k for _, k, _ in support])
     violations, revenues = [] if audit else None, []

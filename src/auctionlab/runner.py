@@ -200,12 +200,7 @@ def run(spec: ExperimentSpec) -> RatioReport:
 
 
 def _fill_row(row, inst, mech, spec, oracle, upper_bound):
-    # the reserve draw of single-sample is integrated over in expectation, so
-    # there is no per-run realization to audit; each draw is a fixed-reserve
-    # lazy auction, which the audit covers through the fixed source
-    sampled = mech.sampled
-    found = walk(inst, mech, audit=spec.audit and not sampled,
-                 revenue=spec.mode == "exact" and not sampled)
+    found = walk(inst, mech, audit=spec.audit, revenue=spec.mode == "exact")
     if found.violations is not None:
         row.violations = len(found.violations)
         row.audit_status = "pass" if not found.violations else "fail"
@@ -213,20 +208,19 @@ def _fill_row(row, inst, mech, spec, oracle, upper_bound):
         row.audit_status = "n/a"
     est = found.revenue or expected_revenue(inst, mech, spec.mode, trials=spec.trials,
                                             seed=spec.seed)
-    # a Monte Carlo draw or a single-sample profile builds one outcome
+    # a Monte Carlo draw builds one outcome
     row.outcomes = found.outcomes + (0 if found.revenue else est.atoms)
     row.revenue = est.value
     row.std_error = est.std_error
     row.oracle = oracle
     row.upper_bound = upper_bound
-    exact = spec.mode == "exact"
     if oracle:
-        row.ratio = (Fraction(row.revenue) / Fraction(oracle) if exact
-                     else float(row.revenue) / float(oracle))
+        # a Monte Carlo float / Fraction is float(revenue) / float(oracle)
+        row.ratio = row.revenue / oracle
     bound = spec.bounds.get(mech.mech_id)
     if bound is not None and row.ratio is not None:
         row.bound = bound
-        row.bound_ok = (Fraction(row.ratio) >= Fraction(bound) if exact
+        row.bound_ok = (Fraction(row.ratio) >= Fraction(bound) if spec.mode == "exact"
                         else float(row.ratio) >= float(bound))
 
 

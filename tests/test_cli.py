@@ -202,3 +202,36 @@ def test_bad_instance_file_exits_with_one_line(tmp_path, text, message):
         main(["run", "--instance", str(path), "--mechanism", "lookahead"])
     assert message in str(exc.value.code)
     assert "\n" not in str(exc.value.code)
+
+
+@pytest.mark.parametrize("flag", [["--reserve-source", "fixed:9,9"],
+                                  ["--reserve-conditioning", "unconditioned"]],
+                         ids=["reserve-source", "reserve-conditioning"])
+def test_oracle_refuses_reserve_options(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--instance", str(fixture_path("tiny1")), *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_compare_prints_profiles_as_numbers(capsys):
+    rc = main(["compare", "--instance", str(fixture_path("tiny1")),
+               "--mechanism", "gvcg", "--mechanism", "lookahead"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "  s=(2, 2) (p=1/4): " in out
+    assert "Fraction(" not in out
+
+
+def test_compare_refuses_a_randomized_mechanism():
+    with pytest.raises(SystemExit, match="rand-single is randomized"):
+        main(["compare", "--instance", str(fixture_path("tiny1")),
+              "--mechanism", "gvcg", "--mechanism", "rand-single"])
+
+
+def test_audit_of_single_sample_exits_with_one_line():
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "--instance", str(fixture_path("tiny1")),
+              "--mechanism", "gvcg-lazy", "--reserve-source", "single-sample"])
+    assert "no per-run outcome to audit" in str(exc.value.code)
+    assert "\n" not in str(exc.value.code)
