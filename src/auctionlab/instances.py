@@ -106,8 +106,6 @@ def from_dict(doc: dict, *, name: str = "") -> Instance:
         first = report["monotonicity"][0]
         raise AssumptionError(
             f"{inst.name or 'instance'}: valuation violates monotonicity, e.g. {first}")
-    inst.metadata["single_crossing_ok"] = not report["single_crossing"]
-    inst.metadata["cross_responsiveness_ok"] = not report["cross_responsiveness"]
     return inst
 
 

@@ -1,50 +1,48 @@
 """Exact optimal ex-post-IC, ex-post-IR expected revenue via linear programming.
 
 The benchmark optimises over randomized mechanisms: at every support profile
-the mechanism holds a probability distribution over feasible sets plus a
-payment per agent.  Every other grid profile gets the empty allocation at
-zero payment.  Constraints are the lottery rows (one per support profile:
-the nonempty sets' probabilities sum to at most 1, and the empty set's is
-the row's slack), nonnegative truthful utility for every agent at every
-support profile, and truth-telling between neighbouring support points of
-each column: a column fixes the others' signals s_-i, and each support
-point must not gain by reporting the next support point above or below it
-in that column.  When the valuations fail the monotonicity check,
-truth-telling binds every pair of support points of a column instead.
+a lottery over feasible sets and a payment per agent; every other grid
+profile gets the empty allocation at zero payment.  Valuations must pass the
+monotonicity check (nonnegative, nondecreasing in every signal, strictly
+increasing in one's own); any other instance raises ``AssumptionError``, as
+every mechanism does.
 
-Columns are addressed by position.  With the support profiles sorted and
-the nonempty feasible sets F in ``feasible_sets()`` order, support profile
-i and set f own allocation column i * |F| + f, and agent k's payment at
-support profile i owns column |support| * |F| + i * n + k.
+The discrete envelope then pins the payments (Myerson 1981; Elkind, SODA
+2007; Roughgarden & Talgam-Cohen, EC 2013).  Take a column of agent k (the
+support profiles that differ only in k's signal, in own-signal order) with
+masses pi_j, values v_1 < ... < v_m and service probabilities x_j:
 
-Why the optimum is the full-grid optimum, the LP with a variable at every
-grid profile and truth-telling against every own-grid deviation:
+* neighbour truth-telling both ways gives (v_j - v_{j-1})(x_j - x_{j-1}) >= 0,
+  so x rises along the column;
+* participation and downward truth-telling bound p_1 <= v_1 x_1 and
+  p_j <= p_{j-1} + v_j (x_j - x_{j-1}); each bound rises with the payment
+  below it, so meeting them all makes every payment maximal at once;
+* those payments keep upward truth-telling, as v and x rise, and
+  participation, as u_j = u_{j-1} + (v_j - v_{j-1}) x_{j-1} >= 0.  Farther
+  deviations chain the neighbour steps, and an off-support one earns zero
+  utility, which participation bounds.
 
-* This LP's rows are a subset of the full-grid LP's, and none of them reads
-  an off-support variable, so the support part of any full-grid solution is
-  feasible here with the same revenue: this optimum is at least the
-  full-grid one.
-* Completed with empty, zero-payment cells off the support, this LP's
-  solution is feasible for the full-grid LP, so the optimum is also at most
-  the full-grid one.  A deviation to an off-support profile earns zero
-  utility, which participation already bounds.  Deviations within a column
-  are bound directly when monotonicity fails.  Otherwise values rise
-  strictly in the agent's own signal, so truth-telling in both directions
-  between neighbours makes the service probability monotone, and monotone
-  service with neighbour truth-telling gives truth-telling against every
-  support point of the column (the local-to-global argument; Myerson 1981,
-  and Roughgarden & Talgam-Cohen, EC 2013, for interdependent values).
-  :func:`verify_witness` re-checks this on every solution against every
-  own-grid deviation.
+Summing by parts, the column's revenue is sum_j phi_j x_j with
+phi_j = pi_j v_j - (v_{j+1} - v_j) sum_{l>j} pi_l and phi_m = pi_m v_m.  So
+the LP has allocation columns only, each priced by the phi of the agents its
+set serves.  Its rows are one lottery row per support profile (the nonempty
+sets sum to at most 1; the empty set is the slack) and one monotonicity row
+x_k(lower) - x_k(upper) <= 0 per neighbour pair.  Its optimum is the
+full-grid optimum (a lottery and a payment at every grid profile,
+truth-telling against every own-grid deviation): a full-grid solution's
+support part obeys the steps above, so earns at most this LP's value, and
+:func:`witness_mechanism` turns this LP's solution into a full-grid one of
+equal revenue, which :func:`verify_witness` re-checks.
 
-The solution is exact: a floating-point solve is accepted only with a
-checked primal-dual certificate (see :mod:`auctionlab.simplex`).
-The optimum weakly dominates every implemented auction, so approximation
-ratios measured against it are conservative.
+With the support profiles sorted and the nonempty feasible sets F in
+``feasible_sets()`` order, support profile i and set f own LP column
+i * |F| + f.  The solution is exact: a floating-point solve is accepted only
+with a checked primal-dual certificate (see :mod:`auctionlab.simplex`).  The
+optimum weakly dominates every implemented auction, so approximation ratios
+measured against it are conservative.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -67,31 +65,28 @@ class LPStats:
     profiles: int                 # grid profiles
     support: int                  # support profiles, the LP's profiles
     feasible_sets: int
-    y_vars: int
-    p_vars: int
-    simplex_rows: int
-    ic_rows: int
-    ir_rows: int
-
-    @property
-    def variables(self) -> int:
-        return self.y_vars + self.p_vars
+    variables: int                # allocation columns, the LP's only ones
+    simplex_rows: int             # lottery rows
+    ic_rows: int                  # monotonicity rows, one per neighbour pair
+    ir_rows = 0                   # the envelope payments are IR by construction
 
     @property
     def rows(self) -> int:
-        return self.simplex_rows + self.ic_rows + self.ir_rows
+        return self.simplex_rows + self.ic_rows
 
 
 @dataclass
 class RevenueLP:
     """The LP and its column order: support profile i and nonempty feasible
-    set f own column i * |F| + f, and agent k's payment at i column
-    y_vars + i * n + k."""
+    set f own column i * |F| + f.  ``columns[k]`` lists agent k's columns
+    of the support, each as (support position, value) pairs in own-signal
+    order."""
 
     instance: Instance
     lp: LinearProgram
     support: list
     feasible: list
+    columns: list
     stats: LPStats
 
 
@@ -105,77 +100,54 @@ class OptResult:
     solve_s: float                # and of its solve
 
 
-def _truth_telling_pairs(instance: Instance, numbers: list, k: int):
-    """Positions of support pairs that differ only in agent k's signal, given
-    the support's profile numbers: neighbours within each column, or every
-    pair when monotonicity fails."""
-    columns: dict = {}
-    for i, number in enumerate(numbers):
-        columns.setdefault(instance.grid.column(k, number)[0], []).append(i)
-    every_pair = bool(instance.assumption_report()["monotonicity"])
-    for column in columns.values():
-        if every_pair:
-            yield from itertools.combinations(column, 2)
-        else:
-            yield from zip(column, column[1:])
-
-
 def build_revenue_lp(instance: Instance, var_cap: int = DEFAULT_VAR_CAP) -> RevenueLP:
-    """Assemble the revenue LP; errors out with exact counts past the cap."""
+    """Assemble the envelope LP; refuses non-monotone valuations and errors
+    out with the exact count past the cap."""
+    instance.require_monotone()
     agents = instance.agents
-    n = len(agents)
     numbered = instance.dist.numbered_support()  # row-major, so sorted
     support = [s for s, _, _ in numbered]
-    numbers = [number for _, number, _ in numbered]
     feasible = instance.feas.feasible_sets()[1:]  # the empty set sorts first
     n_f = len(feasible)
     n_y = len(support) * n_f
-    n_p = len(support) * n
-    if n_y + n_p > var_cap:
-        raise LPSizeError(
-            f"{n_y} allocation + {n_p} payment variables exceed the cap {var_cap}")
+    if n_y > var_cap:
+        raise LPSizeError(f"{n_y} allocation variables exceed the cap {var_cap}")
 
-    values = [[instance._value(k, number) for k in range(n)] for number in numbers]
-    negated = [[-v for v in row] for row in values]
-    objective = [0] * n_y + [p for _, _, p in numbered for _ in agents]
-    lp = LinearProgram(n_y + n_p, objective)
+    # phi_j = v_j T_j - v_{j+1} T_{j+1}, with T_j the column's mass from j
+    # up; a column's top point does no Fraction arithmetic with 0
+    columns, phi = [], [[0] * len(agents) for _ in support]
+    for k in range(len(agents)):
+        by_column: dict = {}
+        for i, (_, number, _) in enumerate(numbered):
+            by_column.setdefault(instance.grid.column(k, number)[0], []).append(
+                (i, instance._value(k, number)))
+        columns.append(list(by_column.values()))
+        for column in columns[k]:
+            tail = above = 0
+            for i, v in reversed(column):
+                p = numbered[i][2]
+                tail = tail + p if tail else p
+                here = v * tail
+                phi[i][k] = here - above if above else here
+                above = here
+    members = [[k for k, a in enumerate(agents) if a in fs] for fs in feasible]
+    objective = [sum(map(row.__getitem__, m[1:]), row[m[0]]) for row in phi for m in members]
+    lp = LinearProgram(n_y, objective)
     for i in range(len(support)):
         lp.add_le({i * n_f + f: 1 for f in range(n_f)}, 1)
-
-    serving = [[f for f, fs in enumerate(feasible) if a in fs] for a in agents]
-
-    def add_ic(k, i, j):
-        """Agent k gains nothing at support profile i by reporting j."""
-        v_true, loss = values[i][k], negated[i][k]
-        coeffs: dict = {}
-        if v_true:
-            for f in serving[k]:
-                coeffs[j * n_f + f] = v_true
-                coeffs[i * n_f + f] = loss
-        coeffs[n_y + j * n + k] = -1
-        coeffs[n_y + i * n + k] = 1
-        lp.add_le(coeffs, 0)
-
-    n_ic = 0
-    for k in range(n):
-        for i, j in _truth_telling_pairs(instance, numbers, k):
-            add_ic(k, i, j)
-            add_ic(k, j, i)
-            n_ic += 2
-
-    for i in range(len(support)):
-        for k in range(n):
-            loss = negated[i][k]
-            coeffs = {i * n_f + f: loss for f in serving[k]} if loss else {}
-            coeffs[n_y + i * n + k] = 1
-            lp.add_le(coeffs, 0)
+    for k, agent_columns in enumerate(columns):
+        serving = [f for f, m in enumerate(members) if k in m]
+        for column in agent_columns:
+            for (lo, _), (hi, _) in zip(column, column[1:]):
+                coeffs = {lo * n_f + f: 1 for f in serving}
+                coeffs.update((hi * n_f + f, -1) for f in serving)
+                lp.add_le(coeffs, 0)
 
     grid = math.prod(len(instance.grid.axis(a)) for a in agents)
-    stats = LPStats(profiles=grid, support=len(support),
-                    feasible_sets=n_f + 1, y_vars=n_y, p_vars=n_p,
-                    simplex_rows=len(support), ic_rows=n_ic,
-                    ir_rows=len(support) * n)
-    return RevenueLP(instance, lp, support, feasible, stats)
+    stats = LPStats(profiles=grid, support=len(support), feasible_sets=n_f + 1,
+                    variables=n_y, simplex_rows=len(support),
+                    ic_rows=len(lp.rows) - len(support))
+    return RevenueLP(instance, lp, support, feasible, columns, stats)
 
 
 def solve_lp(rlp: RevenueLP) -> SimplexResult:
@@ -185,23 +157,46 @@ def solve_lp(rlp: RevenueLP) -> SimplexResult:
 def witness_mechanism(rlp: RevenueLP, solution: SimplexResult) -> dict:
     """Support profile -> (allocation, payments): the allocation lottery as
     (feasible set, probability) pairs with nonzero probability, the empty
-    set first at 1 minus the rest, and the payments in agent order.  Absent
-    grid profiles are the empty cell.  Equal lotteries, and equal payment
-    tuples, are one object."""
+    set first at 1 minus the rest, and the payments in agent order.  Along
+    each of agent k's columns the payments are the envelope's, read from k's
+    service probabilities x: p_1 = v_1 x_1 and p_j = p_{j-1} + v_j (x_j -
+    x_{j-1}); an agent never served pays 0.  Absent grid profiles are the
+    empty cell.  Equal lotteries, equal payment tuples and equal numbers
+    are one object."""
     x = solution.x
     n_f = len(rlp.feasible)
-    n = len(rlp.instance.agents)
-    pay = rlp.stats.y_vars
-    witness, shared = {}, {}
-    for i, s in enumerate(rlp.support):
-        lottery = [(f, p) for f, p in zip(rlp.feasible, x[i * n_f:(i + 1) * n_f]) if p != 0]
+    agents = rlp.instance.agents
+    members = [[k for k, a in enumerate(agents) if a in fs] for fs in rlp.feasible]
+    # an agent's first lottery term does no Fraction arithmetic with 0
+    lotteries, served, seen = [], [], {0: 0}
+    for i in range(len(rlp.support)):
+        lottery, service = [], [0] * len(agents)
+        for f in range(n_f):
+            p = x[i * n_f + f]
+            if p != 0:
+                lottery.append((rlp.feasible[f], p))
+                for k in members[f]:
+                    service[k] = service[k] + p if service[k] else p
         rest = 1 - sum((p for _, p in lottery), Fraction(0))
         if rest != 0:
-            lottery.insert(0, (frozenset(), rest))
-        lottery, payments = tuple(lottery), tuple(x[pay + i * n:pay + (i + 1) * n])
-        witness[s] = (shared.setdefault(lottery, lottery),
-                      shared.setdefault(payments, payments))
-    return witness
+            lottery.insert(0, (frozenset(), seen.setdefault(rest, rest)))
+        lotteries.append(tuple(lottery))
+        served.append(service)
+
+    payments = [[0] * len(agents) for _ in rlp.support]
+    for k, agent_columns in enumerate(rlp.columns):
+        for column in agent_columns:
+            paid = below = 0
+            for i, v in column:
+                if served[i][k] != below:
+                    paid += v * (served[i][k] - below)
+                    paid = seen.setdefault(paid, paid)
+                    below = served[i][k]
+                payments[i][k] = paid
+
+    shared: dict = {}
+    return {s: (shared.setdefault(lottery, lottery), shared.setdefault(paid, paid))
+            for s, lottery, paid in zip(rlp.support, lotteries, map(tuple, payments))}
 
 
 def opt_revenue(instance: Instance, var_cap: int = DEFAULT_VAR_CAP) -> OptResult:

@@ -52,7 +52,7 @@ def test_oracle_command(tmp_path, capsys):
     assert "optimal revenue = 3/2" in text
     payload = json.loads(out.read_text())
     assert payload["tiny1"]["optimal_revenue"] == "3/2"
-    assert payload["tiny1"]["lp"]["variables"] == 16
+    assert payload["tiny1"]["lp"]["variables"] == 8
     assert payload["tiny1"]["lp"]["certified"] is True
     assert payload["tiny1"]["lp"]["fallbacks"] == 0
     witness = payload["tiny1"]["witness"]

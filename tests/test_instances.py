@@ -41,7 +41,7 @@ def test_loads_tiny1():
     inst = loads(TINY1_TEXT, name="tiny1")
     assert inst.agents == (1, 2)
     assert inst.dist.probability((1, 2)) == F(1, 4)
-    assert inst.metadata["single_crossing_ok"]
+    assert not inst.assumption_report()["single_crossing"]
     assert expected_revenue(inst, MechanismSpec("lookahead")).value == F(3, 2)
 
 
@@ -55,7 +55,8 @@ def test_fixture_gap3():
     inst = load_fixture("gap3")
     assert inst.grid.axis(1) == (1, 2, 4, 8)
     assert value(inst.vp, 2, (4, 0)) == F(39, 10)
-    assert inst.metadata["single_crossing_ok"] and inst.metadata["cross_responsiveness_ok"]
+    report = inst.assumption_report()
+    assert not report["single_crossing"] and not report["cross_responsiveness"]
 
 
 def test_fixture_corpus_all_load():

@@ -15,6 +15,7 @@ from auctionlab.generators import generate_instances
 from auctionlab.instances import corpus_names, load_fixture
 from auctionlab.oracle import build_revenue_lp, opt_revenue, witness_mechanism
 from auctionlab.simplex import LinearProgram, solve, verify_certificate
+from auctionlab.valuations import value
 
 F = Fraction
 
@@ -198,16 +199,30 @@ def test_equal_floats_round_to_one_object():
 
 
 def unshared_witness(rlp, solution):
-    x, n_f, n = solution.x, len(rlp.feasible), len(rlp.instance.agents)
-    pay = rlp.stats.y_vars
-    witness = {}
+    """The witness built again with no object shared: the lotteries from x,
+    and each agent's envelope payments walked up its columns of the support,
+    grouped by the others' signals, with values read from the valuation."""
+    x, n_f, agents = solution.x, len(rlp.feasible), rlp.instance.agents
+    lotteries, served = {}, {}
     for i, s in enumerate(rlp.support):
         lottery = [(f, p) for f, p in zip(rlp.feasible, x[i * n_f:(i + 1) * n_f]) if p != 0]
         rest = 1 - sum((p for _, p in lottery), solution.objective * 0)
         if rest != 0:
             lottery.insert(0, (frozenset(), rest))
-        witness[s] = (tuple(lottery), tuple(x[pay + i * n:pay + (i + 1) * n]))
-    return witness
+        lotteries[s] = tuple(lottery)
+        served[s] = [sum((p for f, p in lottery if a in f), F(0)) for a in agents]
+    payments = {s: [None] * len(agents) for s in rlp.support}
+    for k, a in enumerate(agents):
+        columns = {}
+        for s in rlp.support:
+            columns.setdefault(s[:k] + s[k + 1:], []).append(s)
+        for column in columns.values():
+            paid, below = F(0), F(0)
+            for s in sorted(column, key=lambda s: s[k]):
+                paid += value(rlp.instance.vp, a, s) * (served[s][k] - below)
+                below = served[s][k]
+                payments[s][k] = paid
+    return {s: (lotteries[s], tuple(payments[s])) for s in rlp.support}
 
 
 @pytest.mark.parametrize("name", corpus_names())
@@ -218,7 +233,9 @@ def test_witness_equals_the_unshared_one(name):
     witness, unshared = witness_mechanism(rlp, solution), unshared_witness(rlp, solution)
     assert witness == unshared and list(witness) == list(unshared)
     assert opt_revenue(inst).witness == witness
-    seen = {}
+    seen, paid = {}, {}
     for cell in witness.values():
         for part in cell:
             assert seen.setdefault(part, part) is part
+        for p in cell[1]:
+            assert paid.setdefault(p, p) is p

@@ -8,6 +8,7 @@ import pytest
 from auctionlab.distributions import JointDistribution, ScalarDistribution, SignalGrid
 from auctionlab.matroid import FeasibilitySystem
 from auctionlab.mechanisms import (
+    AssumptionError,
     Instance,
     MechanismSpec,
     expected_revenue,
@@ -47,22 +48,22 @@ def tiny1():
 def test_lp_counts_single_agent():
     inst = single_agent([(1, F(1, 2)), (2, F(1, 2))])
     rlp = build_revenue_lp(inst)
-    assert rlp.stats.variables == 4        # 2 profiles x 1 nonempty set + 2 payments
+    assert rlp.stats.variables == 2        # 2 profiles x 1 nonempty set, no payments
     assert rlp.stats.simplex_rows == 2
-    assert rlp.stats.ic_rows == 2
-    assert rlp.stats.ir_rows == 2
+    assert rlp.stats.ic_rows == 1          # one neighbour pair, one monotonicity row
+    assert rlp.stats.ir_rows == 0
 
 
 def test_lp_counts_tiny1():
     rlp = build_revenue_lp(tiny1())
-    assert rlp.stats.y_vars == 8           # 4 profiles x 2 nonempty feasible sets
-    assert rlp.stats.p_vars == 8
-    assert rlp.stats.variables == 16
+    assert rlp.stats.variables == 8        # 4 profiles x 2 nonempty feasible sets
+    assert rlp.stats.ic_rows == 4          # 2 agents x 2 columns x 1 neighbour pair
+    assert rlp.stats.rows == 8
 
 
 def test_var_cap():
-    with pytest.raises(LPSizeError, match="cap"):
-        build_revenue_lp(tiny1(), var_cap=10)
+    with pytest.raises(LPSizeError, match="8 allocation variables exceed the cap 7"):
+        build_revenue_lp(tiny1(), var_cap=7)
 
 
 def test_single_agent_uniform_opt_is_one():
@@ -210,8 +211,8 @@ def _lp_digest(instances):
 
 
 def non_monotone():
-    # agent 1's value falls from own signal 0 to 1, so truth-telling binds
-    # every pair of a column, not only neighbours
+    # agent 1's value falls from own signal 0 to 1, so the envelope does not
+    # pin the payments and the oracle refuses the instance
     g1, g2 = (0, 1, 2), (0, 1)
     grid = SignalGrid(agents=(1, 2), values={1: g1, 2: g2})
     u1 = ScalarDistribution([(0, F(1, 2)), (1, F(1, 4)), (2, F(1, 4))])
@@ -228,12 +229,11 @@ def non_monotone():
 
 @pytest.mark.parametrize("corpus, digest", [
     ("fixtures",
-     "aef969e335fd6c1b99ff58d375cd82b8f5e4c77f820162526202ab1503d5ab59"),
+     "bbf79002227bd4dc6e1dd485984a730e40399105fc762e9ce2bf7b4acd7681cf"),
     ("correlated-private",
-     "7a84afc9bca1317640b39fa2326227f01ffab8cc6134e8197f1b3716cde32851"),
-    ("non-monotone",
-     "db5fd9bc6df71469ac0b11f230f2a9b64cc3adf49234e3c4c449fdd57d59ba5d"),
-])
+     "303625fa994a38544652a34b8e68cc6da2d4c34e31a58aaf577abe5768ff91a0"),
+    ("non-monotone", None),
+], ids=["fixtures", "correlated-private", "non-monotone"])
 def test_revenue_lp_is_pinned(corpus, digest):
     if corpus == "fixtures":
         instances = [load_fixture(name) for name in corpus_names()]
@@ -245,6 +245,9 @@ def test_revenue_lp_is_pinned(corpus, digest):
                     "correlated-private",
                     {"n": n, "grid": grid, "kind": kind, "count": 3}, seed=100 + seed))
     else:
-        instances = [non_monotone()]
-        assert instances[0].assumption_report()["monotonicity"]
+        inst = non_monotone()
+        assert inst.assumption_report()["monotonicity"]
+        with pytest.raises(AssumptionError, match="non-monotone: valuations fail monotonicity"):
+            build_revenue_lp(inst)
+        return
     assert _lp_digest(instances) == digest

@@ -1,8 +1,9 @@
 """Differential tests of the revenue oracle.
 
-The certified optimum of the support-only LP must equal the fraction-free
-simplex on the same LP and the optimum of the full-grid LP stated below, and
-its witness must pass ``verify_witness``.
+The certified optimum of the envelope LP must equal the fraction-free simplex
+on the same LP and the optimum of the full-grid LP stated below, which has a
+payment variable at every grid profile.  Its witness must pass
+``verify_witness`` and its envelope payments must earn the optimum.
 """
 import itertools
 from fractions import Fraction
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from auctionlab.distributions import JointDistribution, SignalGrid
 from auctionlab.instances import corpus_names, load_fixture
 from auctionlab.matroid import FeasibilitySystem
-from auctionlab.mechanisms import Instance
+from auctionlab.mechanisms import AssumptionError, Instance
 from auctionlab.oracle import build_revenue_lp, opt_revenue, verify_witness
 from auctionlab.simplex import LinearProgram, _solve_rational, solve
 from auctionlab.valuations import private, table, value, weighted_sum
@@ -67,6 +68,8 @@ def check_oracle(inst):
     assert res.value == _solve_rational(build_revenue_lp(inst).lp).objective
     assert res.value == full_grid_optimum(inst)
     assert verify_witness(inst, res.witness) == []
+    assert sum((p * sum(res.witness[s][1]) for s, p in inst.dist.enumerate_support()),
+               F(0)) == res.value
 
 
 @pytest.mark.parametrize("name", corpus_names())
@@ -110,17 +113,52 @@ def instances(draw):
 @settings(max_examples=50, deadline=None)
 @given(instances())
 def test_random_instance_optimum_matches_references(inst):
+    if inst.assumption_report()["monotonicity"]:
+        with pytest.raises(AssumptionError, match="fail monotonicity"):
+            opt_revenue(inst)
+    else:
+        check_oracle(inst)
+
+
+@st.composite
+def monotone_tables(draw):
+    """An instance of the strategy above with a table valuation that passes
+    the monotonicity check: each value is at least its grid predecessor's
+    plus 1 along the agent's own signal and plus 0 along the others', and
+    the tables are not sums of per-signal terms in general."""
+    inst = draw(instances())
+    agents, grid = inst.agents, inst.grid
+    values = {}
+    for a in agents:
+        own = grid.index_of(a)
+        cells = {}
+        for s in grid.profiles():
+            below = [cells[s[:j] + (grid.axis(b)[grid.axis(b).index(s[j]) - 1],) + s[j + 1:]]
+                     + (j == own)
+                     for j, b in enumerate(agents) if s[j] != grid.axis(b)[0]]
+            cells[s] = max(below, default=0) + draw(st.integers(0, 3))
+        values[a] = cells
+    return Instance(grid=grid, dist=inst.dist, vp=table(agents, values), feas=inst.feas)
+
+
+@settings(max_examples=50, deadline=None)
+@given(monotone_tables())
+def test_monotone_table_optimum_matches_references(inst):
+    assert not inst.assumption_report()["monotonicity"]
     check_oracle(inst)
 
 
-def test_every_support_pair_binds_when_monotonicity_fails():
-    # agent 1's value falls with its own signal, so neighbour truth-telling
-    # would not imply truth-telling between signals 1 and 3
+def test_oracle_refuses_when_monotonicity_fails():
+    # agent 1's value falls with its own signal, so the envelope does not pin
+    # the payments: the oracle refuses the instance, as every mechanism does
     grid = SignalGrid(agents=(1,), values={1: (1, 2, 3)})
     dist = JointDistribution(grid, form="table",
                              table=[((1,), F(1, 3)), ((2,), F(1, 3)), ((3,), F(1, 3))])
     vp = table((1,), {1: {(1,): 5, (2,): 1, (3,): 4}})
-    inst = Instance(grid=grid, dist=dist, vp=vp, feas=FeasibilitySystem.uniform(1, (1,)))
+    inst = Instance(grid=grid, dist=dist, vp=vp, feas=FeasibilitySystem.uniform(1, (1,)),
+                    name="falling")
     assert inst.assumption_report()["monotonicity"]
-    assert build_revenue_lp(inst).stats.ic_rows == 6
-    check_oracle(inst)
+    with pytest.raises(AssumptionError, match="falling: valuations fail monotonicity"):
+        build_revenue_lp(inst)
+    with pytest.raises(AssumptionError, match="falling: valuations fail monotonicity"):
+        opt_revenue(inst)
