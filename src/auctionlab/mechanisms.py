@@ -20,6 +20,12 @@ agent frozensets and build an :class:`AuctionOutcome` from the same offer.
 :func:`walk` builds each (realization, profile) outcome once through the core
 and reads both the IC/IR audit and the exact revenue from it.
 
+The core's numbers are ints: the instance tables every value as v·L, L the
+lcm of the values' denominators, so thresholds, quotes and payments compare
+and subtract as ints.  Reserves given in instance units are scaled by L as
+they come in (a non-integral product stays an exact Fraction), and every
+public output is divided by L once.
+
 Threshold semantics on grids: an agent's critical signal s* is the smallest
 own grid value at which the agent enters the welfare-maximising set, holding
 everyone else's report fixed; the threshold value is the agent's value at
@@ -66,7 +72,6 @@ NEVER_WINS = None  # threshold-signal marker; threshold value becomes +inf
 DEFAULT_ATOM_CAP = 10 ** 7
 
 RESERVE_FALLBACKS = ("unconditioned", "prior-marginal")
-ZERO = Fraction(0)
 
 
 class MechanismError(RuntimeError):
@@ -102,8 +107,10 @@ class Instance:
     (agent, column, event mode, critical signal) on the instance, keyed by
     ints: profile number k on the grid, agent index, agent bitmask
     (:meth:`mask`), and column number, k less the agent's own grid index
-    times its stride.  The values are :func:`valuations.grid_values`, built
-    whole on first use.  The tables rely on the instance not changing.
+    times its stride.  The values are :func:`valuations.grid_values` times
+    :attr:`value_scale`, as ints, built whole on first use; the other tables
+    hold numbers in those units too, and :meth:`value` and :meth:`values_at`
+    divide back.  The tables rely on the instance not changing.
     ``runner.run`` calls :meth:`release_tables` when an instance's rows are
     done.
     """
@@ -130,6 +137,7 @@ class Instance:
         self._restrictions: dict = {}
         self._checks: dict = {}
         self.everyone = (1 << len(agents)) - 1
+        self._scale = None
         self._values, self._winners, self._thresholds, self._quotes = [], {}, {}, {}
 
     @property
@@ -147,18 +155,45 @@ class Instance:
     def members(self, mask: int) -> frozenset:
         return frozenset(a for i, a in enumerate(self.agents) if mask >> i & 1)
 
-    def _value(self, i: int, k: int):
-        if not self._values:
-            self._values = valuations.grid_values(self.vp, self.grid)
-        return self._values[k][i]
+    def _value(self, i: int, k: int) -> int:
+        """v_i(s)·L at profile number k, an int of the table."""
+        return (self._values or self._tabulate())[k][i]
+
+    def _tabulate(self) -> list:
+        """Build the table: :func:`valuations.grid_values` times L."""
+        rows = [[v.as_integer_ratio() for v in row]
+                for row in valuations.grid_values(self.vp, self.grid)]
+        scale = self._scale = math.lcm(*(d for row in rows for _, d in row))
+        self._values = [tuple(n * (scale // d) for n, d in row) for row in rows]
+        return self._values
+
+    @property
+    def value_scale(self) -> int:
+        """L, the lcm of the denominators of the values on the grid: the
+        value table holds v·L as ints."""
+        if self._scale is None:
+            self._tabulate()
+        return self._scale
+
+    def _scaled(self, x):
+        """A number in instance units, such as a reserve, in table units:
+        x·L, an int when that is integral and an exact Fraction otherwise."""
+        x = x * self.value_scale
+        return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
+
+    def _unit(self, x):
+        """A number in table units back in instance units: x / L as an exact
+        Fraction (a float, such as an infinite threshold, stays a float)."""
+        scale = self.value_scale
+        return x / scale if isinstance(x, float) else Fraction(x, scale)
 
     def value(self, agent, s: Sequence):
         """v_agent(s), read from the instance's table of grid values."""
-        return self._value(self.grid.index_of(agent), self.grid.number(s))
+        return self._unit(self._value(self.grid.index_of(agent), self.grid.number(s)))
 
     def values_at(self, s: Sequence) -> dict:
         k = self.grid.number(s)
-        return {a: self._value(i, k) for i, a in enumerate(self.agents)}
+        return {a: self._unit(self._value(i, k)) for i, a in enumerate(self.agents)}
 
     def table_sizes(self) -> dict:
         return {"values": len(self.agents) * len(self._values),
@@ -167,10 +202,12 @@ class Instance:
 
     def release_tables(self) -> dict:
         """Empty the tables and the restricted systems; return the tables'
-        entry counts and the reserve fallback labels counted over the
-        distinct tabled quotes."""
+        entry counts, the value table's scale (None if it was never built)
+        and the reserve fallback labels counted over the distinct tabled
+        quotes."""
         labels = [q.fallback for q in self._quotes.values()]
-        held = {"entries": self.table_sizes(), "fallbacks_over_distinct_quotes":
+        held = {"entries": self.table_sizes(), "value_scale": self._scale,
+                "fallbacks_over_distinct_quotes":
                 {f: labels.count(f) for f in RESERVE_FALLBACKS}}
         for table in (self._values, self._winners, self._thresholds, self._quotes,
                       self._restrictions):
@@ -321,7 +358,8 @@ def conditional_value_distribution(instance: Instance, agent, s: Sequence):
     if not pairs:
         raise ConditioningError(f"agent {agent!r} has no conditional mass at {tuple(s)}")
     mass = sum(p for _, p in pairs)
-    return ScalarDistribution([(instance._value(i, col + j * st), p / mass) for j, p in pairs])
+    return ScalarDistribution([(instance._unit(instance._value(i, col + j * st)), p / mass)
+                               for j, p in pairs])
 
 
 def conditional_monopoly_reserve(instance: Instance, agent, s: Sequence, *,
@@ -339,8 +377,10 @@ def conditional_monopoly_reserve(instance: Instance, agent, s: Sequence, *,
     critical signal), so each fallback is logged once per distinct quote.
     """
     mask = instance.everyone if active is None else instance.mask(active)
-    return _quote(instance, instance.grid.index_of(agent), instance.grid.number(s),
-                  event_mode, mask)
+    q = _quote(instance, instance.grid.index_of(agent), instance.grid.number(s),
+               event_mode, mask)
+    return ReserveQuote(q.agent, instance._unit(q.price), instance._unit(q.expected_revenue),
+                        q.fallback)
 
 
 def _quote(instance: Instance, i: int, k: int, event_mode: str, mask: int) -> ReserveQuote:
@@ -381,14 +421,15 @@ def _quote(instance: Instance, i: int, k: int, event_mode: str, mask: int) -> Re
 
 
 def _monopoly_quote(instance: Instance, i: int) -> ReserveQuote:
-    """The monopoly quote on agent i's prior marginal; it reads no signal,
-    so it is tabled with no column."""
+    """The monopoly quote on agent i's prior marginal, in table units; it
+    reads no profile, so it is tabled with no column."""
     key = (i, None, "monopoly", None)
     quote = instance._quotes.get(key)
     if quote is None:
         agent = instance.agents[i]
         price, revenue = monopoly_price(instance.dist.marginal(agent))
-        quote = instance._quotes[key] = ReserveQuote(agent, price, revenue)
+        quote = instance._quotes[key] = ReserveQuote(agent, instance._scaled(price),
+                                                     instance._scaled(revenue))
     return quote
 
 
@@ -421,19 +462,21 @@ def resolve_reserves(instance: Instance, s: Sequence, agents, source,
     ``conditional`` reserves condition on the winner event within
     ``active`` (all agents by default).
     """
-    return _reserves(instance, instance.grid.number(s), instance.mask(agents), source,
-                     instance.everyone if active is None else instance.mask(active),
-                     event_mode)
+    found = _reserves(instance, instance.grid.number(s), instance.mask(agents), source,
+                      instance.everyone if active is None else instance.mask(active),
+                      event_mode)
+    return {a: instance._unit(r) for a, r in found.items()}
 
 
 def _reserves(instance: Instance, k: int, priced: int, source, mask: int,
               event_mode: str) -> dict:
     """:func:`resolve_reserves` for the bitmask ``priced``, profile number k
-    and active bitmask."""
+    and active bitmask, in table units: a reserve given in instance units is
+    scaled as it comes in."""
     agents = [(i, a) for i, a in enumerate(instance.agents) if priced >> i & 1]
     # named sources first: a Mapping check goes through the ABC machinery
     if source is None or source == "none":
-        return {a: ZERO for _, a in agents}
+        return {a: 0 for _, a in agents}
     if source == "conditional":
         return {a: _quote(instance, i, k, event_mode, mask).price for i, a in agents}
     if source == "monopoly":
@@ -451,10 +494,10 @@ def _reserves(instance: Instance, k: int, priced: int, source, mask: int,
         unknown = set(source) - set(instance.agents)
         if unknown:
             raise MechanismError(f"reserves given for unknown agents {sorted(map(str, unknown))}")
-        return {a: source.get(a, ZERO) for _, a in agents}
+        return {a: instance._scaled(source.get(a, 0)) for _, a in agents}
     if callable(source):
         s = instance.grid.profile_at(k)
-        return {a: source(a, SignalView(instance, s, a)) for _, a in agents}
+        return {a: instance._scaled(source(a, SignalView(instance, s, a))) for _, a in agents}
     raise MechanismError(f"unknown reserve source {source!r}")
 
 
@@ -508,7 +551,7 @@ def _settle(instance: Instance, k: int, w: int, r: dict, scans: tuple) -> tuple:
     winner is served at the higher of its reserve and its threshold value
     within ``scans[i]`` when its value reaches that price; the rest pay zero."""
     agents = instance.agents
-    served, pay = 0, [ZERO] * len(agents)
+    served, pay = 0, [0] * len(agents)
     for i in range(len(agents)):
         if w >> i & 1:
             price = max(r[agents[i]], _threshold(instance, i, k, scans[i])[1])
@@ -527,16 +570,18 @@ def _core(instance: Instance, spec: "MechanismSpec", k: int, z: int | None) -> t
 
 def _outcome(instance: Instance, k: int, offer: tuple, admitted) -> AuctionOutcome:
     """The :class:`AuctionOutcome` of an offer: :func:`_settle` plus every
-    agent's threshold and reserve, and the tentative set."""
+    agent's threshold and reserve, and the tentative set, each number divided
+    back into instance units."""
     w, r, scans = offer
     served, pay = _settle(instance, k, *offer)
-    agents = instance.agents
+    agents, unit = instance.agents, instance._unit
     crit = [_threshold(instance, i, k, scans[i]) for i in range(len(agents))]
     return AuctionOutcome(
-        {a: served >> i & 1 for i, a in enumerate(agents)}, dict(zip(agents, pay)),
+        {a: served >> i & 1 for i, a in enumerate(agents)}, dict(zip(agents, map(unit, pay))),
         {a: NEVER_WINS if j is None else instance.grid.values[a][j]
          for a, (j, _) in zip(agents, crit)},
-        {a: t for a, (_, t) in zip(agents, crit)}, {a: r.get(a, ZERO) for a in agents},
+        {a: unit(t) for a, (_, t) in zip(agents, crit)},
+        {a: unit(r.get(a, 0)) for a in agents},
         tentative=instance.members(w), served=instance.members(served), admitted=admitted)
 
 
@@ -645,11 +690,6 @@ class Admission:
     p_all: Fraction
     p_in: Fraction
 
-    def weight(self, z: frozenset, agents: tuple) -> Fraction:
-        k = len(z)
-        w = (1 - self.p_all) * self.p_in ** k * (1 - self.p_in) ** (len(agents) - k)
-        return w + self.p_all if k == len(agents) else w
-
 
 @dataclass(frozen=True)
 class Mechanism:
@@ -711,15 +751,24 @@ def realizations(instance: Instance, spec: MechanismSpec):
     mechanism.  Under an admission law every subset of the agents is one
     realization; the all-agents set carries the law's ``p_all`` as well.
     """
+    denominator, weighted = _weighted_realizations(instance, spec)
+    for z, w in weighted:
+        yield z, Fraction(w, denominator)
+
+
+def _weighted_realizations(instance: Instance, spec: MechanismSpec) -> tuple:
+    """(W, [(realization, W_z)]): the realizations of :func:`realizations`,
+    each probability W_z / W over one common denominator W, in ints.  With
+    p_in = a/b and p_all = c/d, a set of r of n agents has
+    W_r = (d - c)·a^r·(b - a)^(n - r) over W = d·b^n, plus c·b^n when r = n."""
     law = MECHANISMS[spec.mech_id].admission
     if law is None:
-        yield None, Fraction(1)
-        return
-    agents = tuple(instance.agents)
-    for r in range(len(agents) + 1):
-        for combo in itertools.combinations(agents, r):
-            z = frozenset(combo)
-            yield z, law.weight(z, agents)
+        return 1, [(None, 1)]
+    agents, n = instance.agents, len(instance.agents)
+    (a, b), (c, d) = law.p_in.as_integer_ratio(), law.p_all.as_integer_ratio()
+    return d * b ** n, [(frozenset(combo), (d - c) * a ** r * (b - a) ** (n - r)
+                         + (c * b ** n if r == n else 0))
+                        for r in range(n + 1) for combo in itertools.combinations(agents, r)]
 
 
 def run_realized(instance: Instance, spec: MechanismSpec, s: Sequence,
@@ -756,11 +805,11 @@ class RevenueEstimate:
 
 
 def _single_sample_revenue(instance: Instance, k: int):
-    """Exact expected revenue at profile number k of the lazy auction whose
-    reserve for each tentative winner is an independent draw from that
-    agent's value distribution given the others' signals.  The serving
-    decision is separable per winner, so the expectation over the reserve
-    vector factors agent by agent."""
+    """Exact expected revenue, in table units, at profile number k of the
+    lazy auction whose reserve for each tentative winner is an independent
+    draw from that agent's value distribution given the others' signals.
+    The serving decision is separable per winner, so the expectation over
+    the reserve vector factors agent by agent."""
     w = _lazy_offer(instance, k, "none")[0]
     total = 0
     for i in range(len(instance.agents)):
@@ -796,8 +845,8 @@ def expected_revenue(instance: Instance, spec: MechanismSpec, mode: str = "exact
     for _ in range(trials):
         k = instance.grid.number(instance.dist.sample(rng))
         z = sample_realization(instance, spec, rng)
-        draws.append(float(_revenue(*_core(instance, spec, k, None if z is None
-                                            else instance.mask(z)))))
+        draws.append(float(instance._unit(_revenue(*_core(
+            instance, spec, k, None if z is None else instance.mask(z))))))
     mean = sum(draws) / trials
     var = sum((x - mean) ** 2 for x in draws) / max(trials - 1, 1)
     return RevenueEstimate(mean, std_error=math.sqrt(var / trials), atoms=trials)
@@ -826,7 +875,7 @@ def opt_upper_bound(instance: Instance):
         if w != everyone:
             loser_value = _basis(instance, k, everyone & ~w, False).weight
         total += p * (quote_sum + loser_value)
-    return total
+    return instance._unit(total)
 
 
 # ----------------------------------------------------------------------
@@ -872,16 +921,19 @@ def walk(instance: Instance, spec: MechanismSpec, *, audit: bool = True,
 
     Each realization's outcomes are built once by :func:`_core`, over the
     whole grid when auditing and over the support otherwise, and held by
-    profile number.  The revenue sums p * weight * revenue with the support
-    outer and the realizations inner.  The atom cap (support x realizations)
-    is checked before any outcome is built.  Asked for neither, it builds
-    nothing.  A single-sample spec sums p * :func:`_single_sample_revenue`
-    over the support instead and is not audited (``violations`` is None).
+    profile number; :func:`_audit` checks the agents the realization admits.
+    The revenue puts the realization weights over one denominator W, sums
+    W_z * revenue per support profile in table units, multiplies each sum
+    by the profile's probability and divides by W·L once.  The atom cap
+    (support x realizations) is checked before any outcome is built.  Asked
+    for neither, it builds nothing.  A single-sample spec sums
+    p * :func:`_single_sample_revenue` over the support instead and is not
+    audited (``violations`` is None).
     """
     if not (audit or revenue):
         return Walk(None, None, 0)
     support = instance.dist.numbered_support()
-    reals = list(realizations(instance, spec))
+    denominator, reals = _weighted_realizations(instance, spec)
     atoms = len(support) * len(reals)
     if revenue and atoms > atom_cap:
         raise SizeError(f"exact evaluation needs {atoms} atoms (cap {atom_cap})")
@@ -892,39 +944,47 @@ def walk(instance: Instance, spec: MechanismSpec, *, audit: bool = True,
         if not revenue:
             return Walk(None, None, 0)
         total = sum((p * _single_sample_revenue(instance, k) for _, k, p in support), 0)
-        return Walk(None, RevenueEstimate(total, atoms=atoms), atoms)
+        return Walk(None, RevenueEstimate(instance._unit(total), atoms=atoms), atoms)
     numbers = (range(math.prod(instance.grid.sizes)) if audit
                else [k for _, k, _ in support])
-    violations, revenues = [] if audit else None, []
-    for realization, _ in reals:
+    # sums[j]: sum over realizations z of W_z * (revenue at support profile j
+    # under z), in table units
+    violations, sums = [] if audit else None, [0] * len(support)
+    for realization, weight in reals:
         z = None if realization is None else instance.mask(realization)
         outcomes = {k: _core(instance, spec, k, z) for k in numbers}
         if audit:
-            _audit(instance, support, outcomes, realization, violations)
+            _audit(instance, support, outcomes, realization, z, violations)
         if revenue:
-            revenues.append([_revenue(*outcomes[k]) for _, k, _ in support])
-    total = sum((p * weight * row[j] for j, (_, _, p) in enumerate(support)
-                 for (_, weight), row in zip(reals, revenues)), 0)
+            for j, (_, k, _) in enumerate(support):
+                sums[j] += weight * _revenue(*outcomes[k])
+    total = Fraction(sum((p * x for (_, _, p), x in zip(support, sums)), 0),
+                     denominator * instance.value_scale)
     return Walk(violations, RevenueEstimate(total, atoms=atoms) if revenue else None,
                 len(reals) * len(numbers))
 
 
-def _audit(instance: Instance, support: list, outcomes: dict, realization,
+def _audit(instance: Instance, support: list, outcomes: dict, realization, z: int | None,
            violations: list) -> None:
     """Append one realization's violations; ``outcomes`` maps each profile
     number to its (served bitmask, payments), so the deviation of agent i to
-    own grid index j is outcome col + j * stride."""
-    grid = instance.grid
+    own grid index j is outcome col + j * stride.  Only the agents in the
+    admitted mask z (everyone when z is None) are audited: the tentative
+    winners lie within z and only they are served or pay, so an agent
+    outside z has utility 0 at every report.  Values and payments are in
+    table units; each gap is divided back into instance units."""
+    grid, unit = instance.grid, instance._unit
+    admitted = [(i, a) for i, a in enumerate(instance.agents) if z is None or z >> i & 1]
     for s, k, _ in support:
         served, pay = outcomes[k]
-        for i, a in enumerate(instance.agents):
+        for i, a in admitted:
             # alloc is 0 or 1: utility is v - payment when served, else
             # -payment, so a deviation gains exactly when its payment is
             # below pays_less[alloc]
             v_true = instance._value(i, k)
             u_truth = v_true - pay[i] if served >> i & 1 else -pay[i]
             if u_truth < 0:
-                violations.append(AuditViolation("ir", realization, s, a, None, -u_truth))
+                violations.append(AuditViolation("ir", realization, s, a, None, unit(-u_truth)))
             pays_less = (-u_truth, v_true - u_truth)
             col, j0, st = _column(grid, i, k)
             for j, t in enumerate(grid.values[a]):
@@ -932,4 +992,4 @@ def _audit(instance: Instance, support: list, outcomes: dict, realization,
                 alloc = dev_served >> i & 1
                 if j != j0 and dev_pay[i] < pays_less[alloc]:
                     violations.append(AuditViolation(
-                        "ic", realization, s, a, t, v_true * alloc - dev_pay[i] - u_truth))
+                        "ic", realization, s, a, t, unit(v_true * alloc - dev_pay[i] - u_truth)))

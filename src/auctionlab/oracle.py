@@ -114,13 +114,14 @@ def build_revenue_lp(instance: Instance, var_cap: int = DEFAULT_VAR_CAP) -> Reve
         raise LPSizeError(f"{n_y} allocation variables exceed the cap {var_cap}")
 
     # phi_j = v_j T_j - v_{j+1} T_{j+1}, with T_j the column's mass from j
-    # up; a column's top point does no Fraction arithmetic with 0
+    # up; a column's top point does no Fraction arithmetic with 0.  Values
+    # are read in instance units, so the LP does not depend on the table's.
     columns, phi = [], [[0] * len(agents) for _ in support]
     for k in range(len(agents)):
         by_column: dict = {}
         for i, (_, number, _) in enumerate(numbered):
             by_column.setdefault(instance.grid.column(k, number)[0], []).append(
-                (i, instance._value(k, number)))
+                (i, instance._unit(instance._value(k, number))))
         columns.append(list(by_column.values()))
         for column in columns[k]:
             tail = above = 0

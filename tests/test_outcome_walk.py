@@ -54,9 +54,12 @@ def test_core_matches_public_outcomes(name):
         for realization, _ in realizations(inst, spec):
             z = None if realization is None else inst.mask(realization)
             for k in range(len(list(grid.profiles()))):
+                # the core's payments are in the value table's units, L
+                # times the public ones
                 def public():
                     out = run_realized(inst, spec, grid.profile_at(k), realization)
-                    return inst.mask(out.served), [out.payment[a] for a in inst.agents]
+                    return inst.mask(out.served), [inst.value_scale * out.payment[a]
+                                                   for a in inst.agents]
                 core = result(lambda: mechanisms._core(inst, spec, k, z))
                 assert core == result(public), (spec, realization, k)
                 checked += isinstance(core[0], int)
