@@ -21,7 +21,7 @@ from pathlib import Path
 
 import yaml
 
-from .generators import GENERATORS, generate_instances
+from .generators import GENERATORS, GeneratorError, generate_instances
 from .instances import (InstanceFormatError, corpus_names, fixture_path, load_instance,
                         save_instance)
 from .mechanisms import (
@@ -34,6 +34,7 @@ from .mechanisms import (
 )
 from .oracle import opt_revenue
 from .runner import ExperimentSpec, SpecError, run, write_report
+from .valuations import ValuationError
 
 
 def _mechanism_spec(mech_id: str, args) -> MechanismSpec:
@@ -279,8 +280,8 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (SpecError, InstanceFormatError, MechanismError, yaml.YAMLError,
-            FileNotFoundError) as exc:
+    except (SpecError, InstanceFormatError, MechanismError, GeneratorError,
+            ValuationError, yaml.YAMLError, FileNotFoundError) as exc:
         # a YAML error spans lines; the exit message is one
         raise SystemExit(" ".join(str(exc).split())) from None
 

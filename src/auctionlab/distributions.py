@@ -299,23 +299,23 @@ class JointDistribution:
             col = self.grid.number([axis[0] if a == agent else others[a] for a in self.agents])
         except DistributionError:
             col = None
-        pairs = self.column_masses(self.grid.index_of(agent), col)
+        pairs = self.columns(self.grid.index_of(agent)).get(col, [])
         if not pairs:
             raise ConditioningError(f"zero-probability conditioning event {dict(others)}")
         mass = sum(p for _, p in pairs)
         return ScalarDistribution([(axis[j], p / mass) for j, p in pairs])
 
-    def column_masses(self, i: int, col) -> list:
-        """The table's (own grid index, probability) pairs in agent index i's
-        column number ``col`` (see :meth:`SignalGrid.column`), in own-index
-        order and not normalised; empty when the column has no mass.  Each
-        agent's pairs are grouped by column on first use."""
+    def columns(self, i: int) -> dict:
+        """The one grouping of the support into agent index i's columns, made
+        on first use: column number (see :meth:`SignalGrid.column`) -> the
+        table's (own grid index, probability) pairs, in own-index order and
+        not normalised, in the order of each column's first support profile."""
         if i not in self._column_index:
             index = self._column_index[i] = {}
             for _, k, p in self.numbered_support():
                 c, j, _ = self.grid.column(i, k)
                 index.setdefault(c, []).append((j, p))
-        return self._column_index[i].get(col, [])
+        return self._column_index[i]
 
     def sample(self, rng) -> tuple:
         """Draw one profile using the caller's random stream: the first one

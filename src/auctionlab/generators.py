@@ -158,24 +158,26 @@ def _additive_pieces(rng, grid):
     return g
 
 
-def _additive(rng, params):
+def _additive_parts(rng, params):
     grid = _grid(rng, params)
     dist = _random_table(rng, grid, params)
     feas = _feasibility(rng, grid.agents, params.get("kind", "1-uniform"))
-    return Instance(grid=grid, dist=dist,
-                    vp=additive(grid.agents, _additive_pieces(rng, grid)), feas=feas)
+    return grid, dist, feas, _additive_pieces(rng, grid)
+
+
+def _additive(rng, params):
+    grid, dist, feas, g = _additive_parts(rng, params)
+    return Instance(grid=grid, dist=dist, vp=additive(grid.agents, g), feas=feas)
 
 
 def _concave_additive(rng, params):
-    inst = _additive(rng, params)
-    top = sum(max(inst.grid.axis(a)) for a in inst.agents)
+    grid, dist, feas, g = _additive_parts(rng, params)
+    top = sum(max(grid.axis(a)) for a in grid.agents)
     knee = Fraction(rng.randint(1, max(int(top), 1)))
     outer = {a: PiecewiseLinear((Fraction(0), knee, top + 1),
                                 (Fraction(0), knee, knee + (top + 1 - knee) / 2))
-             for a in inst.agents}
-    return Instance(grid=inst.grid, dist=inst.dist,
-                    vp=concave_additive(inst.agents, inst.vp.params["g"], outer),
-                    feas=inst.feas)
+             for a in grid.agents}
+    return Instance(grid=grid, dist=dist, vp=concave_additive(grid.agents, g, outer), feas=feas)
 
 
 def _regular_marginal(rng, axis):

@@ -18,7 +18,8 @@ from pathlib import Path
 
 import yaml
 
-from .distributions import JointDistribution, RATIONAL, ScalarDistribution, SignalGrid
+from .distributions import (DistributionError, JointDistribution, RATIONAL,
+                            ScalarDistribution, SignalGrid)
 from .matroid import FeasibilitySystem
 from .mechanisms import AssumptionError, Instance, MechanismError
 from .valuations import (
@@ -50,7 +51,7 @@ def _num(x):
     if isinstance(x, str):
         try:
             return Fraction(x)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise InstanceFormatError(f"cannot parse number {x!r}")
     raise InstanceFormatError(f"expected a number, got {x!r}")
 
@@ -86,7 +87,10 @@ def from_dict(doc: dict, *, name: str = "") -> Instance:
         if a not in grid_block:
             raise InstanceFormatError(f"grid: missing axis for agent {a!r}")
         axes[a] = tuple(_num(v) for v in grid_block[a])
-    grid = SignalGrid(agents=agents, values=axes)
+    try:
+        grid = SignalGrid(agents=agents, values=axes)
+    except DistributionError as exc:
+        raise InstanceFormatError(f"grid: {exc}") from exc
 
     dist = _parse_distribution(dist_block, grid)
     vp = _parse_valuation(dict(_require(doc, "valuation", "top level")), agents, grid)

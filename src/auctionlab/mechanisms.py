@@ -102,17 +102,18 @@ class SizeError(MechanismError):
 class Instance:
     """A complete auction environment; immutable once constructed.
 
-    The auctions table values per profile, winner sets per (profile, active
-    set), thresholds per (agent, column, active set) and reserve quotes per
-    (agent, column, event mode, critical signal) on the instance, keyed by
-    ints: profile number k on the grid, agent index, agent bitmask
+    Construction evaluates every value once (:func:`valuations.grid_values`),
+    keeps their assumption report and tables them by profile number k as
+    ints v·L, :attr:`value_scale` L the lcm of their denominators; a value
+    that is not finite is refused.  The auctions table winner sets per
+    (profile, active set), thresholds per (agent, column, active set) and
+    reserve quotes per (agent, column, event mode, critical signal) on first
+    use, in table units too, keyed by ints: k, agent index, agent bitmask
     (:meth:`mask`), and column number, k less the agent's own grid index
-    times its stride.  The values are :func:`valuations.grid_values` times
-    :attr:`value_scale`, as ints, built whole on first use; the other tables
-    hold numbers in those units too, and :meth:`value` and :meth:`values_at`
-    divide back.  The tables rely on the instance not changing.
-    ``runner.run`` calls :meth:`release_tables` when an instance's rows are
-    done.
+    times its stride.  :meth:`value` and :meth:`values_at` divide back.  The
+    tables rely on the instance not changing; ``runner.run`` calls
+    :meth:`release_tables`, which keeps only the value table, when an
+    instance's rows are done.
     """
 
     grid: SignalGrid
@@ -135,10 +136,16 @@ class Instance:
             raise MechanismError(f"tie_break {list(self.tie_break)} does not list "
                                  "every agent exactly once")
         self._restrictions: dict = {}
-        self._checks: dict = {}
         self.everyone = (1 << len(agents)) - 1
-        self._scale = None
-        self._values, self._winners, self._thresholds, self._quotes = [], {}, {}, {}
+        self._winners, self._thresholds, self._quotes = {}, {}, {}
+        values = valuations.grid_values(self.vp, self.grid)
+        self._checks = valuations.assumption_violations(self.grid, values)
+        try:
+            rows = [[v.as_integer_ratio() for v in row] for row in values]
+        except (OverflowError, ValueError):  # an infinite or a NaN float
+            raise AssumptionError(f"{self.name or 'instance'}: a value is not finite") from None
+        scale = self.value_scale = math.lcm(*(d for row in rows for _, d in row))
+        self._values = [tuple(n * (scale // d) for n, d in row) for row in rows]
 
     @property
     def agents(self) -> tuple:
@@ -157,23 +164,7 @@ class Instance:
 
     def _value(self, i: int, k: int) -> int:
         """v_i(s)·L at profile number k, an int of the table."""
-        return (self._values or self._tabulate())[k][i]
-
-    def _tabulate(self) -> list:
-        """Build the table: :func:`valuations.grid_values` times L."""
-        rows = [[v.as_integer_ratio() for v in row]
-                for row in valuations.grid_values(self.vp, self.grid)]
-        scale = self._scale = math.lcm(*(d for row in rows for _, d in row))
-        self._values = [tuple(n * (scale // d) for n, d in row) for row in rows]
-        return self._values
-
-    @property
-    def value_scale(self) -> int:
-        """L, the lcm of the denominators of the values on the grid: the
-        value table holds v·L as ints."""
-        if self._scale is None:
-            self._tabulate()
-        return self._scale
+        return self._values[k][i]
 
     def _scaled(self, x):
         """A number in instance units, such as a reserve, in table units:
@@ -196,21 +187,19 @@ class Instance:
         return {a: self._unit(self._value(i, k)) for i, a in enumerate(self.agents)}
 
     def table_sizes(self) -> dict:
-        return {"values": len(self.agents) * len(self._values),
-                "winner_sets": len(self._winners),
+        return {"winner_sets": len(self._winners),
                 "thresholds": len(self._thresholds), "quotes": len(self._quotes)}
 
     def release_tables(self) -> dict:
-        """Empty the tables and the restricted systems; return the tables'
-        entry counts, the value table's scale (None if it was never built)
-        and the reserve fallback labels counted over the distinct tabled
-        quotes."""
+        """Empty the winner-set, threshold and quote tables and the
+        restricted systems; return their entry counts, the value table's
+        scale and the reserve fallback labels counted over the distinct
+        tabled quotes."""
         labels = [q.fallback for q in self._quotes.values()]
-        held = {"entries": self.table_sizes(), "value_scale": self._scale,
+        held = {"entries": self.table_sizes(), "value_scale": self.value_scale,
                 "fallbacks_over_distinct_quotes":
                 {f: labels.count(f) for f in RESERVE_FALLBACKS}}
-        for table in (self._values, self._winners, self._thresholds, self._quotes,
-                      self._restrictions):
+        for table in (self._winners, self._thresholds, self._quotes, self._restrictions):
             table.clear()
         return held
 
@@ -233,10 +222,8 @@ class Instance:
 
     def assumption_report(self) -> dict:
         """The violation lists of :func:`valuations.assumption_violations`
-        (monotonicity, single-crossing, cross-responsiveness), computed on
-        first use and kept."""
-        if not self._checks:
-            self._checks = valuations.assumption_violations(self.vp, self.grid)
+        (monotonicity, single-crossing, cross-responsiveness), kept from
+        construction."""
         return self._checks
 
     def require_monotone(self):
@@ -354,7 +341,7 @@ def conditional_value_distribution(instance: Instance, agent, s: Sequence):
     instance.require_monotone()
     i = instance.grid.index_of(agent)
     col, _, st = _column(instance.grid, i, instance.grid.number(s))
-    pairs = instance.dist.column_masses(i, col)
+    pairs = instance.dist.columns(i).get(col, [])
     if not pairs:
         raise ConditioningError(f"agent {agent!r} has no conditional mass at {tuple(s)}")
     mass = sum(p for _, p in pairs)
@@ -401,7 +388,7 @@ def _quote(instance: Instance, i: int, k: int, event_mode: str, mask: int) -> Re
     instance.require_monotone()
     agent = instance.agents[i]
     fallback = ""
-    pairs = instance.dist.column_masses(i, col)
+    pairs = instance.dist.columns(i).get(col, [])
     if not pairs:
         pos = instance.grid.positions[i]
         pairs = [(pos[t], p) for t, p in instance.dist.marginal(agent)]
@@ -504,7 +491,7 @@ def _reserves(instance: Instance, k: int, priced: int, source, mask: int,
 def _fixed_reserves(instance: Instance, source: str) -> dict:
     try:
         values = [Fraction(x) for x in source[len("fixed:"):].split(",")]
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise MechanismError(f"bad fixed reserves {source!r}: {exc}") from exc
     if len(values) != len(instance.agents):
         raise MechanismError(f"{source!r} lists {len(values)} reserves for "
@@ -816,7 +803,7 @@ def _single_sample_revenue(instance: Instance, k: int):
         if w >> i & 1:
             p_bar = _threshold(instance, i, k, instance.everyone)[1]
             col, _, st = _column(instance.grid, i, k)
-            pairs = instance.dist.column_masses(i, col)
+            pairs = instance.dist.columns(i).get(col, [])
             mass = sum(p for _, p in pairs)
             for j, p in pairs:
                 price = max(instance._value(i, col + j * st), p_bar)

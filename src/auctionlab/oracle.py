@@ -79,8 +79,9 @@ class LPStats:
 class RevenueLP:
     """The LP and its column order: support profile i and nonempty feasible
     set f own column i * |F| + f.  ``columns[k]`` lists agent k's columns
-    of the support, each as (support position, value) pairs in own-signal
-    order."""
+    of the support in the order of ``dist.columns(k)`` (see
+    :meth:`JointDistribution.columns`), each as (support position, value in
+    instance units) pairs in own-signal order."""
 
     instance: Instance
     lp: LinearProgram
@@ -116,21 +117,20 @@ def build_revenue_lp(instance: Instance, var_cap: int = DEFAULT_VAR_CAP) -> Reve
     # phi_j = v_j T_j - v_{j+1} T_{j+1}, with T_j the column's mass from j
     # up; a column's top point does no Fraction arithmetic with 0.  Values
     # are read in instance units, so the LP does not depend on the table's.
+    position = {number: i for i, (_, number, _) in enumerate(numbered)}
     columns, phi = [], [[0] * len(agents) for _ in support]
-    for k in range(len(agents)):
-        by_column: dict = {}
-        for i, (_, number, _) in enumerate(numbered):
-            by_column.setdefault(instance.grid.column(k, number)[0], []).append(
-                (i, instance._unit(instance._value(k, number))))
-        columns.append(list(by_column.values()))
-        for column in columns[k]:
+    for k, st in enumerate(instance.grid.strides):
+        columns.append([])
+        for col, pairs in instance.dist.columns(k).items():
+            column = [(position[col + j * st], instance._unit(instance._value(k, col + j * st)))
+                      for j, _ in pairs]
             tail = above = 0
-            for i, v in reversed(column):
-                p = numbered[i][2]
+            for (i, v), (_, p) in zip(reversed(column), reversed(pairs)):
                 tail = tail + p if tail else p
                 here = v * tail
                 phi[i][k] = here - above if above else here
                 above = here
+            columns[k].append(column)
     members = [[k for k, a in enumerate(agents) if a in fs] for fs in feasible]
     objective = [sum(map(row.__getitem__, m[1:]), row[m[0]]) for row in phi for m in members]
     lp = LinearProgram(n_y, objective)

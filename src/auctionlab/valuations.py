@@ -2,7 +2,8 @@
 
 ``value(vp, i, s)`` evaluates agent i's worth of the service at a signal
 profile, and :func:`grid_values` evaluates every agent at every grid profile
-once, by profile number.  Built-in families:
+once, by profile number; ``Instance`` calls it once, when it is built, and
+keeps the result.  Built-in families:
 
 * ``private``            -- v_i(s) = s_i
 * ``weighted_sum``       -- v_i(s) = s_i + beta * sum of the other signals
@@ -10,8 +11,8 @@ once, by profile number.  Built-in families:
 * ``concave_additive``   -- a concave piecewise-linear map of an additive form
 * ``table``              -- explicit v_i per grid profile
 
-:func:`assumption_violations` walks the grid once and checks monotonicity
-with strict own-signal increase, the single-crossing condition, and the
+:func:`assumption_violations` walks that table and checks monotonicity with
+strict own-signal increase, the single-crossing condition, and the
 concavity-type condition that an agent's value responds less to others'
 signals as its own signal grows, each between profiles one grid step apart.
 Mechanisms consult it, through ``Instance.assumption_report``, before running
@@ -147,15 +148,15 @@ def grid_values(vp: ValuationProfile, grid: SignalGrid) -> list:
     return [tuple(value(vp, a, s) for a in grid.agents) for s in grid.profiles()]
 
 
-def assumption_violations(vp: ValuationProfile, grid: SignalGrid) -> dict:
-    """One walk over the grid for the three valuation assumptions.
+def assumption_violations(grid: SignalGrid, vals: list) -> dict:
+    """One walk over the grid for the three valuation assumptions, reading
+    the values ``vals`` of :func:`grid_values`.
 
     Returns lists of violating tuples under ``monotonicity`` (agent,
     coordinate, profile, bumped profile; or agent, "nonnegative", profile,
     None), ``single_crossing`` (i, j, profile, next own signal) and
     ``cross_responsiveness`` (i, j, profile, low difference, high
-    difference).  Every value is computed once and every condition compares
-    profiles one grid step apart:
+    difference).  Every condition compares profiles one grid step apart:
 
     * monotonicity -- values are nonnegative and finite, nondecreasing in
       every signal and strictly increasing in one's own;
@@ -171,7 +172,6 @@ def assumption_violations(vp: ValuationProfile, grid: SignalGrid) -> dict:
     # profiles go by the grid's row-major numbers, so no Fraction tuple is
     # hashed; ups[k][j] numbers profile k with signal j one grid step up
     profiles = list(grid.profiles())
-    vals = grid_values(vp, grid)
     ups = [tuple(k + st if k // st % n + 1 < n else None
                  for st, n in zip(grid.strides, grid.sizes))
            for k in range(len(profiles))]

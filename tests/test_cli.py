@@ -98,7 +98,8 @@ def test_reserve_source_reads_none_for_mechanisms_without_reserves(capsys):
     ("bogus", "unknown reserve source 'bogus'"),
     ("fixed:abc", "bad fixed reserves 'fixed:abc'"),
     ("fixed:1,2,3", "'fixed:1,2,3' lists 3 reserves for 2 agents"),
-], ids=["unknown", "not-a-number", "wrong-count"])
+    ("fixed:1/0,1", "bad fixed reserves 'fixed:1/0,1'"),
+], ids=["unknown", "not-a-number", "wrong-count", "zero-denominator"])
 def test_bad_reserve_source_exits_with_one_line(source, message):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--instance", str(fixture_path("tiny1")), "--mechanism", "gvcg-lazy",
@@ -131,6 +132,17 @@ def test_gen_roundtrip(tmp_path, capsys):
     assert len(files) == 2
     rc = main(["run", "--instance", str(files[0]), "--mechanism", "gvcg"])
     assert rc == 0
+
+
+@pytest.mark.parametrize("generator, param, message", [
+    ("correlated-private", "kind=bogus", "unknown feasibility kind 'bogus'"),
+    ("weighted-sum", "beta=2", "beta must lie in [0, 1]"),
+], ids=["unknown-kind", "beta-out-of-range"])
+def test_bad_generator_parameter_exits_with_one_line(tmp_path, generator, param, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--generator", generator, "--param", param, "--out", str(tmp_path)])
+    assert message in str(exc.value.code)
+    assert "\n" not in str(exc.value.code)
 
 
 def test_bound_for_a_mechanism_that_does_not_run_is_refused():
@@ -193,7 +205,11 @@ feasibility: {kind: uniform, k: 1}
     (NON_MONOTONE, "valuation violates monotonicity"),
     ("agents: [1, 2\n", "while parsing a flow sequence"),
     (None, "No such file or directory"),
-], ids=["assumption", "yaml-syntax", "missing-file"])
+    (NON_MONOTONE.replace("1/2]]", "1/0]]"), "cannot parse number '1/0'"),
+    (NON_MONOTONE.replace("[1, 2]}", "[2, 1]}"), "grid: grid values must be strictly increasing"),
+    (NON_MONOTONE.replace("[1, 2]}", "[]}"), "grid: each agent needs at least one grid point"),
+], ids=["assumption", "yaml-syntax", "missing-file", "zero-denominator", "decreasing-axis",
+        "empty-axis"])
 def test_bad_instance_file_exits_with_one_line(tmp_path, text, message):
     path = tmp_path / "bad.yaml"
     if text is not None:

@@ -9,7 +9,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from auctionlab.distributions import JointDistribution, SignalGrid
 from auctionlab.instances import corpus_names, load_fixture
@@ -118,6 +118,33 @@ def test_random_instance_optimum_matches_references(inst):
             opt_revenue(inst)
     else:
         check_oracle(inst)
+
+
+def reference_columns(inst):
+    """Each agent's columns of the support, grouped from the support itself:
+    support profiles by ``grid.column`` in support order, each as (support
+    position, value in instance units)."""
+    columns = []
+    for k in range(len(inst.agents)):
+        by_column = {}
+        for i, (_, number, _) in enumerate(inst.dist.numbered_support()):
+            by_column.setdefault(inst.grid.column(k, number)[0], []).append(
+                (i, inst._unit(inst._value(k, number))))
+        columns.append(list(by_column.values()))
+    return columns
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_fixture_lp_columns_match_the_support_grouping(name):
+    inst = load_fixture(name)
+    assert build_revenue_lp(inst).columns == reference_columns(inst)
+
+
+@settings(max_examples=50, deadline=None)
+@given(instances())
+def test_random_lp_columns_match_the_support_grouping(inst):
+    assume(not inst.assumption_report()["monotonicity"])
+    assert build_revenue_lp(inst).columns == reference_columns(inst)
 
 
 @st.composite

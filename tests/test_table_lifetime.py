@@ -22,7 +22,7 @@ from auctionlab.valuations import private
 
 from test_mechanism_tables import SPECS
 
-EMPTY = {"values": 0, "winner_sets": 0, "thresholds": 0, "quotes": 0}
+EMPTY = {"winner_sets": 0, "thresholds": 0, "quotes": 0}
 
 
 def revenue_and_audit(inst):
@@ -81,7 +81,6 @@ def test_tables_are_bounded_by_the_grid(name):
     assert inst.table_sizes() == sizes
     n = len(inst.agents)
     grid = math.prod(len(inst.grid.axis(a)) for a in inst.agents)
-    assert 0 < sizes["values"] <= n * grid
     assert 0 < sizes["winner_sets"] <= grid * 2 ** n
     assert 0 < sizes["thresholds"] <= n * grid * 2 ** n
     held = inst.release_tables()

@@ -10,6 +10,7 @@ from auctionlab.valuations import (
     additive,
     assumption_violations,
     concave_additive,
+    grid_values,
     private,
     table,
     value,
@@ -74,7 +75,7 @@ def test_additive_and_concave():
 
 def test_monotonicity_private_passes():
     g = grid({1: (1, 2), 2: (1, 2)})
-    assert assumption_violations(private((1, 2)), g)["monotonicity"] == []
+    assert assumption_violations(g, grid_values(private((1, 2)), g))["monotonicity"] == []
 
 
 def test_monotonicity_strictness_catches_flat_own_signal():
@@ -83,7 +84,7 @@ def test_monotonicity_strictness_catches_flat_own_signal():
         1: {(1, 0): 5, (2, 0): 5},   # flat in own signal
         2: {(1, 0): 0, (2, 0): 0},
     })
-    bad = assumption_violations(vp, g)["monotonicity"]
+    bad = assumption_violations(g, grid_values(vp, g))["monotonicity"]
     assert any(a == 1 for a, *_ in bad)
 
 
@@ -91,23 +92,24 @@ def test_monotonicity_catches_negative_values():
     g = grid({1: (1, 2)})
     vp = table((1,), {1: {(1,): -1, (2,): 1}})
     assert any(kind == "nonnegative"
-               for _, kind, *_ in assumption_violations(vp, g)["monotonicity"])
+               for _, kind, *_ in assumption_violations(g, grid_values(vp, g))["monotonicity"])
 
 
 def test_single_crossing_private_passes():
     g = grid({1: (1, 2, 3), 2: (1, 2, 3)})
-    assert assumption_violations(private((1, 2)), g)["single_crossing"] == []
+    assert assumption_violations(g, grid_values(private((1, 2)), g))["single_crossing"] == []
 
 
 def test_single_crossing_weighted_sum_half_passes():
     g = grid({1: (0, 1, 2), 2: (0, 1, 2)})
     vp = weighted_sum((1, 2), Fraction(1, 2))
-    assert assumption_violations(vp, g)["single_crossing"] == []
+    assert assumption_violations(g, grid_values(vp, g))["single_crossing"] == []
 
 
 def test_single_crossing_common_value_fails():
     g = grid({1: (0, 1), 2: (0, 1)})
-    violations = assumption_violations(weighted_sum((1, 2), 1), g)["single_crossing"]
+    vp = weighted_sum((1, 2), 1)
+    violations = assumption_violations(g, grid_values(vp, g))["single_crossing"]
     assert violations  # equal values never become strictly separated
 
 
@@ -118,7 +120,8 @@ def test_cross_responsiveness_additive_passes():
         1: {1: identity_step(axes[1]), 2: StepFunction((0, 1, 2), (0, 1, 1))},
         2: {1: StepFunction((0, 1, 2), (0, 0, 1)), 2: identity_step(axes[2])},
     }
-    assert assumption_violations(additive((1, 2), steps), g)["cross_responsiveness"] == []
+    vp = additive((1, 2), steps)
+    assert assumption_violations(g, grid_values(vp, g))["cross_responsiveness"] == []
 
 
 def test_cross_responsiveness_concave_cap_passes():
@@ -130,7 +133,7 @@ def test_cross_responsiveness_concave_cap_passes():
     }
     outer = {a: PiecewiseLinear((0, 10, 16), (0, 10, 13)) for a in (1, 2)}
     vp = concave_additive((1, 2), steps, outer)
-    assert assumption_violations(vp, g)["cross_responsiveness"] == []
+    assert assumption_violations(g, grid_values(vp, g))["cross_responsiveness"] == []
 
 
 def test_cross_responsiveness_product_valuation_fails():
@@ -139,7 +142,7 @@ def test_cross_responsiveness_product_valuation_fails():
         1: {(s1, s2): s1 * s2 for s1 in (1, 2) for s2 in (1, 2)},
         2: {(s1, s2): s2 for s1 in (1, 2) for s2 in (1, 2)},
     })
-    violations = assumption_violations(vp, g)["cross_responsiveness"]
+    violations = assumption_violations(g, grid_values(vp, g))["cross_responsiveness"]
     assert any(a == 1 for a, *_ in violations)
 
 
@@ -171,7 +174,7 @@ def test_monotone_scan_matches_value():
     axes = {1: (0, 1, 2), 2: (0, 1, 2)}
     g = grid(axes)
     vp = weighted_sum((1, 2), Fraction(1, 4))
-    assert assumption_violations(vp, g)["monotonicity"] == []
+    assert assumption_violations(g, grid_values(vp, g))["monotonicity"] == []
     for s in g.profiles():
         for j, b in enumerate(g.agents):
             axis = g.axis(b)

@@ -1,13 +1,22 @@
 """One value table per instance, read by profile number, and the errors for
 profiles and agent sets the instance does not have."""
 import math
+from fractions import Fraction
 
 import pytest
 
 from auctionlab import oracle, valuations
-from auctionlab.distributions import DistributionError
+from auctionlab.distributions import DistributionError, JointDistribution, SignalGrid
 from auctionlab.instances import corpus_names, load_fixture
-from auctionlab.mechanisms import MechanismError, gvcg, resolve_reserves, winner_set
+from auctionlab.matroid import FeasibilitySystem
+from auctionlab.mechanisms import (
+    AssumptionError,
+    Instance,
+    MechanismError,
+    gvcg,
+    resolve_reserves,
+    winner_set,
+)
 from auctionlab.runner import ExperimentSpec, run
 
 
@@ -23,7 +32,6 @@ def test_grid_values_are_the_values_by_profile_number(name):
 
 
 def test_values_are_evaluated_once_per_run(monkeypatch):
-    inst = load_fixture("partition")
     calls = []
     evaluate = valuations.value
 
@@ -34,15 +42,24 @@ def test_values_are_evaluated_once_per_run(monkeypatch):
     # the oracle module holds its own name for the function
     monkeypatch.setattr(valuations, "value", counted)
     monkeypatch.setattr(oracle, "value", counted)
+    inst = load_fixture("partition")
     report = run(ExperimentSpec(mechanisms=["lookahead", "rand-matroid"], instances=[inst]))
     assert report.ok
     assert report.metadata["oracle"][0]["certified"] is True
     assert "upper_bound_s" in report.metadata["oracle"][0]
     assert all(r.audit_status == "pass" for r in report.rows)
-    held = len(inst.agents) * math.prod(inst.grid.sizes)
-    assert len(calls) == held
-    assert report.metadata["tables"][0]["entries"]["values"] == held
-    assert inst.table_sizes()["values"] == 0
+    assert len(calls) == len(inst.agents) * math.prod(inst.grid.sizes)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+def test_a_value_that_is_not_finite_is_refused_at_construction(bad):
+    """Only the Python API can give one: every number of a file is a Fraction."""
+    grid = SignalGrid(agents=(1,), values={1: (1, 2)})
+    half = Fraction(1, 2)
+    dist = JointDistribution(grid, form="product", marginals={1: [(1, half), (2, half)]})
+    vp = valuations.table((1,), {1: {(1,): 1, (2,): bad}})
+    with pytest.raises(AssumptionError, match="^odd: a value is not finite$"):
+        Instance(grid=grid, dist=dist, vp=vp, feas=FeasibilitySystem.uniform(1, [1]), name="odd")
 
 
 def test_a_profile_of_the_wrong_length_or_off_the_grid_is_refused():
