@@ -254,6 +254,8 @@ def cmd_gen(args) -> int:
     params = {}
     for chunk in args.param:
         key, _, val = chunk.partition("=")
+        if key == "count":
+            raise SystemExit("--param count is not a generator parameter; use --count")
         try:
             params[key] = int(val)
         except ValueError:

@@ -38,7 +38,7 @@ class GeneratorError(ValueError):
 def generate_instances(name: str, params: dict | None = None, seed: int = 0) -> list[Instance]:
     """Build ``count`` instances from the named generator, deterministically."""
     params = dict(params or {})
-    count = int(params.pop("count", 1))
+    count = _number(params, "count", 1, int)
     rng = random.Random(seed)
     maker = _MAKERS.get(name)
     if maker is None:
@@ -73,19 +73,29 @@ def _draw_until_valid(maker, rng, params):
 # shared pieces
 
 
+def _number(params, key, default, convert):
+    """Parameter ``key`` converted to a number; a value that does not convert
+    is refused rather than left to fail inside a draw."""
+    value = params.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise GeneratorError(f"generator parameter {key}={value!r} is not a number") from None
+
+
 def _grid(rng, params, *, lo=0, hi=9):
     """Agents 1..n, each with 2..``grid`` distinct signals from [lo, hi]
     (one signal when ``grid`` is 1)."""
-    max_points = int(params.get("grid", 3))
+    max_points = _number(params, "grid", 3, int)
     axes = {}
-    for a in range(1, int(params.get("n", 2)) + 1):
+    for a in range(1, _number(params, "n", 2, int) + 1):
         size = rng.randint(2, max_points) if max_points > 1 else 1
         axes[a] = tuple(Fraction(v) for v in sorted(rng.sample(range(lo, hi + 1), size)))
     return SignalGrid(agents=tuple(axes), values=axes)
 
 
 def _random_table(rng, grid, params):
-    sparsity = float(params.get("sparsity", 0.45))
+    sparsity = _number(params, "sparsity", 0.45, float)
     profiles = list(grid.profiles())
     weights = [0 if rng.random() < sparsity else rng.randint(1, 6) for _ in profiles]
     if not any(weights):
@@ -129,7 +139,7 @@ def _weighted_sum(rng, params):
     if beta is None:
         beta = rng.choice([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
     else:
-        beta = Fraction(beta)
+        beta = _number(params, "beta", None, Fraction)
     grid = _grid(rng, params)
     dist = _random_table(rng, grid, params)
     feas = _feasibility(rng, grid.agents, params.get("kind", "1-uniform"))

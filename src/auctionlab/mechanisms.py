@@ -110,10 +110,11 @@ class Instance:
     reserve quotes per (agent, column, event mode, critical signal) on first
     use, in table units too, keyed by ints: k, agent index, agent bitmask
     (:meth:`mask`), and column number, k less the agent's own grid index
-    times its stride.  :meth:`value` and :meth:`values_at` divide back.  The
-    tables rely on the instance not changing; ``runner.run`` calls
-    :meth:`release_tables`, which keeps only the value table, when an
-    instance's rows are done.
+    times its stride.  A winner set is greedy over the active agents in the
+    profile's value order, ties by :attr:`tie_break`, on the full system.
+    :meth:`value` and :meth:`values_at` divide back.  The tables rely on the
+    instance not changing; ``runner.run`` calls :meth:`release_tables`,
+    which keeps only the value table, when an instance's rows are done.
     """
 
     grid: SignalGrid
@@ -135,7 +136,7 @@ class Instance:
         if len(self.tie_break) != len(agents) or set(self.tie_break) != set(agents):
             raise MechanismError(f"tie_break {list(self.tie_break)} does not list "
                                  "every agent exactly once")
-        self._restrictions: dict = {}
+        self._tie_order = tuple(map(agents.index, self.tie_break))
         self.everyone = (1 << len(agents)) - 1
         self._winners, self._thresholds, self._quotes = {}, {}, {}
         values = valuations.grid_values(self.vp, self.grid)
@@ -191,26 +192,16 @@ class Instance:
                 "thresholds": len(self._thresholds), "quotes": len(self._quotes)}
 
     def release_tables(self) -> dict:
-        """Empty the winner-set, threshold and quote tables and the
-        restricted systems; return their entry counts, the value table's
-        scale and the reserve fallback labels counted over the distinct
-        tabled quotes."""
+        """Empty the winner-set, threshold and quote tables; return their
+        entry counts, the value table's scale and the reserve fallback labels
+        counted over the distinct tabled quotes."""
         labels = [q.fallback for q in self._quotes.values()]
         held = {"entries": self.table_sizes(), "value_scale": self.value_scale,
                 "fallbacks_over_distinct_quotes":
                 {f: labels.count(f) for f in RESERVE_FALLBACKS}}
-        for table in (self._winners, self._thresholds, self._quotes, self._restrictions):
+        for table in (self._winners, self._thresholds, self._quotes):
             table.clear()
         return held
-
-    def restricted(self, active: frozenset) -> FeasibilitySystem:
-        return self._restricted(self.mask(active))
-
-    def _restricted(self, mask: int) -> FeasibilitySystem:
-        sub = self._restrictions.get(mask)
-        if sub is None:
-            sub = self._restrictions[mask] = self.feas.restriction(self.members(mask))
-        return sub
 
     @cached_property
     def single_item(self) -> bool:
@@ -279,22 +270,30 @@ class AuctionOutcome:
 _column = SignalGrid.column
 
 
-def _basis(instance: Instance, k: int, mask: int, full: bool):
-    """:func:`max_weight_basis` of the agents in bitmask ``mask``, weighted
-    by their values at profile number k."""
-    agents = instance.agents
-    weights = {agents[i]: instance._value(i, k) for i in range(len(agents)) if mask >> i & 1}
-    tie = [a for a in instance.tie_break if a in weights]
-    return max_weight_basis(instance._restricted(mask), weights, tie, full=full)
+def _best(instance: Instance, k: int, mask: int, full: bool) -> int:
+    """:func:`max_weight_basis` of the agents in bitmask ``mask`` weighted by
+    their values at profile number k, as a bitmask.  On a matroid oracle it
+    is greedy over the mask's agents, heaviest first and ties by tie-break
+    rank, on the full system, which gives the restriction's greedy set;
+    ``full=False`` skips values <= 0.  An explicit family is searched whole."""
+    values, feas = instance._values[k], instance.feas
+    if feas.kind == "explicit":
+        sub = feas.restriction(instance.members(mask))
+        return instance.mask(max_weight_basis(sub, dict(zip(instance.agents, values)),
+                                              instance.tie_break, full=full).elements)
+    chosen = 0
+    for i in sorted((i for i in instance._tie_order if mask >> i & 1),
+                    key=values.__getitem__, reverse=True):
+        if (full or values[i] > 0) and feas.is_independent(instance.members(chosen | 1 << i)):
+            chosen |= 1 << i
+    return chosen
 
 
 def _winners(instance: Instance, k: int, mask: int) -> int:
     """:func:`winner_set` of profile number k and active bitmask, as a bitmask."""
     w = instance._winners.get((k, mask)) if mask else 0
     if w is None:
-        chosen = _basis(instance, k, mask, True).elements
-        w = instance._winners[k, mask] = sum(
-            1 << i for i, a in enumerate(instance.agents) if a in chosen)
+        w = instance._winners[k, mask] = _best(instance, k, mask, True)
     return w
 
 
@@ -858,9 +857,8 @@ def opt_upper_bound(instance: Instance):
             if w >> i & 1:
                 q = _quote(instance, i, k, "winner_conditioned", everyone)
                 quote_sum += q.expected_revenue
-        loser_value = 0
-        if w != everyone:
-            loser_value = _basis(instance, k, everyone & ~w, False).weight
+        losers = _best(instance, k, everyone & ~w, False)
+        loser_value = sum(v for i, v in enumerate(instance._values[k]) if losers >> i & 1)
         total += p * (quote_sum + loser_value)
     return instance._unit(total)
 

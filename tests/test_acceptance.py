@@ -250,7 +250,7 @@ def test_acceptance_07_quarter_bound_and_walk():
             w = winner_set(inst, s, agents)
             rest = agents - w
             if rest:
-                sub = inst.restricted(rest)
+                sub = inst.feas.restriction(rest)
                 weights = {a: value(inst.vp, a, s) for a in rest}
                 tie = [a for a in inst.tie_break if a in rest]
                 wp_value = max_weight_basis(sub, weights, tie).weight

@@ -137,7 +137,12 @@ def test_gen_roundtrip(tmp_path, capsys):
 @pytest.mark.parametrize("generator, param, message", [
     ("correlated-private", "kind=bogus", "unknown feasibility kind 'bogus'"),
     ("weighted-sum", "beta=2", "beta must lie in [0, 1]"),
-], ids=["unknown-kind", "beta-out-of-range"])
+    ("correlated-private", "grid=abc", "generator parameter grid='abc' is not a number"),
+    ("correlated-private", "sparsity=x", "generator parameter sparsity='x' is not a number"),
+    ("weighted-sum", "beta=abc", "generator parameter beta='abc' is not a number"),
+    ("weighted-sum", "count=0", "--param count is not a generator parameter; use --count"),
+], ids=["unknown-kind", "beta-out-of-range", "grid-not-a-number", "sparsity-not-a-number",
+        "beta-not-a-number", "count-as-param"])
 def test_bad_generator_parameter_exits_with_one_line(tmp_path, generator, param, message):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--generator", generator, "--param", param, "--out", str(tmp_path)])

@@ -54,14 +54,6 @@ def test_runner_releases_each_instance_when_its_rows_are_done():
         assert all(n > 0 for n in t["entries"].values())
 
 
-def test_release_drops_the_restricted_systems():
-    inst = load_fixture("partition")
-    expected_revenue(inst, MechanismSpec("rand-matroid"))
-    assert inst._restrictions
-    assert set(inst.release_tables()["entries"]) == set(EMPTY)
-    assert inst._restrictions == {}
-
-
 def test_loading_leaves_the_tables_empty():
     for name in corpus_names():
         inst = load_fixture(name)
