@@ -261,9 +261,9 @@ def cmd_gen(args) -> int:
         except ValueError:
             params[key] = val
     params["count"] = args.count
+    instances = generate_instances(args.generator, params, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    instances = generate_instances(args.generator, params, args.seed)
     for inst in instances:
         path = out_dir / f"{inst.name}.yaml"
         save_instance(inst, path)

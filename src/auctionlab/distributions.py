@@ -4,7 +4,10 @@ A joint distribution on a :class:`SignalGrid` can be written two ways, as an
 explicit table of profiles or as a product of per-agent marginals, and is held
 one way: a table of its positive-probability profiles in row-major order, which
 every query reads.  Probabilities are exact rationals and must sum to one
-exactly.
+exactly, and the profile queries answer in them; ``numbered_support`` and
+``columns`` carry int masses P = p·D over one common denominator D,
+:attr:`JointDistribution.mass_scale`, which callers sum and compare as ints
+and divide by D once.
 """
 from __future__ import annotations
 
@@ -12,6 +15,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
@@ -154,14 +158,15 @@ def revenue_curve(d: ScalarDistribution) -> list[tuple]:
 def monopoly_price(pairs) -> tuple:
     """Revenue-maximising posted price and its revenue over (value, mass)
     pairs in increasing value order, such as a :class:`ScalarDistribution`,
-    each mass read relative to their total; ties go to the lowest price."""
+    each mass read relative to their total; ties go to the lowest price.
+    The revenue is an exact quotient, so int masses p·D price as p do."""
     best_price = best_rev = None
     tail = 0
     for v, p in reversed(list(pairs)):
         tail += p
         if best_rev is None or v * tail >= best_rev:
             best_price, best_rev = v, v * tail
-    return best_price, best_rev / tail
+    return best_price, Fraction(best_rev, tail)
 
 
 @dataclass(frozen=True)
@@ -204,6 +209,7 @@ class JointDistribution:
     ``form="table"`` lists (profile, probability) entries.  ``form="product"``
     multiplies per-agent marginals out into the same table and keeps them in
     :attr:`marginals` (else ``None``) only to write the instance back.
+    :attr:`mass_scale` D is the lcm of the table's probability denominators.
     """
 
     def __init__(self, grid: SignalGrid, *, form: str, table=None, marginals=None):
@@ -215,6 +221,9 @@ class JointDistribution:
             self._init_product(marginals)
         else:
             raise DistributionError(f"unknown distribution form {form!r}")
+        ratios = [p.as_integer_ratio() for p in self._table.values()]
+        scale = self.mass_scale = math.lcm(*(d for _, d in ratios))
+        self._masses = [n * (scale // d) for n, d in ratios]
         # Built on first use, so a fresh copy pays for them where it is used.
         self._marginal_cache: dict = {}
         self._column_index: dict = {}
@@ -269,10 +278,11 @@ class JointDistribution:
         return list(self._table)
 
     def numbered_support(self) -> list[tuple]:
-        """(profile, profile number, probability) for every support profile,
+        """(profile, profile number, int mass p·D) for every support profile,
         in table order; numbered on first use."""
         if self._numbered is None:
-            self._numbered = [(s, self.grid.number(s), p) for s, p in self._table.items()]
+            self._numbered = [(s, self.grid.number(s), m)
+                              for s, m in zip(self._table, self._masses)]
         return self._numbered
 
     def marginal(self, agent) -> ScalarDistribution:
@@ -303,12 +313,12 @@ class JointDistribution:
         if not pairs:
             raise ConditioningError(f"zero-probability conditioning event {dict(others)}")
         mass = sum(p for _, p in pairs)
-        return ScalarDistribution([(axis[j], p / mass) for j, p in pairs])
+        return ScalarDistribution([(axis[j], Fraction(p, mass)) for j, p in pairs])
 
     def columns(self, i: int) -> dict:
         """The one grouping of the support into agent index i's columns, made
         on first use: column number (see :meth:`SignalGrid.column`) -> the
-        table's (own grid index, probability) pairs, in own-index order and
+        table's (own grid index, int mass p·D) pairs, in own-index order and
         not normalised, in the order of each column's first support profile."""
         if i not in self._column_index:
             index = self._column_index[i] = {}
@@ -317,15 +327,19 @@ class JointDistribution:
                 index.setdefault(c, []).append((j, p))
         return self._column_index[i]
 
-    def sample(self, rng) -> tuple:
-        """Draw one profile using the caller's random stream: the first one
-        whose running float total exceeds a uniform draw, else the last."""
+    def draw(self, rng) -> int:
+        """Draw one index into :meth:`numbered_support` from the caller's
+        random stream: the first profile whose running total of the floats
+        P / D (each the rounded probability) exceeds a uniform draw, else the
+        last."""
         if self._cumulative is None:
-            sums = list(itertools.accumulate(float(p) for p in self._table.values()))
-            self._cumulative = (sums, list(self._table))
-        sums, profiles = self._cumulative
-        i = bisect.bisect_right(sums, rng.random())
-        return profiles[min(i, len(profiles) - 1)]
+            scale = self.mass_scale
+            self._cumulative = list(itertools.accumulate(m / scale for m in self._masses))
+        return min(bisect.bisect_right(self._cumulative, rng.random()), len(self._masses) - 1)
+
+    def sample(self, rng) -> tuple:
+        """The profile of one :meth:`draw`."""
+        return self.numbered_support()[self.draw(rng)][0]
 
     def total_mass(self):
         return sum(self._table.values())

@@ -272,7 +272,7 @@ def max_weight_basis(system: FeasibilitySystem, weights: Mapping[Agent, object],
         if a not in weights:
             raise FeasibilityError(f"no weight for agent {a!r}")
     if system.kind == "explicit":
-        return _best_explicit(system, weights, rank_of, full=full)
+        return best_in_family(system.feasible_sets(), weights, rank_of, full=full)
     chosen: set = set()
     # two stable sorts: by weight, heaviest first, and within equal weights
     # by tie rank
@@ -286,8 +286,10 @@ def max_weight_basis(system: FeasibilitySystem, weights: Mapping[Agent, object],
     return Basis(frozenset(chosen), weights)
 
 
-def _best_explicit(system, weights, rank_of, *, full):
-    family = system.feasible_sets()
+def best_in_family(family, weights, rank_of, *, full):
+    """The max-weight set of an explicit list of feasible sets, ties broken
+    as in :func:`max_weight_basis` by ``rank_of`` (agent -> tie rank);
+    ``full=True`` looks only at the sets maximal within ``family``."""
     if full:
         maximal = [f for f in family
                    if not any(f < g for g in family)]

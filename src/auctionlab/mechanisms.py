@@ -24,7 +24,9 @@ The core's numbers are ints: the instance tables every value as v·L, L the
 lcm of the values' denominators, so thresholds, quotes and payments compare
 and subtract as ints.  Reserves given in instance units are scaled by L as
 they come in (a non-integral product stays an exact Fraction), and every
-public output is divided by L once.
+public output is divided by L once.  Probabilities are ints too, masses
+p·D over the distribution's common denominator D (``dist.mass_scale``), so a
+quote compares v·tail in ints and a revenue or bound divides by D·L once.
 
 Threshold semantics on grids: an agent's critical signal s* is the smallest
 own grid value at which the agent enters the welfare-maximising set, holding
@@ -60,8 +62,8 @@ from .matching import maximum_bipartite_matching
 from .matroid import (
     ExchangeInvariantError,
     FeasibilitySystem,
+    best_in_family,
     default_tie_break,
-    max_weight_basis,
 )
 from .valuations import ValuationProfile
 
@@ -193,10 +195,12 @@ class Instance:
 
     def release_tables(self) -> dict:
         """Empty the winner-set, threshold and quote tables; return their
-        entry counts, the value table's scale and the reserve fallback labels
-        counted over the distinct tabled quotes."""
+        entry counts, the value table's scale L, the distribution's mass
+        scale D and the reserve fallback labels counted over the distinct
+        tabled quotes."""
         labels = [q.fallback for q in self._quotes.values()]
         held = {"entries": self.table_sizes(), "value_scale": self.value_scale,
+                "mass_scale": self.dist.mass_scale,
                 "fallbacks_over_distinct_quotes":
                 {f: labels.count(f) for f in RESERVE_FALLBACKS}}
         for table in (self._winners, self._thresholds, self._quotes):
@@ -275,12 +279,14 @@ def _best(instance: Instance, k: int, mask: int, full: bool) -> int:
     their values at profile number k, as a bitmask.  On a matroid oracle it
     is greedy over the mask's agents, heaviest first and ties by tie-break
     rank, on the full system, which gives the restriction's greedy set;
-    ``full=False`` skips values <= 0.  An explicit family is searched whole."""
+    ``full=False`` skips values <= 0.  An explicit family's feasible subsets
+    of the mask are searched whole."""
     values, feas = instance._values[k], instance.feas
     if feas.kind == "explicit":
-        sub = feas.restriction(instance.members(mask))
-        return instance.mask(max_weight_basis(sub, dict(zip(instance.agents, values)),
-                                              instance.tie_break, full=full).elements)
+        members = instance.members(mask)
+        return instance.mask(best_in_family(
+            [f for f in feas.feasible_sets() if f <= members], dict(zip(instance.agents, values)),
+            dict(zip(instance.tie_break, itertools.count())), full=full).elements)
     chosen = 0
     for i in sorted((i for i in instance._tie_order if mask >> i & 1),
                     key=values.__getitem__, reverse=True):
@@ -344,8 +350,8 @@ def conditional_value_distribution(instance: Instance, agent, s: Sequence):
     if not pairs:
         raise ConditioningError(f"agent {agent!r} has no conditional mass at {tuple(s)}")
     mass = sum(p for _, p in pairs)
-    return ScalarDistribution([(instance._unit(instance._value(i, col + j * st)), p / mass)
-                               for j, p in pairs])
+    return ScalarDistribution([(instance._unit(instance._value(i, col + j * st)),
+                                Fraction(p, mass)) for j, p in pairs])
 
 
 def conditional_monopoly_reserve(instance: Instance, agent, s: Sequence, *,
@@ -389,8 +395,8 @@ def _quote(instance: Instance, i: int, k: int, event_mode: str, mask: int) -> Re
     fallback = ""
     pairs = instance.dist.columns(i).get(col, [])
     if not pairs:
-        pos = instance.grid.positions[i]
-        pairs = [(pos[t], p) for t, p in instance.dist.marginal(agent)]
+        pos, scale = instance.grid.positions[i], instance.dist.mass_scale
+        pairs = [(pos[t], int(p * scale)) for t, p in instance.dist.marginal(agent)]
         fallback = "prior-marginal"
         log.debug("reserve fallback to prior marginal for agent %r", agent)
     if event_mode == "winner_conditioned":
@@ -803,11 +809,12 @@ def _single_sample_revenue(instance: Instance, k: int):
             p_bar = _threshold(instance, i, k, instance.everyone)[1]
             col, _, st = _column(instance.grid, i, k)
             pairs = instance.dist.columns(i).get(col, [])
-            mass = sum(p for _, p in pairs)
+            paid = 0
             for j, p in pairs:
                 price = max(instance._value(i, col + j * st), p_bar)
                 if instance._value(i, k) >= price:
-                    total += p / mass * price
+                    paid += p * price
+            total += Fraction(paid, sum(p for _, p in pairs))
     return total
 
 
@@ -827,9 +834,10 @@ def expected_revenue(instance: Instance, spec: MechanismSpec, mode: str = "exact
     import random
 
     rng = random.Random(seed)
+    support = instance.dist.numbered_support()
     draws = []
     for _ in range(trials):
-        k = instance.grid.number(instance.dist.sample(rng))
+        k = support[instance.dist.draw(rng)][1]
         z = sample_realization(instance, spec, rng)
         draws.append(float(instance._unit(_revenue(*_core(
             instance, spec, k, None if z is None else instance.mask(z))))))
@@ -860,7 +868,7 @@ def opt_upper_bound(instance: Instance):
         losers = _best(instance, k, everyone & ~w, False)
         loser_value = sum(v for i, v in enumerate(instance._values[k]) if losers >> i & 1)
         total += p * (quote_sum + loser_value)
-    return instance._unit(total)
+    return Fraction(total, instance.dist.mass_scale * instance.value_scale)
 
 
 # ----------------------------------------------------------------------
@@ -909,16 +917,17 @@ def walk(instance: Instance, spec: MechanismSpec, *, audit: bool = True,
     profile number; :func:`_audit` checks the agents the realization admits.
     The revenue puts the realization weights over one denominator W, sums
     W_z * revenue per support profile in table units, multiplies each sum
-    by the profile's probability and divides by W·L once.  The atom cap
+    by the profile's int mass p·D and divides by W·L·D once.  The atom cap
     (support x realizations) is checked before any outcome is built.  Asked
     for neither, it builds nothing.  A single-sample spec sums
-    p * :func:`_single_sample_revenue` over the support instead and is not
+    p·D * :func:`_single_sample_revenue` over the support instead and is not
     audited (``violations`` is None).
     """
     if not (audit or revenue):
         return Walk(None, None, 0)
     support = instance.dist.numbered_support()
     denominator, reals = _weighted_realizations(instance, spec)
+    scale = instance.dist.mass_scale * instance.value_scale
     atoms = len(support) * len(reals)
     if revenue and atoms > atom_cap:
         raise SizeError(f"exact evaluation needs {atoms} atoms (cap {atom_cap})")
@@ -929,7 +938,7 @@ def walk(instance: Instance, spec: MechanismSpec, *, audit: bool = True,
         if not revenue:
             return Walk(None, None, 0)
         total = sum((p * _single_sample_revenue(instance, k) for _, k, p in support), 0)
-        return Walk(None, RevenueEstimate(instance._unit(total), atoms=atoms), atoms)
+        return Walk(None, RevenueEstimate(Fraction(total, scale), atoms=atoms), atoms)
     numbers = (range(math.prod(instance.grid.sizes)) if audit
                else [k for _, k, _ in support])
     # sums[j]: sum over realizations z of W_z * (revenue at support profile j
@@ -944,7 +953,7 @@ def walk(instance: Instance, spec: MechanismSpec, *, audit: bool = True,
             for j, (_, k, _) in enumerate(support):
                 sums[j] += weight * _revenue(*outcomes[k])
     total = Fraction(sum((p * x for (_, _, p), x in zip(support, sums)), 0),
-                     denominator * instance.value_scale)
+                     denominator * scale)
     return Walk(violations, RevenueEstimate(total, atoms=atoms) if revenue else None,
                 len(reals) * len(numbers))
 

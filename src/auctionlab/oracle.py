@@ -115,24 +115,24 @@ def build_revenue_lp(instance: Instance, var_cap: int = DEFAULT_VAR_CAP) -> Reve
         raise LPSizeError(f"{n_y} allocation variables exceed the cap {var_cap}")
 
     # phi_j = v_j T_j - v_{j+1} T_{j+1}, with T_j the column's mass from j
-    # up; a column's top point does no Fraction arithmetic with 0.  Values
-    # are read in instance units, so the LP does not depend on the table's.
+    # up, in ints: table values v·L times int masses p·D.  Each objective
+    # coefficient is divided by L·D once, so the LP is in instance units
+    # and does not depend on either scale.
     position = {number: i for i, (_, number, _) in enumerate(numbered)}
     columns, phi = [], [[0] * len(agents) for _ in support]
     for k, st in enumerate(instance.grid.strides):
         columns.append([])
         for col, pairs in instance.dist.columns(k).items():
-            column = [(position[col + j * st], instance._unit(instance._value(k, col + j * st)))
-                      for j, _ in pairs]
+            column = [(position[col + j * st], instance._value(k, col + j * st)) for j, _ in pairs]
             tail = above = 0
             for (i, v), (_, p) in zip(reversed(column), reversed(pairs)):
-                tail = tail + p if tail else p
-                here = v * tail
-                phi[i][k] = here - above if above else here
-                above = here
-            columns[k].append(column)
+                tail += p
+                phi[i][k] = v * tail - above
+                above = v * tail
+            columns[k].append([(i, instance._unit(v)) for i, v in column])
     members = [[k for k, a in enumerate(agents) if a in fs] for fs in feasible]
-    objective = [sum(map(row.__getitem__, m[1:]), row[m[0]]) for row in phi for m in members]
+    scale = instance.value_scale * instance.dist.mass_scale
+    objective = [Fraction(sum(map(row.__getitem__, m)), scale) for row in phi for m in members]
     lp = LinearProgram(n_y, objective)
     for i in range(len(support)):
         lp.add_le({i * n_f + f: 1 for f in range(n_f)}, 1)

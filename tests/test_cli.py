@@ -150,6 +150,14 @@ def test_bad_generator_parameter_exits_with_one_line(tmp_path, generator, param,
     assert "\n" not in str(exc.value.code)
 
 
+@pytest.mark.parametrize("param", ["grid=abc", "kind=bogus"])
+def test_refused_gen_leaves_no_out_directory(tmp_path, param):
+    out = tmp_path / "gen"
+    with pytest.raises(SystemExit):
+        main(["gen", "--generator", "correlated-private", "--param", param, "--out", str(out)])
+    assert not out.exists()
+
+
 def test_bound_for_a_mechanism_that_does_not_run_is_refused():
     with pytest.raises(SystemExit, match=r"do not run: \['lookahed'\]"):
         main(["run", "--instance", str(fixture_path("tiny1")),

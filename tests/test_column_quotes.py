@@ -1,8 +1,7 @@
 """Reserve quotes priced from the joint table's column masses: the
-distribution's column index is keyed by ints only.
+distribution's column index is keyed by ints only, and its masses are ints
+over the distribution's common denominator.
 """
-from fractions import Fraction
-
 import pytest
 
 from auctionlab.instances import corpus_names, load_fixture
@@ -19,4 +18,4 @@ def test_column_index_is_keyed_by_ints(name):
         assert type(i) is int
         for col, pairs in columns.items():
             assert type(col) is int
-            assert all(type(j) is int and isinstance(p, Fraction) for j, p in pairs)
+            assert all(type(j) is int and type(p) is int for j, p in pairs)

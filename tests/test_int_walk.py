@@ -39,7 +39,7 @@ def reference(inst, spec):
     revenue, violations = Fraction(0), []
     for realization, weight in realizations(inst, spec):
         out = {s: run_realized(inst, spec, s, realization) for s in grid.profiles()}
-        for s, _, p in inst.dist.numbered_support():
+        for s, p in inst.dist.enumerate_support():
             revenue += p * weight * out[s].revenue
             for k, a in enumerate(agents):
                 v = inst.value(a, s)
@@ -164,3 +164,14 @@ def test_the_sidecar_records_each_value_scale(tmp_path, name):
     (held,) = json.loads((tmp_path / "out.csv.meta.json").read_text())["tables"]
     assert held["value_scale"] == scale == inst.value_scale
     assert scale == {"tiny1": 1, "gap3": 10, "weighted-sum": 2}[name]
+
+
+@pytest.mark.parametrize("name", ["tiny1", "gap3", "weighted-sum"])
+def test_the_sidecar_records_each_mass_scale(tmp_path, name):
+    inst = load_fixture(name)
+    scale = math.lcm(*(Fraction(p).denominator for _, p in inst.dist.enumerate_support()))
+    report = run(ExperimentSpec(mechanisms=["lookahead"], instances=[inst]))
+    write_report(report, tmp_path / "out.csv")
+    (held,) = json.loads((tmp_path / "out.csv.meta.json").read_text())["tables"]
+    assert held["mass_scale"] == scale == inst.dist.mass_scale
+    assert scale == {"tiny1": 4, "gap3": 8, "weighted-sum": 32}[name]
