@@ -36,10 +36,14 @@ equal revenue, which :func:`verify_witness` re-checks.
 
 With the support profiles sorted and the nonempty feasible sets F in
 ``feasible_sets()`` order, support profile i and set f own LP column
-i * |F| + f.  The solution is exact: a floating-point solve is accepted only
-with a checked primal-dual certificate (see :mod:`auctionlab.simplex`).  The
-optimum weakly dominates every implemented auction, so approximation ratios
-measured against it are conservative.
+i * |F| + f.
+
+:func:`solve_lp` starts from the pointwise maximiser, each support
+profile's best set on its own, and adds the monotonicity rows it violates,
+round by round (row generation).  The solution is exact: each round is
+checked as a primal-dual certificate on the full LP (see
+:mod:`auctionlab.simplex`).  The optimum weakly dominates every implemented
+auction, so approximation ratios measured against it are conservative.
 """
 from __future__ import annotations
 
@@ -50,10 +54,11 @@ from fractions import Fraction
 from typing import Mapping
 
 from .mechanisms import Instance
-from .simplex import LinearProgram, SimplexResult, solve
+from .simplex import LinearProgram, SimplexError, SimplexResult, solve, verify_certificate
 from .valuations import value
 
 DEFAULT_VAR_CAP = 200_000
+ZERO, ONE = Fraction(0), Fraction(1)
 
 
 class LPSizeError(RuntimeError):
@@ -152,7 +157,64 @@ def build_revenue_lp(instance: Instance, var_cap: int = DEFAULT_VAR_CAP) -> Reve
 
 
 def solve_lp(rlp: RevenueLP) -> SimplexResult:
-    return solve(rlp.lp)
+    """The LP's exact optimum by row generation (Dantzig, Fulkerson &
+    Johnson 1954), certified on the full LP.
+
+    Each round keeps a set A of active monotonicity rows and the set P of
+    support profiles they touch.  A profile outside P takes the first
+    nonempty set of largest objective if that is positive, and the empty
+    set otherwise; its lottery row's dual is max(0, that objective).  The
+    restricted LP has P's columns, P's lottery rows and A's rows, and
+    :func:`solve` solves it; the full LP's x and y take its solution and
+    duals there and zeros on the inactive rows.  So y is dual feasible,
+    c.x = b.y, and x meets every row but the inactive monotonicity rows:
+    when :func:`verify_certificate` fails on the full LP, the rows x
+    violates join A and the next round solves again.  A failure with no new
+    violated row raises.  The first round has A empty and solves nothing,
+    which is the whole solve when the pointwise maximiser is monotone
+    (Myerson 1981).  ``pivots`` and ``fallbacks`` sum over the rounds."""
+    lp, n_f, n_s = rlp.lp, len(rlp.feasible), len(rlp.support)
+    c = lp.objective
+    x, y = [ZERO] * lp.n_vars, [ZERO] * len(lp.rows)
+    for i in range(n_s):
+        quotes = c[i * n_f:(i + 1) * n_f]
+        best = max(quotes, default=0)
+        if best > 0:
+            x[i * n_f + quotes.index(best)] = ONE
+            y[i] = best
+    active, pivots, fallbacks, rounds, cells = set(), 0, 0, 0, 0
+    while True:
+        rounds += 1
+        problems = verify_certificate(lp, x, y)
+        if not problems:
+            break
+        violated = {r for r in range(n_s, len(lp.rows)) if r not in active
+                    and sum(a * x[j] for j, a in lp.rows[r].coeffs.items() if x[j]) > 0}
+        if not violated:
+            raise SimplexError(f"the revenue LP's certificate failed: {problems[0]}")
+        active |= violated
+        touched = sorted({j // n_f for r in active for j in lp.rows[r].coeffs})
+        place = {i: p * n_f for p, i in enumerate(touched)}
+        sub = LinearProgram(len(touched) * n_f,
+                            [c[i * n_f + f] for i in touched for f in range(n_f)])
+        rows = touched + sorted(active)   # P's lottery rows, then A's rows
+        for r in rows:
+            sub.add_le({place[j // n_f] + j % n_f: a for j, a in lp.rows[r].coeffs.items()},
+                       lp.rows[r].rhs)
+        res = solve(sub)
+        if res.status != "optimal":
+            raise SimplexError(f"a restricted revenue LP terminated {res.status}")
+        pivots += res.pivots
+        fallbacks += res.fallbacks
+        cells = max(cells, (len(rows) + 1) * (sub.n_vars + len(rows) + 1))
+        for p, i in enumerate(touched):
+            x[i * n_f:(i + 1) * n_f] = res.x[p * n_f:(p + 1) * n_f]
+        for r, dual in zip(rows, res.y):
+            y[r] = dual
+    objective = sum((cj * v for cj, v in zip(c, x) if v), ZERO)
+    return SimplexResult("optimal", objective, x, pivots, y, certified=True,
+                         fallbacks=fallbacks, rounds=rounds, active_rows=tuple(sorted(active)),
+                         restricted_cells=cells)
 
 
 def witness_mechanism(rlp: RevenueLP, solution: SimplexResult) -> dict:
@@ -162,8 +224,8 @@ def witness_mechanism(rlp: RevenueLP, solution: SimplexResult) -> dict:
     each of agent k's columns the payments are the envelope's, read from k's
     service probabilities x: p_1 = v_1 x_1 and p_j = p_{j-1} + v_j (x_j -
     x_{j-1}); an agent never served pays 0.  Absent grid profiles are the
-    empty cell.  Equal lotteries, equal payment tuples and equal numbers
-    are one object."""
+    empty cell.  Equal lotteries, equal payment tuples, equal cells and
+    equal numbers are one object."""
     x = solution.x
     n_f = len(rlp.feasible)
     agents = rlp.instance.agents
@@ -195,9 +257,12 @@ def witness_mechanism(rlp: RevenueLP, solution: SimplexResult) -> dict:
                     below = served[i][k]
                 payments[i][k] = paid
 
-    shared: dict = {}
-    return {s: (shared.setdefault(lottery, lottery), shared.setdefault(paid, paid))
-            for s, lottery, paid in zip(rlp.support, lotteries, map(tuple, payments))}
+    # a cell is keyed by its shared parts' ids, which hashes no number again
+    shared, cells, witness = {}, {}, {}
+    for s, lottery, paid in zip(rlp.support, lotteries, map(tuple, payments)):
+        lottery, paid = shared.setdefault(lottery, lottery), shared.setdefault(paid, paid)
+        witness[s] = cells.setdefault((id(lottery), id(paid)), (lottery, paid))
+    return witness
 
 
 def opt_revenue(instance: Instance, var_cap: int = DEFAULT_VAR_CAP) -> OptResult:

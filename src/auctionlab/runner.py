@@ -151,7 +151,10 @@ def run(spec: ExperimentSpec) -> RatioReport:
             res = opt_revenue(inst)
             oracle = res.value
             solve.update(certified=res.solution.certified, fallbacks=res.solution.fallbacks,
-                         pivots=res.solution.pivots, variables=res.stats.variables,
+                         pivots=res.solution.pivots, rounds=res.solution.rounds,
+                         active_rows=len(res.solution.active_rows),
+                         restricted_cells=res.solution.restricted_cells,
+                         variables=res.stats.variables,
                          rows=res.stats.rows, build_s=round(res.build_s, 6),
                          solve_s=round(res.solve_s, 6),
                          oracle_s=round(time.perf_counter() - start, 6))

@@ -21,7 +21,9 @@ at most ``DENOMINATOR_LIMIT`` and accepted only if :func:`verify_certificate`
 proves, in integer arithmetic, that x is feasible, y >= 0, y^T A >= c and
 c.x = b.y; weak duality then makes x optimal.  Otherwise (or when the double
 kernel reports ``NumericalInstability`` or unboundedness) the fraction-free
-rational simplex solves the LP and the result counts one fallback.
+rational simplex solves the LP and the result counts one fallback.  It reads
+its duals from row 0's slack columns too, each exact, so a caller can check
+a certificate of its own on them.
 
 The fraction-free kernel keeps the tableau integral via Gauss-Jordan
 pivoting: the true tableau is M / d where d is the previous pivot element,
@@ -88,6 +90,11 @@ class SimplexResult:
     y: list | None = None         # row duals, when a kernel reports them
     certified: bool = False       # x and y passed verify_certificate
     fallbacks: int = 0            # solves the fraction-free kernel redid
+    # row generation (oracle.solve_lp): its rounds, the rows its last round
+    # held, and the cells of its largest restricted tableau
+    rounds: int = 0
+    active_rows: tuple = ()
+    restricted_cells: int = 0
 
 
 def solve(lp: LinearProgram) -> SimplexResult:
@@ -206,8 +213,10 @@ def _solve_rational(lp: LinearProgram) -> SimplexResult:
         M[0, j] = -int(Fraction(c) * obj_scale)
 
     basis = list(range(n, n + m))
+    lams = []
     for i, row in enumerate(lp.rows, start=1):
         lam = _lcm_of_denominators(list(row.coeffs.values()) + [row.rhs])
+        lams.append(lam)
         for j, v in row.coeffs.items():
             M[i, j] = int(Fraction(v) * lam)
         M[i, -1] = int(Fraction(row.rhs) * lam)
@@ -242,7 +251,10 @@ def _solve_rational(lp: LinearProgram) -> SimplexResult:
         if basis[i - 1] < n:
             x[basis[i - 1]] = Fraction(int(M[i, -1]), d)
     objective = Fraction(int(M[0, -1]), d) / obj_scale
-    return SimplexResult("optimal", objective, x, pivots)
+    # row 0 at slack n + i is the dual of row i scaled by lam_i, with the
+    # objective scaled by obj_scale
+    y = [Fraction(int(M[0, n + i]) * lam, d * obj_scale) for i, lam in enumerate(lams)]
+    return SimplexResult("optimal", objective, x, pivots, y)
 
 
 def _enter_rational(M, *, bland: bool):

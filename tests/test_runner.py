@@ -144,7 +144,10 @@ def test_sidecar_records_the_oracle_solve(tmp_path):
     (solve,) = json.loads(out.with_suffix(".csv.meta.json").read_text())["oracle"]
     assert solve["instance"] == "tiny1"
     assert solve["certified"] is True and solve["fallbacks"] == 0
-    assert solve["pivots"] > 0 and solve["variables"] > 0 and solve["rows"] > 0
+    assert solve["variables"] > 0 and solve["rows"] > 0
+    # tiny1's pointwise maximiser is monotone: one round, no restricted LP
+    assert solve["rounds"] == 1 and solve["active_rows"] == 0
+    assert solve["restricted_cells"] == 0 and solve["pivots"] == 0
     assert solve["oracle_s"] >= 0 and solve["upper_bound_s"] >= 0
     # the build and the solve are timed apart inside the oracle call
     assert 0 <= solve["build_s"] <= solve["oracle_s"]
