@@ -12,10 +12,16 @@ others' signals (its column) and the active set, so it is scanned once per
 (agent, column, active set) per instance and tabled on the
 :class:`Instance`; the winner-conditioned reserve reads that same threshold.
 
-One int core runs every auction: :data:`MECHANISMS` gives each mechanism an
-offer (tentative winners, reserves, threshold scans) at a profile number and
-an admitted bitmask, and :func:`_core` settles it into the served bitmask and
-the payments by agent index.  The public functions take profile tuples and
+One int core runs every auction: :data:`MECHANISMS` gives each mechanism a
+check of what it assumes, run once per walk, Monte Carlo run or public call,
+and an offer (tentative winners, threshold scans, reserves) at a profile
+number and an admitted bitmask; :func:`_core` settles it into the served
+bitmask and the payments by agent index.  A winner's take-it-or-leave-it
+price, max(reserve, threshold value), reads only the others' signals, so a
+walk's price memo keys it by (agent, column, scan mask); the
+``unsafe-own-value`` canary's and the eager auction's prices read the own
+signal (the eager survivor set does, through the others' reserves) and are
+keyed by the profile number.  The public functions take profile tuples and
 agent frozensets and build an :class:`AuctionOutcome` from the same offer.
 :func:`walk` builds each (realization, profile) outcome once through the core
 and reads both the IC/IR audit and the exact revenue from it.
@@ -113,7 +119,9 @@ class Instance:
     use, in table units too, keyed by ints: k, agent index, agent bitmask
     (:meth:`mask`), and column number, k less the agent's own grid index
     times its stride.  A winner set is greedy over the active agents in the
-    profile's value order, ties by :attr:`tie_break`, on the full system.
+    profile's value order, ties by :attr:`tie_break`, on the full system,
+    whose independence answers are tabled per bitmask.  The price memo of
+    the spec being walked lives until its walk or Monte Carlo run ends.
     :meth:`value` and :meth:`values_at` divide back.  The tables rely on the
     instance not changing; ``runner.run`` calls :meth:`release_tables`,
     which keeps only the value table, when an instance's rows are done.
@@ -130,7 +138,7 @@ class Instance:
     arithmetic = RATIONAL
 
     def __post_init__(self):
-        agents = self.grid.agents
+        agents = self.agents = self.grid.agents
         if self.vp.agents != agents or set(self.feas.ground) != set(agents):
             raise MechanismError("agent sets disagree across instance fields")
         self.tie_break = (default_tie_break(agents) if self.tie_break is None
@@ -140,7 +148,8 @@ class Instance:
                                  "every agent exactly once")
         self._tie_order = tuple(map(agents.index, self.tie_break))
         self.everyone = (1 << len(agents)) - 1
-        self._winners, self._thresholds, self._quotes = {}, {}, {}
+        self._winners, self._thresholds, self._quotes, self._independent = {}, {}, {}, {}
+        self._priced, self._prices = None, {}
         values = valuations.grid_values(self.vp, self.grid)
         self._checks = valuations.assumption_violations(self.grid, values)
         try:
@@ -149,10 +158,6 @@ class Instance:
             raise AssumptionError(f"{self.name or 'instance'}: a value is not finite") from None
         scale = self.value_scale = math.lcm(*(d for row in rows for _, d in row))
         self._values = [tuple(n * (scale // d) for n, d in row) for row in rows]
-
-    @property
-    def agents(self) -> tuple:
-        return self.grid.agents
 
     def mask(self, agents) -> int:
         """The bitmask of an agent set: bit i stands for ``agents[i]``.  An
@@ -194,17 +199,25 @@ class Instance:
                 "thresholds": len(self._thresholds), "quotes": len(self._quotes)}
 
     def release_tables(self) -> dict:
-        """Empty the winner-set, threshold and quote tables; return their
-        entry counts, the value table's scale L, the distribution's mass
-        scale D and the reserve fallback labels counted over the distinct
-        tabled quotes."""
+        """Empty the winner-set, threshold, quote and independence tables and
+        the price memo; return the first three's entry counts, the
+        independence table's, the value table's scale L, the distribution's
+        mass scale D and the reserve fallback labels counted over the
+        distinct tabled quotes."""
         labels = [q.fallback for q in self._quotes.values()]
-        held = {"entries": self.table_sizes(), "value_scale": self.value_scale,
-                "mass_scale": self.dist.mass_scale,
+        held = {"entries": self.table_sizes(), "independence": len(self._independent),
+                "value_scale": self.value_scale, "mass_scale": self.dist.mass_scale,
                 "fallbacks_over_distinct_quotes":
                 {f: labels.count(f) for f in RESERVE_FALLBACKS}}
-        for table in (self._winners, self._thresholds, self._quotes):
+        for table in (self._winners, self._thresholds, self._quotes, self._independent):
             table.clear()
+        self._release_prices()
+        return held
+
+    def _release_prices(self) -> int:
+        """Empty the price memo; return the entries it held."""
+        held = len(self._prices)
+        self._priced, self._prices = None, {}
         return held
 
     @cached_property
@@ -287,11 +300,16 @@ def _best(instance: Instance, k: int, mask: int, full: bool) -> int:
         return instance.mask(best_in_family(
             [f for f in feas.feasible_sets() if f <= members], dict(zip(instance.agents, values)),
             dict(zip(instance.tie_break, itertools.count())), full=full).elements)
-    chosen = 0
+    chosen, independent = 0, instance._independent
     for i in sorted((i for i in instance._tie_order if mask >> i & 1),
                     key=values.__getitem__, reverse=True):
-        if (full or values[i] > 0) and feas.is_independent(instance.members(chosen | 1 << i)):
-            chosen |= 1 << i
+        if full or values[i] > 0:
+            grown = chosen | 1 << i
+            ok = independent.get(grown)
+            if ok is None:
+                ok = independent[grown] = feas.is_independent(instance.members(grown))
+            if ok:
+                chosen = grown
     return chosen
 
 
@@ -510,19 +528,31 @@ def _fixed_reserves(instance: Instance, source: str) -> dict:
 
 def _lazy_offer(instance: Instance, k: int, reserves, mask: int | None = None,
                 event_mode: str = "winner_conditioned") -> tuple:
-    """(tentative winners, reserves, threshold scan masks) of the lazy
-    auction: generalized VCG within the active mask, everyone by default."""
-    instance.require_monotone()
-    instance.require_single_crossing()
+    """(tentative winners, threshold scan masks, reserves of a bitmask in
+    table units, whether the prices read the own signal) of the lazy
+    auction: generalized VCG within the active mask, everyone by default.
+    Only the audit canary's reserve reads the own signal."""
     mask = instance.everyone if mask is None else mask
-    w = _winners(instance, k, mask)
-    return w, _reserves(instance, k, w, reserves, mask, event_mode), (mask,) * len(instance.agents)
+    return (_winners(instance, k, mask), (mask,) * len(instance.agents),
+            lambda priced: _reserves(instance, k, priced, reserves, mask, event_mode),
+            reserves == "unsafe-own-value")
 
 
-def _admitted(z: int | None, applies: bool, refusal: str) -> int:
-    """The admitted mask z of a randomized variant that applies."""
+def _check_lazy(instance: Instance, source="none", applies: bool = True,
+                refusal: str = "") -> None:
+    """What the lazy auction needs, checked once per walk, Monte Carlo run or
+    public call: a system the variant ``applies`` to, monotone values,
+    single-crossing ones when interdependent, and a reserve source that
+    resolves."""
     if not applies:
         raise WrongVariantError(refusal)
+    instance.require_monotone()
+    instance.require_single_crossing()
+    _reserves(instance, 0, 0, source, instance.everyone, "winner_conditioned")
+
+
+def _admitted(z: int | None) -> int:
+    """The admitted mask z of a randomized variant."""
     if z is None:
         raise MechanismError("need an explicit admission set")
     return z
@@ -530,24 +560,32 @@ def _admitted(z: int | None, applies: bool, refusal: str) -> int:
 
 def _eager_offer(instance: Instance, k: int, reserves) -> tuple:
     """The eager auction's offer: winners among the agents u at or above their
-    reserves, each agent's threshold scanned within u plus itself."""
-    instance.require_private("the eager-reserve auction")
+    reserves, each agent's threshold scanned within u plus itself.  u reads
+    the own signal through the other agents' reserves, so the prices do."""
     everyone = instance.everyone
     r = _reserves(instance, k, everyone, reserves, everyone, "winner_conditioned")
     u = sum(1 << i for i, a in enumerate(instance.agents) if instance._value(i, k) >= r[a])
-    return _winners(instance, k, u), r, tuple(u | 1 << i for i in range(len(r)))
+    return _winners(instance, k, u), tuple(u | 1 << i for i in range(len(r))), lambda _: r, True
 
 
-def _settle(instance: Instance, k: int, w: int, r: dict, scans: tuple) -> tuple:
+def _settle(instance: Instance, k: int, w: int, scans: tuple, reserves_of: Callable,
+            by_profile: bool, prices: dict) -> tuple:
     """(served bitmask, payments by agent index) of an offer: each tentative
-    winner is served at the higher of its reserve and its threshold value
-    within ``scans[i]`` when its value reaches that price; the rest pay zero."""
-    agents = instance.agents
+    winner i is served at its take-it-or-leave-it price, the higher of its
+    reserve and its threshold value within ``scans[i]``, when its value
+    reaches it; the rest pay zero.  The price is read from ``prices`` by
+    (i, column number, scans[i]), or by (i, k, scans[i]) when it reads the
+    own signal, and computed on a miss."""
+    agents, grid, values = instance.agents, instance.grid, instance._values[k]
     served, pay = 0, [0] * len(agents)
-    for i in range(len(agents)):
+    for i, scan in enumerate(scans):
         if w >> i & 1:
-            price = max(r[agents[i]], _threshold(instance, i, k, scans[i])[1])
-            if instance._value(i, k) >= price:
+            key = i, k if by_profile else _column(grid, i, k)[0], scan
+            price = prices.get(key)
+            if price is None:
+                price = prices[key] = max(reserves_of(1 << i)[agents[i]],
+                                          _threshold(instance, i, k, scan)[1])
+            if values[i] >= price:
                 served |= 1 << i
                 pay[i] = price
     return served, pay
@@ -556,16 +594,24 @@ def _settle(instance: Instance, k: int, w: int, r: dict, scans: tuple) -> tuple:
 def _core(instance: Instance, spec: "MechanismSpec", k: int, z: int | None) -> tuple:
     """The one int path of every mechanism: (served bitmask, payments by
     agent index) at profile number k under admitted mask z (None for a
-    deterministic mechanism)."""
-    return _settle(instance, k, *MECHANISMS[spec.mech_id].offer(instance, spec, k, z))
+    deterministic mechanism).  The first call for a spec runs the
+    mechanism's check and starts the spec's price memo on the instance;
+    later calls for the same spec object share the memo until its walk or
+    run releases it."""
+    mech = MECHANISMS[spec.mech_id]
+    if instance._priced is not spec:
+        mech.check(instance, spec)
+        instance._priced, instance._prices = spec, {}
+    return _settle(instance, k, *mech.offer(instance, spec, k, z), instance._prices)
 
 
 def _outcome(instance: Instance, k: int, offer: tuple, admitted) -> AuctionOutcome:
-    """The :class:`AuctionOutcome` of an offer: :func:`_settle` plus every
-    agent's threshold and reserve, and the tentative set, each number divided
-    back into instance units."""
-    w, r, scans = offer
-    served, pay = _settle(instance, k, *offer)
+    """The :class:`AuctionOutcome` of an offer: :func:`_settle` with a memo of
+    its own plus every agent's threshold and reserve, and the tentative set,
+    each number divided back into instance units."""
+    w, scans, reserves_of, _ = offer
+    served, pay = _settle(instance, k, *offer, {})
+    r = reserves_of(w)
     agents, unit = instance.agents, instance._unit
     crit = [_threshold(instance, i, k, scans[i]) for i in range(len(agents))]
     return AuctionOutcome(
@@ -584,6 +630,7 @@ def gvcg_lazy(instance: Instance, s: Sequence, reserves,
     threshold value."""
     k = instance.grid.number(s)
     mask = None if active is None else instance.mask(active)
+    _check_lazy(instance, reserves)
     return _outcome(instance, k, _lazy_offer(instance, k, reserves, mask), None)
 
 
@@ -621,6 +668,7 @@ def vcg_eager(instance: Instance, s: Sequence, reserves) -> AuctionOutcome:
     survivors; winners pay the higher of reserve and the threshold within the
     surviving set.  Private values only."""
     k = instance.grid.number(s)
+    instance.require_private("the eager-reserve auction")
     return _outcome(instance, k, _eager_offer(instance, k, reserves), None)
 
 
@@ -686,34 +734,40 @@ class Admission:
 @dataclass(frozen=True)
 class Mechanism:
     """Entry offer(instance, spec, k, z) into the auction core at profile
-    number k and admitted mask z, admission law, and whether the run reads
-    ``spec.reserve_source``; a deterministic mechanism has no law and runs
-    with ``z=None``."""
+    number k and admitted mask z, admission law, whether the run reads
+    ``spec.reserve_source``, and check(instance, spec) of what the offers
+    assume, run once before them; a deterministic mechanism has no law and
+    runs with ``z=None``."""
 
     offer: Callable
     admission: Admission | None = None
     reads_reserves: bool = False
+    check: Callable = lambda inst, spec: _check_lazy(inst)
 
 
 MECHANISMS = {
     "gvcg": Mechanism(lambda inst, spec, k, z: _lazy_offer(inst, k, "none")),
     "gvcg-lazy": Mechanism(lambda inst, spec, k, z: _lazy_offer(inst, k, spec.reserve_source),
-                           reads_reserves=True),
+                           reads_reserves=True,
+                           check=lambda inst, spec: _check_lazy(inst, spec.reserve_source)),
     "lookahead": Mechanism(lambda inst, spec, k, z: _lazy_offer(inst, k, "conditional")),
     # the randomized variants run the lookahead rule inside the admitted set;
     # reserves still condition on every other agent's signal
     "rand-single": Mechanism(
-        lambda inst, spec, k, z: _lazy_offer(inst, k, "conditional", _admitted(
-            z, inst.single_item, "the single-item variant needs a 1-uniform system"),
-            spec.event_mode),
-        Admission(p_all=Fraction(0), p_in=Fraction(2, 3))),
+        lambda inst, spec, k, z: _lazy_offer(inst, k, "conditional", _admitted(z),
+                                             spec.event_mode),
+        Admission(p_all=Fraction(0), p_in=Fraction(2, 3)),
+        check=lambda inst, spec: _check_lazy(
+            inst, "none", inst.single_item, "the single-item variant needs a 1-uniform system")),
     "rand-matroid": Mechanism(
-        lambda inst, spec, k, z: _lazy_offer(inst, k, "conditional", _admitted(
-            z, inst.feas.is_matroid, "the matroid variant needs a matroid system"),
-            spec.event_mode),
-        Admission(p_all=Fraction(1, 2), p_in=Fraction(1, 2))),
-    "vcg-eager": Mechanism(lambda inst, spec, k, z: _eager_offer(inst, k, spec.reserve_source),
-                           reads_reserves=True),
+        lambda inst, spec, k, z: _lazy_offer(inst, k, "conditional", _admitted(z),
+                                             spec.event_mode),
+        Admission(p_all=Fraction(1, 2), p_in=Fraction(1, 2)),
+        check=lambda inst, spec: _check_lazy(
+            inst, "none", inst.feas.is_matroid, "the matroid variant needs a matroid system")),
+    "vcg-eager": Mechanism(
+        lambda inst, spec, k, z: _eager_offer(inst, k, spec.reserve_source), reads_reserves=True,
+        check=lambda inst, spec: inst.require_private("the eager-reserve auction")),
 }
 MECHANISM_IDS = tuple(MECHANISMS)
 
@@ -769,8 +823,9 @@ def run_realized(instance: Instance, spec: MechanismSpec, s: Sequence,
     mech = MECHANISMS[spec.mech_id]
     k = instance.grid.number(s)
     z = None if realization is None or mech.admission is None else frozenset(realization)
-    offer = mech.offer(instance, spec, k, None if z is None else instance.mask(z))
-    return _outcome(instance, k, offer, z)
+    mask = None if z is None else instance.mask(z)
+    mech.check(instance, spec)
+    return _outcome(instance, k, mech.offer(instance, spec, k, mask), z)
 
 
 def sample_realization(instance: Instance, spec: MechanismSpec, rng):
@@ -791,9 +846,13 @@ def sample_realization(instance: Instance, spec: MechanismSpec, rng):
 
 @dataclass(frozen=True)
 class RevenueEstimate:
+    """A revenue, its standard error (Monte Carlo only), the atoms or draws
+    summed and the entries the run's price memo held at its end."""
+
     value: object
     std_error: object = None
     atoms: int = 0
+    prices: int = 0
 
 
 def _single_sample_revenue(instance: Instance, k: int):
@@ -802,7 +861,7 @@ def _single_sample_revenue(instance: Instance, k: int):
     draw from that agent's value distribution given the others' signals.
     The serving decision is separable per winner, so the expectation over
     the reserve vector factors agent by agent."""
-    w = _lazy_offer(instance, k, "none")[0]
+    w = _winners(instance, k, instance.everyone)
     total = 0
     for i in range(len(instance.agents)):
         if w >> i & 1:
@@ -836,14 +895,18 @@ def expected_revenue(instance: Instance, spec: MechanismSpec, mode: str = "exact
     rng = random.Random(seed)
     support = instance.dist.numbered_support()
     draws = []
-    for _ in range(trials):
-        k = support[instance.dist.draw(rng)][1]
-        z = sample_realization(instance, spec, rng)
-        draws.append(float(instance._unit(_revenue(*_core(
-            instance, spec, k, None if z is None else instance.mask(z))))))
+    try:
+        for _ in range(trials):
+            k = support[instance.dist.draw(rng)][1]
+            z = sample_realization(instance, spec, rng)
+            draws.append(float(instance._unit(_revenue(*_core(
+                instance, spec, k, None if z is None else instance.mask(z))))))
+    finally:
+        prices = instance._release_prices()
     mean = sum(draws) / trials
     var = sum((x - mean) ** 2 for x in draws) / max(trials - 1, 1)
-    return RevenueEstimate(mean, std_error=math.sqrt(var / trials), atoms=trials)
+    return RevenueEstimate(mean, std_error=math.sqrt(var / trials), atoms=trials,
+                           prices=prices)
 
 
 def _revenue(served: int, pay: list):
@@ -853,21 +916,22 @@ def _revenue(served: int, pay: list):
 
 def opt_upper_bound(instance: Instance):
     """Expected winner-wise posted-price revenue plus the best feasible
-    welfare disjoint from the winners; bounds every ex post IC mechanism."""
+    welfare disjoint from the winners; bounds every ex post IC mechanism.
+    The int masses p·D are summed per distinct tabled quote, so each quote's
+    Fraction revenue is multiplied once, and the loser values stay ints."""
     if not instance.feas.is_matroid:
         raise WrongVariantError("the revenue upper bound needs a matroid system")
     everyone = instance.everyone
-    total = 0
+    total, masses = 0, {}  # id of a tabled quote -> [quote, summed mass]
     for _, k, p in instance.dist.numbered_support():
         w = _winners(instance, k, everyone)
-        quote_sum = 0
         for i in range(len(instance.agents)):
             if w >> i & 1:
                 q = _quote(instance, i, k, "winner_conditioned", everyone)
-                quote_sum += q.expected_revenue
+                masses.setdefault(id(q), [q, 0])[1] += p
         losers = _best(instance, k, everyone & ~w, False)
-        loser_value = sum(v for i, v in enumerate(instance._values[k]) if losers >> i & 1)
-        total += p * (quote_sum + loser_value)
+        total += p * sum(v for i, v in enumerate(instance._values[k]) if losers >> i & 1)
+    total += sum((mass * q.expected_revenue for q, mass in masses.values()), 0)
     return Fraction(total, instance.dist.mass_scale * instance.value_scale)
 
 
@@ -901,11 +965,13 @@ def ic_ir_audit(instance: Instance, spec: MechanismSpec) -> list[AuditViolation]
 
 class Walk(NamedTuple):
     """What :func:`walk` found: the audit's violations (None when it did not
-    audit), the exact revenue (None when not asked) and the outcomes built."""
+    audit), the exact revenue (None when not asked), the outcomes built and
+    the entries the price memo held at the end."""
 
     violations: list | None
     revenue: RevenueEstimate | None
     outcomes: int
+    prices: int = 0
 
 
 def walk(instance: Instance, spec: MechanismSpec, *, audit: bool = True,
@@ -918,8 +984,9 @@ def walk(instance: Instance, spec: MechanismSpec, *, audit: bool = True,
     The revenue puts the realization weights over one denominator W, sums
     W_z * revenue per support profile in table units, multiplies each sum
     by the profile's int mass p·D and divides by W·L·D once.  The atom cap
-    (support x realizations) is checked before any outcome is built.  Asked
-    for neither, it builds nothing.  A single-sample spec sums
+    (support x realizations) is checked before any outcome is built, and the
+    price memo released when the walk ends.  Asked for neither, it builds
+    nothing.  A single-sample spec sums
     p·D * :func:`_single_sample_revenue` over the support instead and is not
     audited (``violations`` is None).
     """
@@ -937,6 +1004,7 @@ def walk(instance: Instance, spec: MechanismSpec, *, audit: bool = True,
                                  "lazy auction only")
         if not revenue:
             return Walk(None, None, 0)
+        _check_lazy(instance)
         total = sum((p * _single_sample_revenue(instance, k) for _, k, p in support), 0)
         return Walk(None, RevenueEstimate(Fraction(total, scale), atoms=atoms), atoms)
     numbers = (range(math.prod(instance.grid.sizes)) if audit
@@ -944,18 +1012,21 @@ def walk(instance: Instance, spec: MechanismSpec, *, audit: bool = True,
     # sums[j]: sum over realizations z of W_z * (revenue at support profile j
     # under z), in table units
     violations, sums = [] if audit else None, [0] * len(support)
-    for realization, weight in reals:
-        z = None if realization is None else instance.mask(realization)
-        outcomes = {k: _core(instance, spec, k, z) for k in numbers}
-        if audit:
-            _audit(instance, support, outcomes, realization, z, violations)
-        if revenue:
-            for j, (_, k, _) in enumerate(support):
-                sums[j] += weight * _revenue(*outcomes[k])
+    try:
+        for realization, weight in reals:
+            z = None if realization is None else instance.mask(realization)
+            outcomes = {k: _core(instance, spec, k, z) for k in numbers}
+            if audit:
+                _audit(instance, support, outcomes, realization, z, violations)
+            if revenue:
+                for j, (_, k, _) in enumerate(support):
+                    sums[j] += weight * _revenue(*outcomes[k])
+    finally:
+        prices = instance._release_prices()
     total = Fraction(sum((p * x for (_, _, p), x in zip(support, sums)), 0),
                      denominator * scale)
-    return Walk(violations, RevenueEstimate(total, atoms=atoms) if revenue else None,
-                len(reals) * len(numbers))
+    return Walk(violations, RevenueEstimate(total, atoms=atoms, prices=prices)
+                if revenue else None, len(reals) * len(numbers), prices)
 
 
 def _audit(instance: Instance, support: list, outcomes: dict, realization, z: int | None,

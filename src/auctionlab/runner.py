@@ -1,8 +1,8 @@
 """Experiment runner: audits, revenues, oracle ratios, CSV reports.
 
 A report is a fixed-column CSV (byte-identical across runs for the same spec
-and seeds) plus a JSON sidecar holding seeds, versions, wall times and
-outcomes built per row, the reason for each skipped row, and per instance
+and seeds) plus a JSON sidecar holding seeds, versions, wall times,
+outcomes built and price memo entries per row, the reason for each skipped row, and per instance
 what its evaluation tables held when its rows were done and how its oracle
 solve went.  Audit failures are never skipped silently: a row
 whose audit fails keeps its numbers but is flagged, and the run as a whole
@@ -73,6 +73,7 @@ class RowResult:
     wall_time: float = 0.0
     skipped: str = ""
     outcomes: int = 0
+    prices: int = 0
 
 
 @dataclass
@@ -189,6 +190,7 @@ def run(spec: ExperimentSpec) -> RatioReport:
         "oracle": oracles,
         "wall_times": {},
         "outcomes": {},
+        "prices": {},
         "skipped": {},
     }
     for r in rows:
@@ -197,6 +199,7 @@ def run(spec: ExperimentSpec) -> RatioReport:
         key = f"{r.instance}/{r.spec.mech_id}" + ("" if source == "none" else f"/{source}")
         metadata["wall_times"][key] = round(r.wall_time, 6)
         metadata["outcomes"][key] = r.outcomes
+        metadata["prices"][key] = r.prices
         if r.skipped:
             metadata["skipped"][key] = r.skipped
     return RatioReport(rows, metadata)
@@ -213,6 +216,7 @@ def _fill_row(row, inst, mech, spec, oracle, upper_bound):
                                             seed=spec.seed)
     # a Monte Carlo draw builds one outcome
     row.outcomes = found.outcomes + (0 if found.revenue else est.atoms)
+    row.prices = found.prices + (0 if found.revenue else est.prices)
     row.revenue = est.value
     row.std_error = est.std_error
     row.oracle = oracle

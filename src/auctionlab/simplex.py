@@ -39,7 +39,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import numpy as np
+# numpy, imported by the first solve (:func:`_numpy`): commands that solve no
+# LP never load it
+np = None
 
 STALL_LIMIT = 40
 # The double kernel's zero in pricing, the ratio test and the stall test.
@@ -51,6 +53,13 @@ MAX_TABLEAU_CELLS = 2 ** 25
 # Largest denominator of the rationals a double solution is rounded to before
 # its certificate is checked.
 DENOMINATOR_LIMIT = 10 ** 6
+
+
+def _numpy():
+    global np
+    if np is None:
+        import numpy
+        np = numpy
 
 
 class SimplexError(RuntimeError):
@@ -204,6 +213,7 @@ def _lcm_of_denominators(values) -> int:
 
 
 def _solve_rational(lp: LinearProgram) -> SimplexResult:
+    _numpy()
     m = len(lp.rows)
     n = lp.n_vars
     M = np.zeros((m + 1, n + m + 1), dtype=object)
@@ -300,68 +310,69 @@ def _pivot_int(M, d, pr, pc):
 # double kernel
 
 
-# overflow leaves an inf or a nan in the tableau, which the finiteness guard
-# turns into NumericalInstability
-@np.errstate(over="ignore", invalid="ignore")
 def _solve_double(lp: LinearProgram) -> SimplexResult:
-    m = len(lp.rows)
-    n = lp.n_vars
-    M = np.zeros((m + 1, n + m + 1))
-    for j, c in enumerate(lp.objective):
-        M[0, j] = -float(c)
-    basis = list(range(n, n + m))
-    for i, row in enumerate(lp.rows, start=1):
-        for j, v in row.coeffs.items():
-            M[i, j] = float(v)
-        M[i, -1] = float(row.rhs)
-        M[i, n + i - 1] = 1.0
+    _numpy()
+    # overflow leaves an inf or a nan in the tableau, which the finiteness
+    # guard turns into NumericalInstability
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = len(lp.rows)
+        n = lp.n_vars
+        M = np.zeros((m + 1, n + m + 1))
+        for j, c in enumerate(lp.objective):
+            M[0, j] = -float(c)
+        basis = list(range(n, n + m))
+        for i, row in enumerate(lp.rows, start=1):
+            for j, v in row.coeffs.items():
+                M[i, j] = float(v)
+            M[i, -1] = float(row.rhs)
+            M[i, n + i - 1] = 1.0
 
-    rhs = M[:, -1]
-    pivots = 0
-    stall = 0
-    last_obj = 0.0
-    while True:
-        row0 = M[0, :-1]
-        if stall >= STALL_LIMIT:
-            candidates = np.nonzero(row0 < -EPS)[0]
-            col = int(candidates[0]) if candidates.size else None
-        else:
-            j = int(row0.argmin())
-            col = j if row0[j] < -EPS else None
-        if col is None:
-            break
-        column = M[:, col]
-        rows = np.flatnonzero(column)  # row 0 among them: its entry is < -EPS
-        cv = column[rows]
-        ratios = np.where(cv > EPS, rhs[rows] / cv, np.inf)
-        k = ratios.argmin()
-        if not math.isfinite(ratios[k]):
-            return SimplexResult("unbounded", None, [], pivots)
-        pr = int(rows[k])
-        piv_row = M[pr] / cv[k]
-        block = M[rows]
-        block -= np.multiply.outer(cv, piv_row)
-        block[k] = piv_row
-        M[rows] = block
-        basis[pr - 1] = col
-        pivots += 1
-        if pivots > MAX_PIVOTS:
-            raise NumericalInstability("pivot limit exceeded in the double kernel")
-        obj = float(rhs[0])
-        if abs(obj - last_obj) <= EPS * max(1.0, abs(last_obj)):
-            stall += 1
-        else:
-            stall = 0
-            last_obj = obj
-        if not np.isfinite(block).all():
-            raise NumericalInstability("the double kernel's tableau lost finiteness")
+        rhs = M[:, -1]
+        pivots = 0
+        stall = 0
+        last_obj = 0.0
+        while True:
+            row0 = M[0, :-1]
+            if stall >= STALL_LIMIT:
+                candidates = np.nonzero(row0 < -EPS)[0]
+                col = int(candidates[0]) if candidates.size else None
+            else:
+                j = int(row0.argmin())
+                col = j if row0[j] < -EPS else None
+            if col is None:
+                break
+            column = M[:, col]
+            rows = np.flatnonzero(column)  # row 0 among them: its entry is < -EPS
+            cv = column[rows]
+            ratios = np.where(cv > EPS, rhs[rows] / cv, np.inf)
+            k = ratios.argmin()
+            if not math.isfinite(ratios[k]):
+                return SimplexResult("unbounded", None, [], pivots)
+            pr = int(rows[k])
+            piv_row = M[pr] / cv[k]
+            block = M[rows]
+            block -= np.multiply.outer(cv, piv_row)
+            block[k] = piv_row
+            M[rows] = block
+            basis[pr - 1] = col
+            pivots += 1
+            if pivots > MAX_PIVOTS:
+                raise NumericalInstability("pivot limit exceeded in the double kernel")
+            obj = float(rhs[0])
+            if abs(obj - last_obj) <= EPS * max(1.0, abs(last_obj)):
+                stall += 1
+            else:
+                stall = 0
+                last_obj = obj
+            if not np.isfinite(block).all():
+                raise NumericalInstability("the double kernel's tableau lost finiteness")
 
-    if M[1:, -1].size and M[1:, -1].min() < -1e-6:
-        raise NumericalInstability(
-            "the double kernel ended at an infeasible basic solution")
-    x = [0.0] * n
-    for i in range(1, m + 1):
-        if basis[i - 1] < n:
-            x[basis[i - 1]] = float(M[i, -1])
-    y = M[0, n:n + m].tolist()
-    return SimplexResult("optimal", float(M[0, -1]), x, pivots, y)
+        if M[1:, -1].size and M[1:, -1].min() < -1e-6:
+            raise NumericalInstability(
+                "the double kernel ended at an infeasible basic solution")
+        x = [0.0] * n
+        for i in range(1, m + 1):
+            if basis[i - 1] < n:
+                x[basis[i - 1]] = float(M[i, -1])
+        y = M[0, n:n + m].tolist()
+        return SimplexResult("optimal", float(M[0, -1]), x, pivots, y)
