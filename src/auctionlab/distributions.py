@@ -53,9 +53,10 @@ class SignalGrid:
     """Per-agent sorted signal values; the whole type space of the model.
 
     Profile number k (row-major) has agent i's grid index k // strides[i] %
-    sizes[i]; the numbering is built on first use, and :meth:`column` is the
-    one place a profile number is split into the agent's column and own
-    index."""
+    sizes[i]; the numbering is built on first use and keyed by each value's
+    integer ratio (n, d), so numbering a profile hashes pairs of ints and no
+    ``Fraction``.  :meth:`column` is the one place a profile number is split
+    into the agent's column and own index."""
 
     agents: tuple
     values: Mapping
@@ -86,19 +87,23 @@ class SignalGrid:
 
     @cached_property
     def positions(self) -> tuple:
-        """Per agent, each grid value's index on its axis."""
-        return tuple({v: j for j, v in enumerate(self.values[a])} for a in self.agents)
+        """Per agent, each grid value's index on its axis, keyed by the
+        value's integer ratio: equal numbers of any type share one key."""
+        return tuple({v.as_integer_ratio(): j for j, v in enumerate(self.values[a])}
+                     for a in self.agents)
 
     def number(self, profile: Sequence) -> int:
-        """The profile's row-major number; an off-grid profile is an error."""
+        """The profile's row-major number, each coordinate looked up by its
+        integer ratio; an off-grid profile is an error, and so is a
+        coordinate that is no finite number (a ``str``, ``None``, NaN, ±inf)."""
         if len(profile) != len(self.agents):
             raise DistributionError(f"profile {tuple(profile)} has {len(profile)} "
                                     f"signals for {len(self.agents)} agents")
-        k = 0
+        k, positions = 0, self.positions
         try:
-            for pos, x in zip(self.positions, profile):
-                k = k * len(pos) + pos[x]
-        except KeyError:
+            for pos, x in zip(positions, profile):
+                k = k * len(pos) + pos[x.as_integer_ratio()]
+        except (KeyError, AttributeError, ValueError, OverflowError):
             raise DistributionError(f"profile {tuple(profile)} is off the grid") from None
         return k
 
@@ -322,9 +327,10 @@ class JointDistribution:
         not normalised, in the order of each column's first support profile."""
         if i not in self._column_index:
             index = self._column_index[i] = {}
+            st, size = self.grid.strides[i], self.grid.sizes[i]
             for _, k, p in self.numbered_support():
-                c, j, _ = self.grid.column(i, k)
-                index.setdefault(c, []).append((j, p))
+                j = k // st % size
+                index.setdefault(k - j * st, []).append((j, p))
         return self._column_index[i]
 
     def draw(self, rng) -> int:

@@ -14,14 +14,14 @@ others' signals (its column) and the active set, so it is scanned once per
 
 One int core runs every auction: :data:`MECHANISMS` gives each mechanism a
 check of what it assumes, run once per walk, Monte Carlo run or public call,
-and an offer (tentative winners, threshold scans, reserves) at a profile
-number and an admitted bitmask; :func:`_core` settles it into the served
-bitmask and the payments by agent index.  A winner's take-it-or-leave-it
-price, max(reserve, threshold value), reads only the others' signals, so a
-walk's price memo keys it by (agent, column, scan mask); the
-``unsafe-own-value`` canary's and the eager auction's prices read the own
-signal (the eager survivor set does, through the others' reserves) and are
-keyed by the profile number.  The public functions take profile tuples and
+and an offer (tentative winners, threshold scans, the reserve of one agent
+index) at a profile number and an admitted bitmask; :func:`_core` settles it
+into the served bitmask and the payments by agent index.  A winner's
+take-it-or-leave-it price, max(reserve, threshold value), reads only the
+others' signals, so a walk's price memo keys it by (agent, column, scan
+mask); the ``unsafe-own-value`` canary's and the eager auction's prices read
+the own signal (the eager survivor set does, through the others' reserves)
+and are keyed by the profile number.  The public functions take profile tuples and
 agent frozensets and build an :class:`AuctionOutcome` from the same offer.
 :func:`walk` builds each (realization, profile) outcome once through the core
 and reads both the IC/IR audit and the exact revenue from it.
@@ -47,6 +47,7 @@ sets or caller-owned seeded streams, so runs parallelise and replay freely.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -118,9 +119,10 @@ class Instance:
     reserve quotes per (agent, column, event mode, critical signal) on first
     use, in table units too, keyed by ints: k, agent index, agent bitmask
     (:meth:`mask`), and column number, k less the agent's own grid index
-    times its stride.  A winner set is greedy over the active agents in the
-    profile's value order, ties by :attr:`tie_break`, on the full system,
-    whose independence answers are tabled per bitmask.  The price memo of
+    times its stride; and each agent's prior marginal as int masses.  A
+    winner set is greedy over the active agents in the profile's value
+    order, ties by :attr:`tie_break`, on the full system, whose independence
+    answers are tabled per bitmask.  The price memo of
     the spec being walked lives until its walk or Monte Carlo run ends.
     :meth:`value` and :meth:`values_at` divide back.  The tables rely on the
     instance not changing; ``runner.run`` calls :meth:`release_tables`,
@@ -149,6 +151,7 @@ class Instance:
         self._tie_order = tuple(map(agents.index, self.tie_break))
         self.everyone = (1 << len(agents)) - 1
         self._winners, self._thresholds, self._quotes, self._independent = {}, {}, {}, {}
+        self._marginals = {}
         self._priced, self._prices = None, {}
         values = valuations.grid_values(self.vp, self.grid)
         self._checks = valuations.assumption_violations(self.grid, values)
@@ -199,8 +202,8 @@ class Instance:
                 "thresholds": len(self._thresholds), "quotes": len(self._quotes)}
 
     def release_tables(self) -> dict:
-        """Empty the winner-set, threshold, quote and independence tables and
-        the price memo; return the first three's entry counts, the
+        """Empty the winner-set, threshold, quote, independence and marginal
+        tables and the price memo; return the first three's entry counts, the
         independence table's, the value table's scale L, the distribution's
         mass scale D and the reserve fallback labels counted over the
         distinct tabled quotes."""
@@ -209,10 +212,24 @@ class Instance:
                 "value_scale": self.value_scale, "mass_scale": self.dist.mass_scale,
                 "fallbacks_over_distinct_quotes":
                 {f: labels.count(f) for f in RESERVE_FALLBACKS}}
-        for table in (self._winners, self._thresholds, self._quotes, self._independent):
+        for table in (self._winners, self._thresholds, self._quotes, self._independent,
+                      self._marginals):
             table.clear()
         self._release_prices()
         return held
+
+    def _marginal(self, i: int) -> list:
+        """Agent index i's prior marginal as (own grid index, int mass p·D)
+        pairs in own-index order, summed over the columns of
+        ``dist.columns(i)``; tabled on first use."""
+        pairs = self._marginals.get(i)
+        if pairs is None:
+            mass: dict = {}
+            for column in self.dist.columns(i).values():
+                for j, p in column:
+                    mass[j] = mass.get(j, 0) + p
+            pairs = self._marginals[i] = sorted(mass.items())
+        return pairs
 
     def _release_prices(self) -> int:
         """Empty the price memo; return the entries it held."""
@@ -393,16 +410,22 @@ def conditional_monopoly_reserve(instance: Instance, agent, s: Sequence, *,
                         q.fallback)
 
 
-def _quote(instance: Instance, i: int, k: int, event_mode: str, mask: int) -> ReserveQuote:
+def _quote(instance: Instance, i: int, k: int, event_mode: str, mask: int,
+           crit=None) -> ReserveQuote:
     """:func:`conditional_monopoly_reserve` of agent i, priced from the joint
     table's masses on the agent's column: values rise strictly in the own
     signal, so the winner event is the own indices at or above the critical
-    one, and that index stands for the threshold value in the key."""
+    one, and that index stands for the threshold value in the key.  A caller
+    that has read the critical index within ``mask`` passes it as ``crit``;
+    None reads it here (an agent that never wins reads None again).  The
+    prior-marginal fallback reads :meth:`Instance._marginal`'s int masses."""
     col, _, st = _column(instance.grid, i, k)
-    crit = None
     if event_mode == "winner_conditioned":
-        crit = _threshold(instance, i, k, mask)[0]
-    elif event_mode != "unconditioned":
+        if crit is None:
+            crit = _threshold(instance, i, k, mask)[0]
+    elif event_mode == "unconditioned":
+        crit = None
+    else:
         raise MechanismError(f"unknown reserve event mode {event_mode!r}")
     key = (i, col, event_mode, crit)
     quote = instance._quotes.get(key)
@@ -413,8 +436,7 @@ def _quote(instance: Instance, i: int, k: int, event_mode: str, mask: int) -> Re
     fallback = ""
     pairs = instance.dist.columns(i).get(col, [])
     if not pairs:
-        pos, scale = instance.grid.positions[i], instance.dist.mass_scale
-        pairs = [(pos[t], int(p * scale)) for t, p in instance.dist.marginal(agent)]
+        pairs = instance._marginal(i)
         fallback = "prior-marginal"
         log.debug("reserve fallback to prior marginal for agent %r", agent)
     if event_mode == "winner_conditioned":
@@ -431,13 +453,14 @@ def _quote(instance: Instance, i: int, k: int, event_mode: str, mask: int) -> Re
 
 
 def _monopoly_quote(instance: Instance, i: int) -> ReserveQuote:
-    """The monopoly quote on agent i's prior marginal, in table units; it
-    reads no profile, so it is tabled with no column."""
+    """The monopoly quote on agent i's prior marginal (its int masses), in
+    table units; it reads no profile, so it is tabled with no column."""
     key = (i, None, "monopoly", None)
     quote = instance._quotes.get(key)
     if quote is None:
         agent = instance.agents[i]
-        price, revenue = monopoly_price(instance.dist.marginal(agent))
+        axis = instance.grid.values[agent]
+        price, revenue = monopoly_price([(axis[j], p) for j, p in instance._marginal(i)])
         quote = instance._quotes[key] = ReserveQuote(agent, instance._scaled(price),
                                                      instance._scaled(revenue))
     return quote
@@ -481,45 +504,58 @@ def resolve_reserves(instance: Instance, s: Sequence, agents, source,
 def _reserves(instance: Instance, k: int, priced: int, source, mask: int,
               event_mode: str) -> dict:
     """:func:`resolve_reserves` for the bitmask ``priced``, profile number k
-    and active bitmask, in table units: a reserve given in instance units is
-    scaled as it comes in."""
-    agents = [(i, a) for i, a in enumerate(instance.agents) if priced >> i & 1]
+    and active bitmask, in table units; the source is resolved by
+    :func:`_reserve_rule`, so it is refused even when no agent is priced."""
+    reserve = _reserve_rule(instance, k, source, mask, event_mode)
+    return {a: reserve(i) for i, a in enumerate(instance.agents) if priced >> i & 1}
+
+
+def _reserve_rule(instance: Instance, k: int, source, mask: int, event_mode: str) -> Callable:
+    """The reserve source resolved at profile number k and active bitmask:
+    a function ``reserve(i, crit=None)`` of one agent index, in table units
+    (a reserve given in instance units is scaled as it is read).  ``crit`` is
+    agent i's critical index within ``mask`` when the caller has read it;
+    only the conditional quote reads it.  A source that does not resolve is
+    refused here, before any agent is priced."""
     # named sources first: a Mapping check goes through the ABC machinery
     if source is None or source == "none":
-        return {a: 0 for _, a in agents}
+        return lambda i, crit=None: 0
     if source == "conditional":
-        return {a: _quote(instance, i, k, event_mode, mask).price for i, a in agents}
+        return lambda i, crit=None: _quote(instance, i, k, event_mode, mask, crit).price
     if source == "monopoly":
         instance.require_private("the unconditional monopoly reserve")
-        return {a: _monopoly_quote(instance, i).price for i, a in agents}
+        return lambda i, crit=None: _monopoly_quote(instance, i).price
     if source == "unsafe-own-value":
         # deliberately illegal: reads the agent's own report; audit canary
-        return {a: instance._value(i, k) for i, a in agents}
+        return lambda i, crit=None: instance._value(i, k)
     if source == "single-sample":
         raise MechanismError("single-sample reserves are integrated over by "
                              "the exact walk, not resolved per run")
+    agents = instance.agents
     if isinstance(source, str) and source.startswith("fixed:"):
-        source = _fixed_reserves(instance, source)
+        values = _fixed_reserves(source, len(agents))
+        return lambda i, crit=None: instance._scaled(values[i])
     if isinstance(source, Mapping):
-        unknown = set(source) - set(instance.agents)
+        unknown = set(source) - set(agents)
         if unknown:
             raise MechanismError(f"reserves given for unknown agents {sorted(map(str, unknown))}")
-        return {a: instance._scaled(source.get(a, 0)) for _, a in agents}
+        return lambda i, crit=None: instance._scaled(source.get(agents[i], 0))
     if callable(source):
-        s = instance.grid.profile_at(k)
-        return {a: instance._scaled(source(a, SignalView(instance, s, a))) for _, a in agents}
+        return lambda i, crit=None: instance._scaled(source(
+            agents[i], SignalView(instance, instance.grid.profile_at(k), agents[i])))
     raise MechanismError(f"unknown reserve source {source!r}")
 
 
-def _fixed_reserves(instance: Instance, source: str) -> dict:
+@functools.lru_cache(maxsize=32)
+def _fixed_reserves(source: str, n: int) -> tuple:
+    """The n reserves of ``fixed:r1,...,rn``, parsed once per string."""
     try:
-        values = [Fraction(x) for x in source[len("fixed:"):].split(",")]
+        values = tuple(Fraction(x) for x in source[len("fixed:"):].split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise MechanismError(f"bad fixed reserves {source!r}: {exc}") from exc
-    if len(values) != len(instance.agents):
-        raise MechanismError(f"{source!r} lists {len(values)} reserves for "
-                             f"{len(instance.agents)} agents")
-    return dict(zip(instance.agents, values))
+    if len(values) != n:
+        raise MechanismError(f"{source!r} lists {len(values)} reserves for {n} agents")
+    return values
 
 
 # ----------------------------------------------------------------------
@@ -528,14 +564,18 @@ def _fixed_reserves(instance: Instance, source: str) -> dict:
 
 def _lazy_offer(instance: Instance, k: int, reserves, mask: int | None = None,
                 event_mode: str = "winner_conditioned") -> tuple:
-    """(tentative winners, threshold scan masks, reserves of a bitmask in
-    table units, whether the prices read the own signal) of the lazy
-    auction: generalized VCG within the active mask, everyone by default.
-    Only the audit canary's reserve reads the own signal."""
+    """The lazy auction's offer, generalized VCG within the active mask
+    (everyone by default): (tentative winners w, threshold scan masks, the
+    :func:`_reserve_rule` of one agent index, whether the prices read the own
+    signal, the agents posted a reserve).  Every scan is the active mask, so
+    a winner's critical index in the scan is the one its conditional quote
+    reads.  Only the winners are posted a reserve, and only the audit
+    canary's reserve reads the own signal."""
     mask = instance.everyone if mask is None else mask
-    return (_winners(instance, k, mask), (mask,) * len(instance.agents),
-            lambda priced: _reserves(instance, k, priced, reserves, mask, event_mode),
-            reserves == "unsafe-own-value")
+    w = _winners(instance, k, mask)
+    return (w, (mask,) * len(instance.agents),
+            _reserve_rule(instance, k, reserves, mask, event_mode),
+            reserves == "unsafe-own-value", w)
 
 
 def _check_lazy(instance: Instance, source="none", applies: bool = True,
@@ -559,32 +599,37 @@ def _admitted(z: int | None) -> int:
 
 
 def _eager_offer(instance: Instance, k: int, reserves) -> tuple:
-    """The eager auction's offer: winners among the agents u at or above their
-    reserves, each agent's threshold scanned within u plus itself.  u reads
-    the own signal through the other agents' reserves, so the prices do."""
+    """The eager auction's offer (laid out as :func:`_lazy_offer`'s): every
+    agent is posted its reserve within everyone first, and the winners are
+    drawn from the agents u at or above theirs, each agent's threshold
+    scanned within u plus itself.  u reads the own signal through the other
+    agents' reserves, so the prices do."""
     everyone = instance.everyone
-    r = _reserves(instance, k, everyone, reserves, everyone, "winner_conditioned")
-    u = sum(1 << i for i, a in enumerate(instance.agents) if instance._value(i, k) >= r[a])
-    return _winners(instance, k, u), tuple(u | 1 << i for i in range(len(r))), lambda _: r, True
+    reserve = _reserve_rule(instance, k, reserves, everyone, "winner_conditioned")
+    r = [reserve(i) for i in range(len(instance.agents))]
+    u = sum(1 << i for i, x in enumerate(r) if instance._value(i, k) >= x)
+    return (_winners(instance, k, u), tuple(u | 1 << i for i in range(len(r))),
+            lambda i, crit=None: r[i], True, everyone)
 
 
-def _settle(instance: Instance, k: int, w: int, scans: tuple, reserves_of: Callable,
-            by_profile: bool, prices: dict) -> tuple:
+def _settle(instance: Instance, k: int, offer: tuple, prices: dict) -> tuple:
     """(served bitmask, payments by agent index) of an offer: each tentative
     winner i is served at its take-it-or-leave-it price, the higher of its
     reserve and its threshold value within ``scans[i]``, when its value
     reaches it; the rest pay zero.  The price is read from ``prices`` by
     (i, column number, scans[i]), or by (i, k, scans[i]) when it reads the
-    own signal, and computed on a miss."""
-    agents, grid, values = instance.agents, instance.grid, instance._values[k]
-    served, pay = 0, [0] * len(agents)
+    own signal.  A miss reads the winner's threshold once and hands its
+    critical index to the offer's reserve of agent index i."""
+    w, scans, reserve, by_profile, _ = offer
+    grid, values = instance.grid, instance._values[k]
+    served, pay = 0, [0] * len(values)
     for i, scan in enumerate(scans):
         if w >> i & 1:
             key = i, k if by_profile else _column(grid, i, k)[0], scan
             price = prices.get(key)
             if price is None:
-                price = prices[key] = max(reserves_of(1 << i)[agents[i]],
-                                          _threshold(instance, i, k, scan)[1])
+                crit, t = _threshold(instance, i, k, scan)
+                price = prices[key] = max(reserve(i, crit), t)
             if values[i] >= price:
                 served |= 1 << i
                 pay[i] = price
@@ -602,16 +647,16 @@ def _core(instance: Instance, spec: "MechanismSpec", k: int, z: int | None) -> t
     if instance._priced is not spec:
         mech.check(instance, spec)
         instance._priced, instance._prices = spec, {}
-    return _settle(instance, k, *mech.offer(instance, spec, k, z), instance._prices)
+    return _settle(instance, k, mech.offer(instance, spec, k, z), instance._prices)
 
 
 def _outcome(instance: Instance, k: int, offer: tuple, admitted) -> AuctionOutcome:
     """The :class:`AuctionOutcome` of an offer: :func:`_settle` with a memo of
-    its own plus every agent's threshold and reserve, and the tentative set,
-    each number divided back into instance units."""
-    w, scans, reserves_of, _ = offer
-    served, pay = _settle(instance, k, *offer, {})
-    r = reserves_of(w)
+    its own plus every agent's threshold, the reserves of the agents posted
+    one (0 for the rest), and the tentative set, each number divided back
+    into instance units."""
+    w, scans, reserve, _, posted = offer
+    served, pay = _settle(instance, k, offer, {})
     agents, unit = instance.agents, instance._unit
     crit = [_threshold(instance, i, k, scans[i]) for i in range(len(agents))]
     return AuctionOutcome(
@@ -619,7 +664,8 @@ def _outcome(instance: Instance, k: int, offer: tuple, admitted) -> AuctionOutco
         {a: NEVER_WINS if j is None else instance.grid.values[a][j]
          for a, (j, _) in zip(agents, crit)},
         {a: unit(t) for a, (_, t) in zip(agents, crit)},
-        {a: unit(r.get(a, 0)) for a in agents},
+        {a: unit(reserve(i, crit[i][0]) if posted >> i & 1 else 0)
+         for i, a in enumerate(agents)},
         tentative=instance.members(w), served=instance.members(served), admitted=admitted)
 
 
@@ -730,6 +776,11 @@ class Admission:
     p_all: Fraction
     p_in: Fraction
 
+    @cached_property
+    def odds(self) -> tuple:
+        """(p_all, p_in) as the floats each uniform draw is compared with."""
+        return float(self.p_all), float(self.p_in)
+
 
 @dataclass(frozen=True)
 class Mechanism:
@@ -829,15 +880,24 @@ def run_realized(instance: Instance, spec: MechanismSpec, s: Sequence,
 
 
 def sample_realization(instance: Instance, spec: MechanismSpec, rng):
-    """Draw one realization from the caller's stream: one draw for the
-    all-agents branch when the law has one, then one draw per agent."""
-    law = MECHANISMS[spec.mech_id].admission
+    """Draw one realization from the caller's stream: the agent set of the
+    admitted bitmask :func:`_draw_admitted` draws, or None for a
+    deterministic mechanism."""
+    z = _draw_admitted(instance, MECHANISMS[spec.mech_id].admission, rng)
+    return None if z is None else instance.members(z)
+
+
+def _draw_admitted(instance: Instance, law: Admission | None, rng) -> int | None:
+    """The admitted bitmask of one draw from the caller's stream under the
+    admission law (None when there is none): one ``rng.random()`` for the
+    all-agents branch when the law has one, then one per agent in agent
+    order, each agent admitted when its draw is below p_in."""
     if law is None:
         return None
-    if law.p_all and rng.random() < float(law.p_all):
-        return frozenset(instance.agents)
-    p_in = float(law.p_in)
-    return frozenset(a for a in instance.agents if rng.random() < p_in)
+    p_all, p_in = law.odds
+    if law.p_all and rng.random() < p_all:
+        return instance.everyone
+    return sum(1 << i for i in range(len(instance.agents)) if rng.random() < p_in)
 
 
 # ----------------------------------------------------------------------
@@ -881,7 +941,11 @@ def expected_revenue(instance: Instance, spec: MechanismSpec, mode: str = "exact
                      *, trials: int = 10_000, seed: int = 0,
                      atom_cap: int = DEFAULT_ATOM_CAP) -> RevenueEstimate:
     """Expected revenue, exactly (profiles x internal randomness, see
-    :func:`walk`) or by Monte Carlo with the given seed."""
+    :func:`walk`) or by Monte Carlo with the given seed.  A Monte Carlo draw
+    takes a support index (:meth:`JointDistribution.draw`), then an admitted
+    bitmask (:func:`_draw_admitted`) from the one stream, and adds the
+    revenue x of :func:`_core` in table units as the float x / L, which is
+    ``float(Fraction(x, L))``: both round the one quotient once."""
     if mode == "exact":
         return walk(instance, spec, audit=False, atom_cap=atom_cap).revenue
     if mode != "monte_carlo":
@@ -893,14 +957,14 @@ def expected_revenue(instance: Instance, spec: MechanismSpec, mode: str = "exact
     import random
 
     rng = random.Random(seed)
-    support = instance.dist.numbered_support()
+    dist, law, scale = instance.dist, MECHANISMS[spec.mech_id].admission, instance.value_scale
+    support = dist.numbered_support()
     draws = []
     try:
         for _ in range(trials):
-            k = support[instance.dist.draw(rng)][1]
-            z = sample_realization(instance, spec, rng)
-            draws.append(float(instance._unit(_revenue(*_core(
-                instance, spec, k, None if z is None else instance.mask(z))))))
+            k = support[dist.draw(rng)][1]
+            z = _draw_admitted(instance, law, rng)
+            draws.append(float(_revenue(*_core(instance, spec, k, z)) / scale))
     finally:
         prices = instance._release_prices()
     mean = sum(draws) / trials
