@@ -190,7 +190,9 @@ def cmd_oracle(args) -> int:
                 "simplex_rows": stats.simplex_rows, "ic_rows": stats.ic_rows,
                 "ir_rows": stats.ir_rows, "pivots": res.solution.pivots,
                 "certified": res.solution.certified,
-                "fallbacks": res.solution.fallbacks,
+                "fallbacks": res.solution.fallbacks, "rounds": res.solution.rounds,
+                "active_rows": len(res.solution.active_rows), "blocks": res.solution.blocks,
+                "restricted_cells": res.solution.restricted_cells,
             },
         }
         if args.witness:

@@ -119,9 +119,14 @@ class SignalGrid:
         return tuple(self.values[a][k // st % n]
                      for a, st, n in zip(self.agents, self.strides, self.sizes))
 
+    def on_axis(self, agent, v) -> bool:
+        """Whether :meth:`number` numbers v as one of the agent's signals: v
+        equals a grid value and has an integer ratio (a numpy integer has
+        none)."""
+        return hasattr(v, "as_integer_ratio") and v in self.values[agent]
+
     def on_grid(self, profile: Sequence) -> bool:
-        return len(profile) == len(self.agents) and all(
-            s in self.values[a] for a, s in zip(self.agents, profile))
+        return len(profile) == len(self.agents) and all(map(self.on_axis, self.agents, profile))
 
 
 class ScalarDistribution:
@@ -261,7 +266,7 @@ class JointDistribution:
             m = marginals[a]
             if not isinstance(m, ScalarDistribution):
                 m = ScalarDistribution(m)
-            if not set(m.support) <= set(self.grid.axis(a)):
+            if not all(self.grid.on_axis(a, v) for v in m.support):
                 raise DistributionError(f"marginal support off the grid for agent {a!r}")
             self.marginals[a] = m
         axes = [[(v, p) for v, p in self.marginals[a] if p > 0] for a in self.grid.agents]

@@ -40,16 +40,21 @@ i * |F| + f.
 
 :func:`solve_lp` starts from the pointwise maximiser, each support
 profile's best set on its own, and adds the monotonicity rows it violates,
-round by round (row generation).  The solution is exact: each round is
-checked as a primal-dual certificate on the full LP (see
-:mod:`auctionlab.simplex`).  The optimum weakly dominates every implemented
-auction, so approximation ratios measured against it are conservative.
+round by round (row generation).  Each restricted LP splits into blocks, the
+connected components of its rows over the profiles they touch, and each
+block is solved apart (see :mod:`auctionlab.simplex`).  The oracle prices
+the LP in table units, values v·L times int masses p·D, so its rounds, its
+one certificate on the full LP, its objective and its witness payments run
+on ints and exact Fractions of them, and the optimum is divided by L·D
+once.  The optimum weakly dominates every implemented auction, so
+approximation ratios measured against it are conservative.
 """
 from __future__ import annotations
 
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping
 
@@ -58,7 +63,6 @@ from .simplex import LinearProgram, SimplexError, SimplexResult, solve, verify_c
 from .valuations import value
 
 DEFAULT_VAR_CAP = 200_000
-ZERO, ONE = Fraction(0), Fraction(1)
 
 
 class LPSizeError(RuntimeError):
@@ -83,17 +87,34 @@ class LPStats:
 @dataclass
 class RevenueLP:
     """The LP and its column order: support profile i and nonempty feasible
-    set f own column i * |F| + f.  ``columns[k]`` lists agent k's columns
-    of the support in the order of ``dist.columns(k)`` (see
-    :meth:`JointDistribution.columns`), each as (support position, value in
-    instance units) pairs in own-signal order."""
+    set f own column i * |F| + f.  ``table_lp`` is the LP in table units:
+    each objective coefficient is the int sum of phi·L·D over the set's
+    agents, and ``scale`` is L·D.  ``table_columns[k]`` lists agent k's
+    columns of the support in the order of ``dist.columns(k)`` (see
+    :meth:`JointDistribution.columns`), each as (support position, value
+    v·L) pairs in own-signal order.  :attr:`lp` and :attr:`columns` are the
+    same in instance units."""
 
     instance: Instance
-    lp: LinearProgram
+    table_lp: LinearProgram
+    scale: int
     support: list
     feasible: list
-    columns: list
+    table_columns: list
     stats: LPStats
+
+    @cached_property
+    def lp(self) -> LinearProgram:
+        """The LP in instance units; it shares ``table_lp``'s rows."""
+        return LinearProgram(self.table_lp.n_vars,
+                             [Fraction(c, self.scale) for c in self.table_lp.objective],
+                             self.table_lp.rows)
+
+    @cached_property
+    def columns(self) -> list:
+        unit = self.instance._unit
+        return [[[(i, unit(v)) for i, v in column] for column in agent_columns]
+                for agent_columns in self.table_columns]
 
 
 @dataclass
@@ -120,9 +141,7 @@ def build_revenue_lp(instance: Instance, var_cap: int = DEFAULT_VAR_CAP) -> Reve
         raise LPSizeError(f"{n_y} allocation variables exceed the cap {var_cap}")
 
     # phi_j = v_j T_j - v_{j+1} T_{j+1}, with T_j the column's mass from j
-    # up, in ints: table values v·L times int masses p·D.  Each objective
-    # coefficient is divided by L·D once, so the LP is in instance units
-    # and does not depend on either scale.
+    # up, in ints: table values v·L times int masses p·D
     position = {number: i for i, (_, number, _) in enumerate(numbered)}
     columns, phi = [], [[0] * len(agents) for _ in support]
     for k, st in enumerate(instance.grid.strides):
@@ -134,11 +153,9 @@ def build_revenue_lp(instance: Instance, var_cap: int = DEFAULT_VAR_CAP) -> Reve
                 tail += p
                 phi[i][k] = v * tail - above
                 above = v * tail
-            columns[k].append([(i, instance._unit(v)) for i, v in column])
+            columns[k].append(column)
     members = [[k for k, a in enumerate(agents) if a in fs] for fs in feasible]
-    scale = instance.value_scale * instance.dist.mass_scale
-    objective = [Fraction(sum(map(row.__getitem__, m)), scale) for row in phi for m in members]
-    lp = LinearProgram(n_y, objective)
+    lp = LinearProgram(n_y, [sum(map(row.__getitem__, m)) for row in phi for m in members])
     for i in range(len(support)):
         lp.add_le({i * n_f + f: 1 for f in range(n_f)}, 1)
     for k, agent_columns in enumerate(columns):
@@ -153,68 +170,101 @@ def build_revenue_lp(instance: Instance, var_cap: int = DEFAULT_VAR_CAP) -> Reve
     stats = LPStats(profiles=grid, support=len(support), feasible_sets=n_f + 1,
                     variables=n_y, simplex_rows=len(support),
                     ic_rows=len(lp.rows) - len(support))
-    return RevenueLP(instance, lp, support, feasible, columns, stats)
+    return RevenueLP(instance, lp, instance.value_scale * instance.dist.mass_scale,
+                     support, feasible, columns, stats)
 
 
 def solve_lp(rlp: RevenueLP) -> SimplexResult:
     """The LP's exact optimum by row generation (Dantzig, Fulkerson &
-    Johnson 1954), certified on the full LP.
+    Johnson 1954), certified once on the full LP.
 
     Each round keeps a set A of active monotonicity rows and the set P of
     support profiles they touch.  A profile outside P takes the first
     nonempty set of largest objective if that is positive, and the empty
     set otherwise; its lottery row's dual is max(0, that objective).  The
-    restricted LP has P's columns, P's lottery rows and A's rows, and
-    :func:`solve` solves it; the full LP's x and y take its solution and
-    duals there and zeros on the inactive rows.  So y is dual feasible,
-    c.x = b.y, and x meets every row but the inactive monotonicity rows:
-    when :func:`verify_certificate` fails on the full LP, the rows x
-    violates join A and the next round solves again.  A failure with no new
-    violated row raises.  The first round has A empty and solves nothing,
-    which is the whole solve when the pointwise maximiser is monotone
-    (Myerson 1981).  ``pivots`` and ``fallbacks`` sum over the rounds."""
-    lp, n_f, n_s = rlp.lp, len(rlp.feasible), len(rlp.support)
-    c = lp.objective
-    x, y = [ZERO] * lp.n_vars, [ZERO] * len(lp.rows)
+    restricted LP has P's columns, P's lottery rows and A's rows.  A row of
+    A couples two profiles of one agent's column, so the restricted LP is
+    block-diagonal: its blocks are the connected components of A over P,
+    each with its profiles' columns and lottery rows and its rows of A, and
+    :func:`solve` solves each apart, in instance units.  The full LP's x and
+    y take their solutions and duals there and zeros on the inactive rows.
+    So y is dual feasible, c.x = b.y, and x meets every row but the
+    inactive monotonicity rows: each round scans those, and the rows x
+    violates join A.  When none does, :func:`verify_certificate` checks x
+    and y on the full LP in table units, once; a failure raises.  The first
+    round has A empty and solves nothing, which is the whole solve when the
+    pointwise maximiser is monotone (Myerson 1981).  y is in table units;
+    ``pivots`` and ``fallbacks`` sum over the rounds' blocks, ``blocks``
+    counts the last round's and ``restricted_cells`` is the largest block's
+    tableau."""
+    lp, n_f, n_s, scale = rlp.table_lp, len(rlp.feasible), len(rlp.support), rlp.scale
+    c, rows = lp.objective, lp.rows
+    x, y = [0] * lp.n_vars, [0] * len(rows)
     for i in range(n_s):
         quotes = c[i * n_f:(i + 1) * n_f]
         best = max(quotes, default=0)
         if best > 0:
-            x[i * n_f + quotes.index(best)] = ONE
+            x[i * n_f + quotes.index(best)] = 1
             y[i] = best
-    active, pivots, fallbacks, rounds, cells = set(), 0, 0, 0, 0
+    active, pivots, fallbacks, rounds, blocks, cells = set(), 0, 0, 0, [], 0
     while True:
         rounds += 1
-        problems = verify_certificate(lp, x, y)
-        if not problems:
-            break
-        violated = {r for r in range(n_s, len(lp.rows)) if r not in active
-                    and sum(a * x[j] for j, a in lp.rows[r].coeffs.items() if x[j]) > 0}
+        violated = {r for r in range(n_s, len(rows)) if r not in active
+                    and sum(a * x[j] for j, a in rows[r].coeffs.items() if x[j]) > 0}
         if not violated:
-            raise SimplexError(f"the revenue LP's certificate failed: {problems[0]}")
+            break
         active |= violated
-        touched = sorted({j // n_f for r in active for j in lp.rows[r].coeffs})
-        place = {i: p * n_f for p, i in enumerate(touched)}
-        sub = LinearProgram(len(touched) * n_f,
-                            [c[i * n_f + f] for i in touched for f in range(n_f)])
-        rows = touched + sorted(active)   # P's lottery rows, then A's rows
-        for r in rows:
-            sub.add_le({place[j // n_f] + j % n_f: a for j, a in lp.rows[r].coeffs.items()},
-                       lp.rows[r].rhs)
-        res = solve(sub)
-        if res.status != "optimal":
-            raise SimplexError(f"a restricted revenue LP terminated {res.status}")
-        pivots += res.pivots
-        fallbacks += res.fallbacks
-        cells = max(cells, (len(rows) + 1) * (sub.n_vars + len(rows) + 1))
-        for p, i in enumerate(touched):
-            x[i * n_f:(i + 1) * n_f] = res.x[p * n_f:(p + 1) * n_f]
-        for r, dual in zip(rows, res.y):
-            y[r] = dual
-    objective = sum((cj * v for cj, v in zip(c, x) if v), ZERO)
+        blocks = _blocks(rows, active, n_f)
+        for profiles, block_rows in blocks:
+            place = {i: p * n_f for p, i in enumerate(profiles)}
+            sub = LinearProgram(len(profiles) * n_f, [Fraction(c[i * n_f + f], scale)
+                                                      for i in profiles for f in range(n_f)])
+            block_rows = profiles + block_rows   # lottery rows, then rows of A
+            for r in block_rows:
+                sub.add_le({place[j // n_f] + j % n_f: a for j, a in rows[r].coeffs.items()},
+                           rows[r].rhs)
+            res = solve(sub)
+            if res.status != "optimal":
+                raise SimplexError(f"a restricted revenue LP terminated {res.status}")
+            pivots += res.pivots
+            fallbacks += res.fallbacks
+            cells = max(cells, (len(block_rows) + 1) * (sub.n_vars + len(block_rows) + 1))
+            for p, i in enumerate(profiles):
+                x[i * n_f:(i + 1) * n_f] = res.x[p * n_f:(p + 1) * n_f]
+            for r, dual in zip(block_rows, res.y):
+                y[r] = dual * scale
+    start = time.perf_counter()
+    problems = verify_certificate(lp, x, y)
+    certify_s = time.perf_counter() - start
+    if problems:
+        raise SimplexError(f"the revenue LP's certificate failed: {problems[0]}")
+    objective = Fraction(sum(cj * v for cj, v in zip(c, x) if v), scale)
     return SimplexResult("optimal", objective, x, pivots, y, certified=True,
                          fallbacks=fallbacks, rounds=rounds, active_rows=tuple(sorted(active)),
-                         restricted_cells=cells)
+                         blocks=len(blocks), restricted_cells=cells, certify_s=certify_s)
+
+
+def _blocks(rows, active, n_f) -> list:
+    """The connected components of the active rows over the support
+    profiles they touch, in the order of their first profile: each as its
+    profiles and its rows, both sorted."""
+    root = {}
+
+    def find(i):
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    for r in active:
+        lo, hi = {j // n_f for j in rows[r].coeffs}
+        a, b = find(root.setdefault(lo, lo)), find(root.setdefault(hi, hi))
+        root[max(a, b)] = min(a, b)
+    blocks = {}
+    for i in sorted(root):
+        blocks.setdefault(find(i), ([], []))[0].append(i)
+    for r in sorted(active):
+        blocks[find(next(iter(rows[r].coeffs)) // n_f)][1].append(r)
+    return list(blocks.values())
 
 
 def witness_mechanism(rlp: RevenueLP, solution: SimplexResult) -> dict:
@@ -240,22 +290,26 @@ def witness_mechanism(rlp: RevenueLP, solution: SimplexResult) -> dict:
                 lottery.append((rlp.feasible[f], p))
                 for k in members[f]:
                     service[k] = service[k] + p if service[k] else p
-        rest = 1 - sum((p for _, p in lottery), Fraction(0))
+        rest = 1 - sum(p for _, p in lottery)
         if rest != 0:
             lottery.insert(0, (frozenset(), seen.setdefault(rest, rest)))
         lotteries.append(tuple(lottery))
         served.append(service)
 
-    payments = [[0] * len(agents) for _ in rlp.support]
-    for k, agent_columns in enumerate(rlp.columns):
+    # payments walk up in table units; each distinct one is divided by L once
+    payments, in_units, scale = [[0] * len(agents) for _ in rlp.support], {}, rlp.instance.value_scale
+    for k, agent_columns in enumerate(rlp.table_columns):
         for column in agent_columns:
-            paid = below = 0
+            paid = below = unit = 0
             for i, v in column:
                 if served[i][k] != below:
                     paid += v * (served[i][k] - below)
-                    paid = seen.setdefault(paid, paid)
+                    unit = in_units.get(paid)
+                    if unit is None:
+                        unit = Fraction(paid, scale)
+                        unit = in_units[paid] = seen.setdefault(unit, unit)
                     below = served[i][k]
-                payments[i][k] = paid
+                payments[i][k] = unit
 
     # a cell is keyed by its shared parts' ids, which hashes no number again
     shared, cells, witness = {}, {}, {}

@@ -154,10 +154,12 @@ def run(spec: ExperimentSpec) -> RatioReport:
             solve.update(certified=res.solution.certified, fallbacks=res.solution.fallbacks,
                          pivots=res.solution.pivots, rounds=res.solution.rounds,
                          active_rows=len(res.solution.active_rows),
+                         blocks=res.solution.blocks,
                          restricted_cells=res.solution.restricted_cells,
                          variables=res.stats.variables,
                          rows=res.stats.rows, build_s=round(res.build_s, 6),
                          solve_s=round(res.solve_s, 6),
+                         certify_s=round(res.solution.certify_s, 6),
                          oracle_s=round(time.perf_counter() - start, 6))
         if spec.compute_upper_bound and inst.feas.is_matroid:
             start = time.perf_counter()

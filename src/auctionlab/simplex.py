@@ -11,26 +11,27 @@ sets only and leaves the empty allocation to the slack.
 Espinoza, "Exact solutions to linear programming problems", Oper. Res. Lett.
 2007); its result is always exact.  The double kernel is only its first
 stage.  A double pivot reads its entering column once, runs the ratio test
-over the rows that column reaches and updates only those rows, in place:
-any other row would have +-0.0 subtracted, which leaves it bit for bit the
-same, as no -0.0 reaches rows 1..m unless the LP holds one.  At an optimal
-basis the double kernel reads the row duals y from row 0 at the slack
-columns n..n+m-1: a slack is a unit column with zero cost, so its reduced
-cost is its row's dual.  x and y are rounded to rationals with denominators
-at most ``DENOMINATOR_LIMIT`` and accepted only if :func:`verify_certificate`
-proves, in integer arithmetic, that x is feasible, y >= 0, y^T A >= c and
-c.x = b.y; weak duality then makes x optimal.  Otherwise (or when the double
-kernel reports ``NumericalInstability`` or unboundedness) the fraction-free
-rational simplex solves the LP and the result counts one fallback.  It reads
-its duals from row 0's slack columns too, each exact, so a caller can check
-a certificate of its own on them.
+over the rows that column reaches and updates only those rows: any other
+row would have +-0.0 subtracted, which leaves it the same number.  At an
+optimal basis the double kernel reads the row duals y from row 0 at the
+slack columns n..n+m-1: a slack is a unit column with zero cost, so its
+reduced cost is its row's dual.  x and y are rounded to rationals with
+denominators at most ``DENOMINATOR_LIMIT`` and accepted only if
+:func:`verify_certificate` proves, in integer arithmetic, that x is
+feasible, y >= 0, y^T A >= c and c.x = b.y; weak duality then makes x
+optimal.  Otherwise (or when the double kernel reports
+``NumericalInstability`` or unboundedness) the fraction-free rational
+simplex solves the LP and the result counts one fallback.  It reads its
+duals from row 0's slack columns too, each exact, so a caller can check a
+certificate of its own on them.
 
 The fraction-free kernel keeps the tableau integral via Gauss-Jordan
 pivoting: the true tableau is M / d where d is the previous pivot element,
-and every division is exact.  Rows are numpy object arrays of Python ints so
-updates run in vectorised loops.  Both kernels price by Dantzig's rule,
-falling back to Bland's rule during degenerate stalls so cycling is
-impossible.
+and every division is exact.  Both kernels hold the tableau as Python lists,
+one list per row, of floats or of ints, and import nothing: the revenue
+oracle hands them small blocks (see :func:`auctionlab.oracle.solve_lp`).
+Both price by Dantzig's rule, falling back to Bland's rule during degenerate
+stalls so cycling is impossible.
 """
 from __future__ import annotations
 
@@ -39,27 +40,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-# numpy, imported by the first solve (:func:`_numpy`): commands that solve no
-# LP never load it
-np = None
-
 STALL_LIMIT = 40
 # The double kernel's zero in pricing, the ratio test and the stall test.
 EPS = 1e-9
 MAX_PIVOTS = 100_000
-# Dense tableau cells either kernel may allocate: 2**25 cells are 256 MiB of
-# float64, or of object pointers before the integers they point to.
-MAX_TABLEAU_CELLS = 2 ** 25
+# Tableau cells either kernel may allocate: a cell is an 8-byte list pointer
+# to a 24-byte float, or to an int of 28 bytes or more, so 2**23 cells are at
+# least 256 MiB.
+MAX_TABLEAU_CELLS = 2 ** 23
 # Largest denominator of the rationals a double solution is rounded to before
 # its certificate is checked.
 DENOMINATOR_LIMIT = 10 ** 6
-
-
-def _numpy():
-    global np
-    if np is None:
-        import numpy
-        np = numpy
 
 
 class SimplexError(RuntimeError):
@@ -100,10 +91,13 @@ class SimplexResult:
     certified: bool = False       # x and y passed verify_certificate
     fallbacks: int = 0            # solves the fraction-free kernel redid
     # row generation (oracle.solve_lp): its rounds, the rows its last round
-    # held, and the cells of its largest restricted tableau
+    # held and the blocks they fell into, the cells of its largest block's
+    # tableau, and the seconds of its one full-LP certificate
     rounds: int = 0
     active_rows: tuple = ()
+    blocks: int = 0
     restricted_cells: int = 0
+    certify_s: float = 0.0
 
 
 def solve(lp: LinearProgram) -> SimplexResult:
@@ -150,6 +144,15 @@ def _rational(v: float, seen: dict) -> Fraction:
     return seen[v]
 
 
+def _integral(values: list) -> tuple[list, int]:
+    """The numbers over one common denominator: (their numerators, it)."""
+    if all(type(v) is int for v in values):
+        return values, 1
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios], den
+
+
 def verify_certificate(lp: LinearProgram, x: Sequence, y: Sequence) -> list[str]:
     """Check in exact arithmetic that x is optimal with dual y; an empty list
     means the certificate holds.
@@ -164,17 +167,13 @@ def verify_certificate(lp: LinearProgram, x: Sequence, y: Sequence) -> list[str]
     if len(x) != lp.n_vars or len(y) != len(lp.rows):
         return [f"need {lp.n_vars} primal and {len(lp.rows)} dual values, "
                 f"got {len(x)} and {len(y)}"]
-    xr = [v.as_integer_ratio() for v in x]
-    dx = math.lcm(*(d for _, d in xr))
-    X = [n * (dx // d) for n, d in xr]
-    problems = [f"x[{j}] = {Fraction(*r)} < 0" for j, r in enumerate(xr) if r[0] < 0]
+    X, dx = _integral(x)
+    problems = [f"x[{j}] = {Fraction(v, dx)} < 0" for j, v in enumerate(X) if v < 0]
     scaled = []  # per row: its coefficients and rhs times lam_i, y_i / lam_i as n, d
     for i, (row, yi) in enumerate(zip(lp.rows, y)):
-        coeffs = [(j, *a.as_integer_ratio()) for j, a in row.coeffs.items()]
-        bn, bd = row.rhs.as_integer_ratio()
-        lam = math.lcm(bd, *(d for _, _, d in coeffs))
-        coeffs = [(j, n * (lam // d)) for j, n, d in coeffs]
-        b = bn * (lam // bd)
+        coeffs, lam = _integral([*row.coeffs.values(), row.rhs])
+        b = coeffs.pop()
+        coeffs = list(zip(row.coeffs, coeffs))
         lhs = sum(a * X[j] for j, a in coeffs)
         if lhs > b * dx:
             problems.append(f"row {i}: {Fraction(lhs, lam * dx)} > {Fraction(b, lam)}")
@@ -191,14 +190,12 @@ def verify_certificate(lp: LinearProgram, x: Sequence, y: Sequence) -> list[str]
             by += b * Y
             for j, a in coeffs:
                 dual_lhs[j] += a * Y
-    cr = [c.as_integer_ratio() for c in lp.objective]
-    dc = math.lcm(*(d for _, d in cr))
+    C, dc = _integral(lp.objective)
     cx = 0
-    for j, ((cn, cd), s) in enumerate(zip(cr, dual_lhs)):
-        C = cn * (dc // cd)
-        if s * dc < C * dy:
-            problems.append(f"column {j}: y^T A = {Fraction(s, dy)} < c = {Fraction(cn, cd)}")
-        cx += C * X[j]
+    for j, (c, s) in enumerate(zip(C, dual_lhs)):
+        if s * dc < c * dy:
+            problems.append(f"column {j}: y^T A = {Fraction(s, dy)} < c = {Fraction(c, dc)}")
+        cx += c * X[j]
     if cx * dy != by * dc * dx:
         problems.append(f"c.x = {Fraction(cx, dc * dx)} != b.y = {Fraction(by, dy)}")
     return problems
@@ -213,14 +210,13 @@ def _lcm_of_denominators(values) -> int:
 
 
 def _solve_rational(lp: LinearProgram) -> SimplexResult:
-    _numpy()
     m = len(lp.rows)
     n = lp.n_vars
-    M = np.zeros((m + 1, n + m + 1), dtype=object)
+    M = [[0] * (n + m + 1) for _ in range(m + 1)]
 
     obj_scale = _lcm_of_denominators(lp.objective)
     for j, c in enumerate(lp.objective):
-        M[0, j] = -int(Fraction(c) * obj_scale)
+        M[0][j] = -int(Fraction(c) * obj_scale)
 
     basis = list(range(n, n + m))
     lams = []
@@ -228,17 +224,17 @@ def _solve_rational(lp: LinearProgram) -> SimplexResult:
         lam = _lcm_of_denominators(list(row.coeffs.values()) + [row.rhs])
         lams.append(lam)
         for j, v in row.coeffs.items():
-            M[i, j] = int(Fraction(v) * lam)
-        M[i, -1] = int(Fraction(row.rhs) * lam)
+            M[i][j] = int(Fraction(v) * lam)
+        M[i][-1] = int(Fraction(row.rhs) * lam)
         # the slack keeps coefficient 1 on the scaled row
-        M[i, n + i - 1] = 1
+        M[i][n + i - 1] = 1
 
     d = 1
     pivots = 0
     stall = 0
     last_obj = (0, 1)
     while True:
-        col = _enter_rational(M, bland=stall >= STALL_LIMIT)
+        col = _enter_rational(M[0], bland=stall >= STALL_LIMIT)
         if col is None:
             break
         pr = _leave_rational(M, basis, col)
@@ -249,7 +245,7 @@ def _solve_rational(lp: LinearProgram) -> SimplexResult:
         pivots += 1
         if pivots > MAX_PIVOTS:
             raise SimplexError("pivot limit exceeded")
-        obj_now = (M[0, -1], d)
+        obj_now = (M[0][-1], d)
         if obj_now[0] * last_obj[1] == last_obj[0] * obj_now[1]:
             stall += 1
         else:
@@ -259,36 +255,29 @@ def _solve_rational(lp: LinearProgram) -> SimplexResult:
     x = [Fraction(0)] * n
     for i in range(1, m + 1):
         if basis[i - 1] < n:
-            x[basis[i - 1]] = Fraction(int(M[i, -1]), d)
-    objective = Fraction(int(M[0, -1]), d) / obj_scale
+            x[basis[i - 1]] = Fraction(M[i][-1], d)
+    objective = Fraction(M[0][-1], d) / obj_scale
     # row 0 at slack n + i is the dual of row i scaled by lam_i, with the
     # objective scaled by obj_scale
-    y = [Fraction(int(M[0, n + i]) * lam, d * obj_scale) for i, lam in enumerate(lams)]
+    y = [Fraction(M[0][n + i] * lam, d * obj_scale) for i, lam in enumerate(lams)]
     return SimplexResult("optimal", objective, x, pivots, y)
 
 
-def _enter_rational(M, *, bland: bool):
-    row0 = M[0, :-1]
+def _enter_rational(row0, *, bland: bool):
+    costs = row0[:-1]
     if bland:
-        for j in range(row0.shape[0]):
-            if row0[j] < 0:
-                return j
-        return None
-    best, best_val = None, 0
-    for j in range(row0.shape[0]):
-        v = row0[j]
-        if v < best_val:
-            best, best_val = j, v
-    return best
+        return next((j for j, v in enumerate(costs) if v < 0), None)
+    least = min(costs, default=0)
+    return costs.index(least) if least < 0 else None
 
 
 def _leave_rational(M, basis, col):
     best = None
     best_num = best_den = None
-    for i in range(1, M.shape[0]):
-        a = M[i, col]
+    for i in range(1, len(M)):
+        a = M[i][col]
         if a > 0:
-            b = M[i, -1]
+            b = M[i][-1]
             if best is None or b * best_den < best_num * a or (
                     b * best_den == best_num * a and basis[i - 1] < basis[best - 1]):
                 best, best_num, best_den = i, b, a
@@ -296,13 +285,18 @@ def _leave_rational(M, basis, col):
 
 
 def _pivot_int(M, d, pr, pc):
-    p = int(M[pr, pc])
-    row = M[pr].copy()
-    col = M[:, pc].copy()
-    M *= p
-    M -= np.outer(col, row)
-    M //= d
-    M[pr] = row
+    """Every row but the pivot row becomes (p * row - c * pivot row) / d, c
+    its entry in the pivot column; the pivot row stays."""
+    top = M[pr]
+    p = top[pc]
+    for r, row in enumerate(M):
+        c = row[pc]
+        if r == pr:
+            continue
+        if c:
+            M[r] = [(a * p - c * b) // d for a, b in zip(row, top)]
+        else:
+            M[r] = [a * p // d for a in row]
     return p
 
 
@@ -311,68 +305,70 @@ def _pivot_int(M, d, pr, pc):
 
 
 def _solve_double(lp: LinearProgram) -> SimplexResult:
-    _numpy()
-    # overflow leaves an inf or a nan in the tableau, which the finiteness
-    # guard turns into NumericalInstability
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = len(lp.rows)
-        n = lp.n_vars
-        M = np.zeros((m + 1, n + m + 1))
-        for j, c in enumerate(lp.objective):
-            M[0, j] = -float(c)
-        basis = list(range(n, n + m))
-        for i, row in enumerate(lp.rows, start=1):
-            for j, v in row.coeffs.items():
-                M[i, j] = float(v)
-            M[i, -1] = float(row.rhs)
-            M[i, n + i - 1] = 1.0
+    m = len(lp.rows)
+    n = lp.n_vars
+    M = [[0.0] * (n + m + 1) for _ in range(m + 1)]
+    for j, c in enumerate(lp.objective):
+        M[0][j] = -float(c)
+    basis = list(range(n, n + m))
+    for i, row in enumerate(lp.rows, start=1):
+        for j, v in row.coeffs.items():
+            M[i][j] = float(v)
+        M[i][-1] = float(row.rhs)
+        M[i][n + i - 1] = 1.0
 
-        rhs = M[:, -1]
-        pivots = 0
-        stall = 0
-        last_obj = 0.0
-        while True:
-            row0 = M[0, :-1]
-            if stall >= STALL_LIMIT:
-                candidates = np.nonzero(row0 < -EPS)[0]
-                col = int(candidates[0]) if candidates.size else None
-            else:
-                j = int(row0.argmin())
-                col = j if row0[j] < -EPS else None
-            if col is None:
-                break
-            column = M[:, col]
-            rows = np.flatnonzero(column)  # row 0 among them: its entry is < -EPS
-            cv = column[rows]
-            ratios = np.where(cv > EPS, rhs[rows] / cv, np.inf)
-            k = ratios.argmin()
-            if not math.isfinite(ratios[k]):
-                return SimplexResult("unbounded", None, [], pivots)
-            pr = int(rows[k])
-            piv_row = M[pr] / cv[k]
-            block = M[rows]
-            block -= np.multiply.outer(cv, piv_row)
-            block[k] = piv_row
-            M[rows] = block
-            basis[pr - 1] = col
-            pivots += 1
-            if pivots > MAX_PIVOTS:
-                raise NumericalInstability("pivot limit exceeded in the double kernel")
-            obj = float(rhs[0])
-            if abs(obj - last_obj) <= EPS * max(1.0, abs(last_obj)):
-                stall += 1
-            else:
-                stall = 0
-                last_obj = obj
-            if not np.isfinite(block).all():
-                raise NumericalInstability("the double kernel's tableau lost finiteness")
+    pivots = 0
+    stall = 0
+    last_obj = 0.0
+    while True:
+        costs = M[0][:-1]
+        if stall >= STALL_LIMIT:
+            col = next((j for j, v in enumerate(costs) if v < -EPS), None)
+        else:
+            least = min(costs)
+            col = costs.index(least) if least < -EPS else None
+        if col is None:
+            break
+        column = [row[col] for row in M]
+        rows = [r for r, a in enumerate(column) if a]  # row 0 among them: its entry is < -EPS
+        pr, ratio = None, math.inf
+        for r in rows:
+            if column[r] > EPS and M[r][-1] / column[r] < ratio:
+                pr, ratio = r, M[r][-1] / column[r]
+        if pr is None:
+            return SimplexResult("unbounded", None, [], pivots)
+        _pivot_double(M, rows, column, pr)
+        basis[pr - 1] = col
+        pivots += 1
+        if pivots > MAX_PIVOTS:
+            raise NumericalInstability("pivot limit exceeded in the double kernel")
+        obj = M[0][-1]
+        if abs(obj - last_obj) <= EPS * max(1.0, abs(last_obj)):
+            stall += 1
+        else:
+            stall = 0
+            last_obj = obj
+        # a pivot row holds no nan, and any nan elsewhere needs an inf in
+        # it, so a row's min and max see every entry that is not finite
+        if not all(math.isfinite(min(M[r])) and math.isfinite(max(M[r])) for r in rows):
+            raise NumericalInstability("the double kernel's tableau lost finiteness")
 
-        if M[1:, -1].size and M[1:, -1].min() < -1e-6:
-            raise NumericalInstability(
-                "the double kernel ended at an infeasible basic solution")
-        x = [0.0] * n
-        for i in range(1, m + 1):
-            if basis[i - 1] < n:
-                x[basis[i - 1]] = float(M[i, -1])
-        y = M[0, n:n + m].tolist()
-        return SimplexResult("optimal", float(M[0, -1]), x, pivots, y)
+    if m and min(row[-1] for row in M[1:]) < -1e-6:
+        raise NumericalInstability("the double kernel ended at an infeasible basic solution")
+    x = [0.0] * n
+    for i in range(1, m + 1):
+        if basis[i - 1] < n:
+            x[basis[i - 1]] = M[i][-1]
+    return SimplexResult("optimal", M[0][-1], x, pivots, M[0][n:n + m])
+
+
+def _pivot_double(M, rows, column, pr):
+    """Divide row pr by its entry in the entering column and subtract that
+    row, times their entry, from the other rows the column reaches; the rows
+    it does not reach are not read."""
+    top = [v / column[pr] for v in M[pr]]
+    for r in rows:
+        if r != pr:
+            c = column[r]
+            M[r] = [a - c * b for a, b in zip(M[r], top)]
+    M[pr] = top

@@ -310,3 +310,17 @@ def test_sample_stream_pinned_on_large_supports(name, params, seed, digest):
     rng = random.Random(7)
     draws = [d.sample(rng) for _ in range(2000)]
     assert hashlib.sha256(repr(draws).encode()).hexdigest() == digest
+
+
+def test_numpy_integer_coordinates_are_refused_at_construction():
+    # a numpy integer has no as_integer_ratio(), so SignalGrid.number cannot
+    # number it: the support check refuses it, not the first numbering
+    np = pytest.importorskip("numpy")
+    grid = SignalGrid(agents=(1, 2), values={1: (1, 2), 2: (1, 2)})
+    one, two = np.int64(1), np.int64(2)
+    assert grid.on_grid((1, 2)) and not grid.on_grid((one, two))
+    with pytest.raises(DistributionError, match=r"support point .* is off the grid"):
+        JointDistribution(grid, form="table", table=[((one, one), Fraction(1, 2)), ((two, two), Fraction(1, 2))])
+    with pytest.raises(DistributionError, match="marginal support off the grid for agent 1"):
+        JointDistribution(grid, form="product",
+                          marginals={1: [(one, Fraction(1, 2)), (two, Fraction(1, 2))], 2: [(1, Fraction(1))]})

@@ -225,15 +225,26 @@ def test_upper_bound_matches_the_profile_by_profile_sum(name):
     assert opt_upper_bound(inst) == reference_upper_bound(copy.deepcopy(inst))
 
 
-def test_commands_that_solve_no_lp_never_import_numpy():
+def test_no_command_imports_numpy(tmp_path):
+    # a Monte Carlo run without the oracle; then the oracle and a run with it
+    # on an instance whose solve takes a restricted round (2 rounds, 4 pivots)
+    planted = str(tmp_path / "correlated-private-s107-15.yaml")
     code = ("import sys\n"
             "from auctionlab import cli\n"
             "status = cli.main(['run', '--instance', 'src/auctionlab/fixtures/tiny1.yaml',"
             " '--mechanism', 'lookahead', '--mode', 'mc', '--trials', '50', '--no-oracle',"
             " '--no-upper-bound'])\n"
+            "status = status or cli.main(['gen', '--generator', 'correlated-private',"
+            " '--param', 'n=3', '--param', 'grid=3', '--param', 'kind=2-uniform',"
+            f" '--count', '16', '--seed', '107', '--out', {str(tmp_path)!r}])\n"
+            f"status = status or cli.main(['oracle', '--instance', {planted!r}])\n"
+            f"status = status or cli.main(['run', '--instance', {planted!r},"
+            " '--mechanism', 'lookahead'])\n"
             "sys.exit(10 if 'numpy' in sys.modules else status)\n")
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           cwd=root, env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0, done.stderr
+    assert "correlated-private-s107-15: optimal revenue = 283/26" in done.stdout
+    assert "4 pivots" in done.stdout

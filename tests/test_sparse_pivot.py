@@ -1,8 +1,10 @@
 """The double kernel pivots only the rows its entering column reaches.
 
-Each pivot is replayed on a dense reference that subtracts the full rank-1
-update from the whole tableau.  After every pivot the kernel must have taken
-the same entering column and leaving row and hold a bitwise-equal tableau.
+Each pivot of the list kernel is replayed on a dense numpy reference that
+subtracts the full rank-1 update from the whole tableau.  At every pivot the
+kernel must take the same entering column and leaving row, leave the rows
+its column does not reach untouched, and hold a tableau bitwise equal to the
+reference's.
 """
 import random
 from fractions import Fraction
@@ -56,56 +58,58 @@ class DenseReference:
 
 
 class PivotSpy:
-    """Stands in for numpy inside the kernel.  The kernel calls
-    ``flatnonzero(M[:, col])`` once per pivot, so each call hands over the
-    tableau before that pivot and the entering column."""
+    """Stands in for ``simplex._pivot_double``, which the kernel calls once
+    per pivot with its list tableau before that pivot, the rows the entering
+    column reaches, that column and the leaving row."""
 
-    def __init__(self):
+    def __init__(self, pivot):
+        self.pivot = pivot
         self.ref = None
         self.M = None
-        self.last = None        # (entering column, reference leaving row)
         self.calls = 0
         self.bland = 0          # pivots priced by Bland's rule
 
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def flatnonzero(self, column):
-        M = column.base
-        col = (column.__array_interface__["data"][0]
-               - M.__array_interface__["data"][0]) // M.itemsize
+    def __call__(self, M, rows, column, pr):
         if self.ref is None:
-            self.ref, self.M = DenseReference(M), M
+            self.ref, self.M = DenseReference(np.array(M)), M
         else:
-            self.check_last_pivot()
+            self.check_tableau()
         self.bland += self.ref.stall >= simplex.STALL_LIMIT
-        assert self.ref.entering() == col
-        pr = self.ref.leaving(col)
-        if pr is not None:
-            self.ref.pivot(pr, col)
-        self.last = (col, pr)
-        self.calls += 1
-        return np.flatnonzero(column)
-
-    def check_last_pivot(self):
-        col, pr = self.last
+        col = self.ref.entering()
+        assert col is not None and column == [row[col] for row in M]
+        assert rows == np.flatnonzero(self.ref.M[:, col]).tolist()
+        assert self.ref.leaving(col) == pr
+        unreached = {r: (row, bits(row)) for r, row in enumerate(M) if r not in rows}
+        self.pivot(M, rows, column, pr)
+        # a row the column does not reach is not even replaced
+        for r, (row, before) in unreached.items():
+            assert M[r] is row and bits(row) == before
         # a pivot leaves its column the unit vector of its leaving row
-        assert np.flatnonzero(self.M[:, col]).tolist() == [pr]
-        assert np.array_equal(self.M.view(np.uint64), self.ref.M.view(np.uint64))
+        assert [r for r, row in enumerate(M) if row[col]] == [pr]
+        self.ref.pivot(pr, col)
+        self.calls += 1
+
+    def check_tableau(self):
+        assert bits(self.M) == bits(self.ref.M)
+
+
+def bits(rows):
+    return np.array(rows, dtype=np.float64).view(np.uint64).tolist()
 
 
 def check_against_dense(monkeypatch, lp):
-    spy = PivotSpy()
+    spy = PivotSpy(simplex._pivot_double)
     with monkeypatch.context() as patch:
-        patch.setattr(simplex, "np", spy)
+        patch.setattr(simplex, "_pivot_double", spy)
         res = simplex._solve_double(lp)
-    assert spy.calls == res.pivots + (res.status == "unbounded")
-    if res.status == "optimal":
-        if spy.calls:
-            spy.check_last_pivot()
-            assert spy.ref.entering() is None
-    else:
-        assert spy.last[1] is None
+    assert spy.calls == res.pivots
+    if spy.calls:
+        spy.check_tableau()
+        col = spy.ref.entering()
+        if res.status == "optimal":
+            assert col is None
+        else:
+            assert col is not None and spy.ref.leaving(col) is None
     return res, spy
 
 
