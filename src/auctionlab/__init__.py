@@ -26,15 +26,11 @@ from .mechanisms import (  # noqa: F401
     MechanismSpec,
     conditional_monopoly_reserve,
     expected_revenue,
-    gvcg,
     gvcg_lazy,
     ic_ir_audit,
-    lookahead,
     opt_upper_bound,
-    randomized_matroid,
-    randomized_single_item,
+    run_realized,
     threshold_matching,
-    vcg_eager,
 )
 from .oracle import build_revenue_lp, opt_revenue, solve_lp, verify_witness  # noqa: F401
 from .valuations import ValuationProfile, value  # noqa: F401

@@ -32,7 +32,7 @@ from .mechanisms import (
     ic_ir_audit,
     run_realized,
 )
-from .oracle import opt_revenue
+from .oracle import lp_record, opt_revenue
 from .runner import ExperimentSpec, SpecError, run, write_report
 from .valuations import ValuationError
 
@@ -181,20 +181,7 @@ def cmd_oracle(args) -> int:
     for inst in _load_all(args):
         res = opt_revenue(inst)
         stats = res.stats
-        entry = {
-            "optimal_revenue": str(res.value),
-            "lp": {
-                "variables": stats.variables, "rows": stats.rows,
-                "profiles": stats.profiles, "support": stats.support,
-                "feasible_sets": stats.feasible_sets,
-                "simplex_rows": stats.simplex_rows, "ic_rows": stats.ic_rows,
-                "ir_rows": stats.ir_rows, "pivots": res.solution.pivots,
-                "certified": res.solution.certified,
-                "fallbacks": res.solution.fallbacks, "rounds": res.solution.rounds,
-                "active_rows": len(res.solution.active_rows), "blocks": res.solution.blocks,
-                "restricted_cells": res.solution.restricted_cells,
-            },
-        }
+        entry = {"optimal_revenue": str(res.value), "lp": lp_record(res)}
         if args.witness:
             entry["witness"] = {
                 _profile(s): {

@@ -351,6 +351,3 @@ class JointDistribution:
     def sample(self, rng) -> tuple:
         """The profile of one :meth:`draw`."""
         return self.numbered_support()[self.draw(rng)][0]
-
-    def total_mass(self):
-        return sum(self._table.values())

@@ -18,13 +18,13 @@ and an offer (tentative winners, threshold scans, the reserve of one agent
 index) at a profile number and an admitted bitmask; :func:`_core` settles it
 into the served bitmask and the payments by agent index.  A winner's
 take-it-or-leave-it price, max(reserve, threshold value), reads only the
-others' signals, so a walk's price memo keys it by (agent, column, scan
-mask); the ``unsafe-own-value`` canary's and the eager auction's prices read
-the own signal (the eager survivor set does, through the others' reserves)
-and are keyed by the profile number.  The public functions take profile tuples and
-agent frozensets and build an :class:`AuctionOutcome` from the same offer.
-:func:`walk` builds each (realization, profile) outcome once through the core
-and reads both the IC/IR audit and the exact revenue from it.
+others' signals, so a walk's or Monte Carlo run's own price memo keys it by
+(agent, column, scan mask); the ``unsafe-own-value`` canary's and the eager
+auction's prices read the own signal (the eager survivor set does, through
+the others' reserves) and are keyed by the profile number.
+:func:`run_realized` and :func:`gvcg_lazy` build an :class:`AuctionOutcome`
+from the same offer; :func:`walk` builds each (realization, profile) outcome
+once through the core and reads both the IC/IR audit and the exact revenue.
 
 The core's numbers are ints: the instance tables every value as v·L, L the
 lcm of the values' denominators, so thresholds, quotes and payments compare
@@ -122,11 +122,10 @@ class Instance:
     times its stride; and each agent's prior marginal as int masses.  A
     winner set is greedy over the active agents in the profile's value
     order, ties by :attr:`tie_break`, on the full system, whose independence
-    answers are tabled per bitmask.  The price memo of
-    the spec being walked lives until its walk or Monte Carlo run ends.
-    :meth:`value` and :meth:`values_at` divide back.  The tables rely on the
-    instance not changing; ``runner.run`` calls :meth:`release_tables`,
-    which keeps only the value table, when an instance's rows are done.
+    answers are tabled per bitmask.  :meth:`value` and :meth:`values_at`
+    divide back.  The tables rely on the instance not changing;
+    ``runner.run`` calls :meth:`release_tables`, which keeps only the value
+    table, when an instance's rows are done.
     """
 
     grid: SignalGrid
@@ -152,7 +151,6 @@ class Instance:
         self.everyone = (1 << len(agents)) - 1
         self._winners, self._thresholds, self._quotes, self._independent = {}, {}, {}, {}
         self._marginals = {}
-        self._priced, self._prices = None, {}
         values = valuations.grid_values(self.vp, self.grid)
         self._checks = valuations.assumption_violations(self.grid, values)
         try:
@@ -203,10 +201,10 @@ class Instance:
 
     def release_tables(self) -> dict:
         """Empty the winner-set, threshold, quote, independence and marginal
-        tables and the price memo; return the first three's entry counts, the
-        independence table's, the value table's scale L, the distribution's
-        mass scale D and the reserve fallback labels counted over the
-        distinct tabled quotes."""
+        tables; return the first three's entry counts, the independence
+        table's, the value table's scale L, the distribution's mass scale D
+        and the reserve fallback labels counted over the distinct tabled
+        quotes."""
         labels = [q.fallback for q in self._quotes.values()]
         held = {"entries": self.table_sizes(), "independence": len(self._independent),
                 "value_scale": self.value_scale, "mass_scale": self.dist.mass_scale,
@@ -215,7 +213,6 @@ class Instance:
         for table in (self._winners, self._thresholds, self._quotes, self._independent,
                       self._marginals):
             table.clear()
-        self._release_prices()
         return held
 
     def _marginal(self, i: int) -> list:
@@ -230,12 +227,6 @@ class Instance:
                     mass[j] = mass.get(j, 0) + p
             pairs = self._marginals[i] = sorted(mass.items())
         return pairs
-
-    def _release_prices(self) -> int:
-        """Empty the price memo; return the entries it held."""
-        held = len(self._prices)
-        self._priced, self._prices = None, {}
-        return held
 
     @cached_property
     def single_item(self) -> bool:
@@ -390,22 +381,20 @@ def conditional_value_distribution(instance: Instance, agent, s: Sequence):
 
 
 def conditional_monopoly_reserve(instance: Instance, agent, s: Sequence, *,
-                                 event_mode: str = "winner_conditioned",
-                                 active: frozenset | None = None) -> ReserveQuote:
+                                 event_mode: str = "winner_conditioned") -> ReserveQuote:
     """Optimal posted price for the agent given everyone else's signals.
 
     ``winner_conditioned`` additionally conditions on the agent being a
-    tentative winner within ``active`` (signal at or above the critical
-    one).  Zero-probability events trigger a logged fallback chain: drop the
-    winner conditioning first, then fall back to the agent's prior marginal;
-    every stage reads only the other agents' signals, so the quote never
-    depends on the agent's own report.  An agent that never wins has an
+    tentative winner among everyone (signal at or above the critical one).
+    Zero-probability events trigger a logged fallback chain: drop the winner
+    conditioning first, then fall back to the agent's prior marginal; every
+    stage reads only the other agents' signals, so the quote never depends
+    on the agent's own report.  An agent that never wins has an
     empty winner event.  Quotes are tabled per (agent, column, event mode,
     critical signal), so each fallback is logged once per distinct quote.
     """
-    mask = instance.everyone if active is None else instance.mask(active)
     q = _quote(instance, instance.grid.index_of(agent), instance.grid.number(s),
-               event_mode, mask)
+               event_mode, instance.everyone)
     return ReserveQuote(q.agent, instance._unit(q.price), instance._unit(q.expected_revenue),
                         q.fallback)
 
@@ -484,30 +473,20 @@ class SignalView:
         return [(a, self[a]) for a in self._agents if a != self._hidden]
 
 
-def resolve_reserves(instance: Instance, s: Sequence, agents, source,
-                     *, active: frozenset | None = None,
-                     event_mode: str = "winner_conditioned") -> dict:
+def resolve_reserves(instance: Instance, s: Sequence, agents, source) -> dict:
     """Per-agent reserve prices from a named source, a map, or a callback.
 
     ``fixed:r1,r2,...`` lists one reserve per agent in the order of
     ``instance.agents``.  Callables receive (agent, masked profile view);
     reading the agent's own coordinate raises :class:`ReserveAuditError`.
-    ``conditional`` reserves condition on the winner event within
-    ``active`` (all agents by default).
+    ``conditional`` reserves condition on the winner event among everyone.
+    A source that does not resolve is refused even when no agent is priced.
     """
-    found = _reserves(instance, instance.grid.number(s), instance.mask(agents), source,
-                      instance.everyone if active is None else instance.mask(active),
-                      event_mode)
-    return {a: instance._unit(r) for a, r in found.items()}
-
-
-def _reserves(instance: Instance, k: int, priced: int, source, mask: int,
-              event_mode: str) -> dict:
-    """:func:`resolve_reserves` for the bitmask ``priced``, profile number k
-    and active bitmask, in table units; the source is resolved by
-    :func:`_reserve_rule`, so it is refused even when no agent is priced."""
-    reserve = _reserve_rule(instance, k, source, mask, event_mode)
-    return {a: reserve(i) for i, a in enumerate(instance.agents) if priced >> i & 1}
+    priced = instance.mask(agents)
+    reserve = _reserve_rule(instance, instance.grid.number(s), source, instance.everyone,
+                            "winner_conditioned")
+    return {a: instance._unit(reserve(i))
+            for i, a in enumerate(instance.agents) if priced >> i & 1}
 
 
 def _reserve_rule(instance: Instance, k: int, source, mask: int, event_mode: str) -> Callable:
@@ -588,14 +567,7 @@ def _check_lazy(instance: Instance, source="none", applies: bool = True,
         raise WrongVariantError(refusal)
     instance.require_monotone()
     instance.require_single_crossing()
-    _reserves(instance, 0, 0, source, instance.everyone, "winner_conditioned")
-
-
-def _admitted(z: int | None) -> int:
-    """The admitted mask z of a randomized variant."""
-    if z is None:
-        raise MechanismError("need an explicit admission set")
-    return z
+    _reserve_rule(instance, 0, source, instance.everyone, "winner_conditioned")
 
 
 def _eager_offer(instance: Instance, k: int, reserves) -> tuple:
@@ -636,18 +608,13 @@ def _settle(instance: Instance, k: int, offer: tuple, prices: dict) -> tuple:
     return served, pay
 
 
-def _core(instance: Instance, spec: "MechanismSpec", k: int, z: int | None) -> tuple:
+def _core(instance: Instance, spec: "MechanismSpec", k: int, z: int | None,
+          prices: dict) -> tuple:
     """The one int path of every mechanism: (served bitmask, payments by
     agent index) at profile number k under admitted mask z (None for a
-    deterministic mechanism).  The first call for a spec runs the
-    mechanism's check and starts the spec's price memo on the instance;
-    later calls for the same spec object share the memo until its walk or
-    run releases it."""
-    mech = MECHANISMS[spec.mech_id]
-    if instance._priced is not spec:
-        mech.check(instance, spec)
-        instance._priced, instance._prices = spec, {}
-    return _settle(instance, k, mech.offer(instance, spec, k, z), instance._prices)
+    deterministic mechanism), read through the caller's price memo, after
+    the caller has run the mechanism's check."""
+    return _settle(instance, k, MECHANISMS[spec.mech_id].offer(instance, spec, k, z), prices)
 
 
 def _outcome(instance: Instance, k: int, offer: tuple, admitted) -> AuctionOutcome:
@@ -678,44 +645,6 @@ def gvcg_lazy(instance: Instance, s: Sequence, reserves,
     mask = None if active is None else instance.mask(active)
     _check_lazy(instance, reserves)
     return _outcome(instance, k, _lazy_offer(instance, k, reserves, mask), None)
-
-
-def gvcg(instance: Instance, s: Sequence, active: frozenset | None = None) -> AuctionOutcome:
-    """Generalized VCG: welfare-max winners pay their threshold values."""
-    return gvcg_lazy(instance, s, "none", active)
-
-
-def lookahead(instance: Instance, s: Sequence) -> AuctionOutcome:
-    """Lazy auction with winner-conditioned monopoly reserves."""
-    return gvcg_lazy(instance, s, "conditional")
-
-
-def randomized_single_item(instance: Instance, s: Sequence,
-                           admission, *,
-                           event_mode: str = "winner_conditioned") -> AuctionOutcome:
-    """Single-item variant: run the lazy auction inside the admitted set
-    (drawn by the admission law in :data:`MECHANISMS`); reserves still
-    condition on every other agent's signal, admitted or not."""
-    return run_realized(instance, MechanismSpec("rand-single", event_mode=event_mode), s,
-                        admission)
-
-
-def randomized_matroid(instance: Instance, s: Sequence, admission, *,
-                       event_mode: str = "winner_conditioned") -> AuctionOutcome:
-    """Matroid variant: the lazy auction inside the admitted set, drawn by
-    the admission law in :data:`MECHANISMS`; admitting everyone is the
-    all-agents set."""
-    return run_realized(instance, MechanismSpec("rand-matroid", event_mode=event_mode), s,
-                        admission)
-
-
-def vcg_eager(instance: Instance, s: Sequence, reserves) -> AuctionOutcome:
-    """Remove agents below their reserves first, then run the auction on the
-    survivors; winners pay the higher of reserve and the threshold within the
-    surviving set.  Private values only."""
-    k = instance.grid.number(s)
-    instance.require_private("the eager-reserve auction")
-    return _outcome(instance, k, _eager_offer(instance, k, reserves), None)
 
 
 # ----------------------------------------------------------------------
@@ -805,14 +734,12 @@ MECHANISMS = {
     # the randomized variants run the lookahead rule inside the admitted set;
     # reserves still condition on every other agent's signal
     "rand-single": Mechanism(
-        lambda inst, spec, k, z: _lazy_offer(inst, k, "conditional", _admitted(z),
-                                             spec.event_mode),
+        lambda inst, spec, k, z: _lazy_offer(inst, k, "conditional", z, spec.event_mode),
         Admission(p_all=Fraction(0), p_in=Fraction(2, 3)),
         check=lambda inst, spec: _check_lazy(
             inst, "none", inst.single_item, "the single-item variant needs a 1-uniform system")),
     "rand-matroid": Mechanism(
-        lambda inst, spec, k, z: _lazy_offer(inst, k, "conditional", _admitted(z),
-                                             spec.event_mode),
+        lambda inst, spec, k, z: _lazy_offer(inst, k, "conditional", z, spec.event_mode),
         Admission(p_all=Fraction(1, 2), p_in=Fraction(1, 2)),
         check=lambda inst, spec: _check_lazy(
             inst, "none", inst.feas.is_matroid, "the matroid variant needs a matroid system")),
@@ -870,10 +797,15 @@ def _weighted_realizations(instance: Instance, spec: MechanismSpec) -> tuple:
 
 def run_realized(instance: Instance, spec: MechanismSpec, s: Sequence,
                  realization) -> AuctionOutcome:
-    """The mechanism's outcome at profile s under one realization."""
+    """The mechanism's outcome at profile s under one realization: the
+    admitted set of a randomized variant, None for a deterministic mechanism
+    (:func:`gvcg_lazy` takes an active set)."""
     mech = MECHANISMS[spec.mech_id]
+    if (realization is None) != (mech.admission is None):
+        raise MechanismError(f"{spec.mech_id} has no admission stage" if realization is not None
+                             else "need an explicit admission set")
     k = instance.grid.number(s)
-    z = None if realization is None or mech.admission is None else frozenset(realization)
+    z = None if realization is None else frozenset(realization)
     mask = None if z is None else instance.mask(z)
     mech.check(instance, spec)
     return _outcome(instance, k, mech.offer(instance, spec, k, mask), z)
@@ -957,20 +889,18 @@ def expected_revenue(instance: Instance, spec: MechanismSpec, mode: str = "exact
     import random
 
     rng = random.Random(seed)
-    dist, law, scale = instance.dist, MECHANISMS[spec.mech_id].admission, instance.value_scale
+    mech, dist, scale = MECHANISMS[spec.mech_id], instance.dist, instance.value_scale
     support = dist.numbered_support()
-    draws = []
-    try:
-        for _ in range(trials):
-            k = support[dist.draw(rng)][1]
-            z = _draw_admitted(instance, law, rng)
-            draws.append(float(_revenue(*_core(instance, spec, k, z)) / scale))
-    finally:
-        prices = instance._release_prices()
+    mech.check(instance, spec)
+    draws, prices = [], {}
+    for _ in range(trials):
+        k = support[dist.draw(rng)][1]
+        z = _draw_admitted(instance, mech.admission, rng)
+        draws.append(float(_revenue(*_core(instance, spec, k, z, prices)) / scale))
     mean = sum(draws) / trials
     var = sum((x - mean) ** 2 for x in draws) / max(trials - 1, 1)
     return RevenueEstimate(mean, std_error=math.sqrt(var / trials), atoms=trials,
-                           prices=prices)
+                           prices=len(prices))
 
 
 def _revenue(served: int, pay: list):
@@ -1048,9 +978,9 @@ def walk(instance: Instance, spec: MechanismSpec, *, audit: bool = True,
     The revenue puts the realization weights over one denominator W, sums
     W_z * revenue per support profile in table units, multiplies each sum
     by the profile's int mass p·D and divides by W·L·D once.  The atom cap
-    (support x realizations) is checked before any outcome is built, and the
-    price memo released when the walk ends.  Asked for neither, it builds
-    nothing.  A single-sample spec sums
+    (support x realizations) is checked before the mechanism's check runs
+    and any outcome is built; the price memo lives as long as the walk.
+    Asked for neither, it builds nothing.  A single-sample spec sums
     p·D * :func:`_single_sample_revenue` over the support instead and is not
     audited (``violations`` is None).
     """
@@ -1071,26 +1001,24 @@ def walk(instance: Instance, spec: MechanismSpec, *, audit: bool = True,
         _check_lazy(instance)
         total = sum((p * _single_sample_revenue(instance, k) for _, k, p in support), 0)
         return Walk(None, RevenueEstimate(Fraction(total, scale), atoms=atoms), atoms)
+    MECHANISMS[spec.mech_id].check(instance, spec)
     numbers = (range(math.prod(instance.grid.sizes)) if audit
                else [k for _, k, _ in support])
     # sums[j]: sum over realizations z of W_z * (revenue at support profile j
     # under z), in table units
-    violations, sums = [] if audit else None, [0] * len(support)
-    try:
-        for realization, weight in reals:
-            z = None if realization is None else instance.mask(realization)
-            outcomes = {k: _core(instance, spec, k, z) for k in numbers}
-            if audit:
-                _audit(instance, support, outcomes, realization, z, violations)
-            if revenue:
-                for j, (_, k, _) in enumerate(support):
-                    sums[j] += weight * _revenue(*outcomes[k])
-    finally:
-        prices = instance._release_prices()
+    violations, sums, prices = [] if audit else None, [0] * len(support), {}
+    for realization, weight in reals:
+        z = None if realization is None else instance.mask(realization)
+        outcomes = {k: _core(instance, spec, k, z, prices) for k in numbers}
+        if audit:
+            _audit(instance, support, outcomes, realization, z, violations)
+        if revenue:
+            for j, (_, k, _) in enumerate(support):
+                sums[j] += weight * _revenue(*outcomes[k])
     total = Fraction(sum((p * x for (_, _, p), x in zip(support, sums)), 0),
                      denominator * scale)
-    return Walk(violations, RevenueEstimate(total, atoms=atoms, prices=prices)
-                if revenue else None, len(reals) * len(numbers), prices)
+    return Walk(violations, RevenueEstimate(total, atoms=atoms, prices=len(prices))
+                if revenue else None, len(reals) * len(numbers), len(prices))
 
 
 def _audit(instance: Instance, support: list, outcomes: dict, realization, z: int | None,

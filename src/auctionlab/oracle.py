@@ -311,10 +311,11 @@ def witness_mechanism(rlp: RevenueLP, solution: SimplexResult) -> dict:
                     below = served[i][k]
                 payments[i][k] = unit
 
-    # a cell is keyed by its shared parts' ids, which hashes no number again
-    shared, cells, witness = {}, {}, {}
+    # payments are keyed by their numbers' ids, cells by their parts': no number is hashed again
+    shared, paid_by_ids, cells, witness = {}, {}, {}, {}
     for s, lottery, paid in zip(rlp.support, lotteries, map(tuple, payments)):
-        lottery, paid = shared.setdefault(lottery, lottery), shared.setdefault(paid, paid)
+        lottery = shared.setdefault(lottery, lottery)
+        paid = paid_by_ids.setdefault(tuple(map(id, paid)), paid)
         witness[s] = cells.setdefault((id(lottery), id(paid)), (lottery, paid))
     return witness
 
@@ -330,6 +331,18 @@ def opt_revenue(instance: Instance, var_cap: int = DEFAULT_VAR_CAP) -> OptResult
         raise RuntimeError(f"revenue LP terminated {solution.status}")
     return OptResult(solution.objective, witness_mechanism(rlp, solution),
                      rlp.stats, solution, built - start, solved - built)
+
+
+def lp_record(res: OptResult) -> dict:
+    """The LP's size and solve counts that ``oracle --out`` and a run record."""
+    stats, sol = res.stats, res.solution
+    return {"variables": stats.variables, "rows": stats.rows, "profiles": stats.profiles,
+            "support": stats.support, "feasible_sets": stats.feasible_sets,
+            "simplex_rows": stats.simplex_rows, "ic_rows": stats.ic_rows,
+            "ir_rows": stats.ir_rows, "pivots": sol.pivots, "certified": sol.certified,
+            "fallbacks": sol.fallbacks, "rounds": sol.rounds,
+            "active_rows": len(sol.active_rows), "blocks": sol.blocks,
+            "restricted_cells": sol.restricted_cells}
 
 
 def verify_witness(instance: Instance, witness: Mapping) -> list[str]:

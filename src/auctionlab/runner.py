@@ -30,7 +30,7 @@ from .mechanisms import (
     opt_upper_bound,
     walk,
 )
-from .oracle import opt_revenue
+from .oracle import lp_record, opt_revenue
 
 CSV_COLUMNS = ("instance", "mechanism", "reserve_source", "mode", "revenue",
                "std_error", "oracle", "upper_bound", "ratio", "audit",
@@ -151,13 +151,7 @@ def run(spec: ExperimentSpec) -> RatioReport:
             start = time.perf_counter()
             res = opt_revenue(inst)
             oracle = res.value
-            solve.update(certified=res.solution.certified, fallbacks=res.solution.fallbacks,
-                         pivots=res.solution.pivots, rounds=res.solution.rounds,
-                         active_rows=len(res.solution.active_rows),
-                         blocks=res.solution.blocks,
-                         restricted_cells=res.solution.restricted_cells,
-                         variables=res.stats.variables,
-                         rows=res.stats.rows, build_s=round(res.build_s, 6),
+            solve.update(lp_record(res), build_s=round(res.build_s, 6),
                          solve_s=round(res.solve_s, 6),
                          certify_s=round(res.solution.certify_s, 6),
                          oracle_s=round(time.perf_counter() - start, 6))

@@ -205,27 +205,22 @@ def verify_certificate(lp: LinearProgram, x: Sequence, y: Sequence) -> list[str]
 # exact kernel
 
 
-def _lcm_of_denominators(values) -> int:
-    return math.lcm(*(Fraction(v).denominator for v in values))
-
-
 def _solve_rational(lp: LinearProgram) -> SimplexResult:
     m = len(lp.rows)
     n = lp.n_vars
     M = [[0] * (n + m + 1) for _ in range(m + 1)]
 
-    obj_scale = _lcm_of_denominators(lp.objective)
-    for j, c in enumerate(lp.objective):
-        M[0][j] = -int(Fraction(c) * obj_scale)
+    objective, obj_scale = _integral(list(lp.objective))
+    M[0][:len(objective)] = [-c for c in objective]
 
     basis = list(range(n, n + m))
     lams = []
     for i, row in enumerate(lp.rows, start=1):
-        lam = _lcm_of_denominators(list(row.coeffs.values()) + [row.rhs])
+        coeffs, lam = _integral([*row.coeffs.values(), row.rhs])
         lams.append(lam)
-        for j, v in row.coeffs.items():
-            M[i][j] = int(Fraction(v) * lam)
-        M[i][-1] = int(Fraction(row.rhs) * lam)
+        M[i][-1] = coeffs.pop()
+        for j, v in zip(row.coeffs, coeffs):
+            M[i][j] = v
         # the slack keeps coefficient 1 on the scaled row
         M[i][n + i - 1] = 1
 

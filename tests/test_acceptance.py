@@ -29,13 +29,11 @@ from auctionlab.mechanisms import (
     Instance,
     MechanismSpec,
     expected_revenue,
-    gvcg,
     gvcg_lazy,
     ic_ir_audit,
-    lookahead,
     opt_upper_bound,
+    run_realized,
     threshold_matching,
-    vcg_eager,
     winner_set,
 )
 from auctionlab.oracle import opt_revenue, verify_witness
@@ -341,7 +339,7 @@ def test_acceptance_08_matching_and_bijection_thousand():
         f = threshold_matching(inst, s, w, tp)
         assert sorted(f) == sorted(tp)
         assert len(set(f.values())) == len(f)
-        out = gvcg(inst, s)
+        out = run_realized(inst, MechanismSpec("gvcg"), s, None)
         for j, i in f.items():
             idx = inst.grid.index_of(i)
             st = s[:idx] + (out.threshold_signal[i],) + s[idx + 1:]
@@ -386,7 +384,7 @@ def test_acceptance_09_lookahead_price_is_max_of_threshold_and_monopoly(regular_
     for inst in regular_family:
         mono = {a: monopoly_price(inst.dist.marginal(a))[0] for a in inst.agents}
         for s, _ in inst.dist.enumerate_support():
-            out = lookahead(inst, s)
+            out = run_realized(inst, MechanismSpec("lookahead"), s, None)
             for a in out.tentative:
                 price = max(out.reserve[a], out.threshold_value[a])
                 if price != max(out.threshold_value[a], mono[a]):
@@ -429,7 +427,7 @@ def test_acceptance_11_eager_dominates_lazy(regular_family):
             rev_bad += 1
         reserves = {a: monopoly_price(inst.dist.marginal(a))[0] for a in inst.agents}
         for s, _ in inst.dist.enumerate_support():
-            out_e = vcg_eager(inst, s, reserves)
+            out_e = run_realized(inst, MechanismSpec("vcg-eager", reserves), s, None)
             out_l = gvcg_lazy(inst, s, reserves)
             if out_e.welfare(inst, s) < out_l.welfare(inst, s):
                 welfare_bad += 1
@@ -450,9 +448,9 @@ def test_acceptance_11_eager_dominates_lazy(regular_family):
 def test_acceptance_12_nonmatroid_reversal():
     inst = load_fixture("nonmat1")
     s = (F(1), F(1, 2), F(6, 5))
-    full = gvcg(inst, s)
-    removed = gvcg(inst, s, active=frozenset({1, 3}))
-    eager = vcg_eager(inst, s, {1: F(0), 2: F(3, 5), 3: F(0)})
+    full = run_realized(inst, MechanismSpec("gvcg"), s, None)
+    removed = gvcg_lazy(inst, s, "none", frozenset({1, 3}))
+    eager = run_realized(inst, MechanismSpec("vcg-eager", {1: F(0), 2: F(3, 5), 3: F(0)}), s, None)
     ok = (full.threshold_value[1] == F(7, 10)
           and removed.threshold_value[1] == F(6, 5)
           and eager.threshold_value[1] == F(6, 5))

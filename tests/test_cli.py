@@ -60,6 +60,21 @@ def test_oracle_command(tmp_path, capsys):
     assert all(set(cell["payments"]) == {"1", "2"} for cell in witness.values())
 
 
+def test_oracle_lp_record_is_part_of_the_sidecar_oracle_record(tmp_path, capsys):
+    """``oracle --out`` and the run sidecar read one list of LP fields."""
+    oracle_out, report = tmp_path / "oracle.json", tmp_path / "r.csv"
+    assert main(["oracle", "--instance", str(fixture_path("tiny1")),
+                 "--out", str(oracle_out)]) == 0
+    assert main(["run", "--instance", str(fixture_path("tiny1")), "--mechanism", "lookahead",
+                 "--out", str(report)]) == 0
+    lp = json.loads(oracle_out.read_text())["tiny1"]["lp"]
+    (solve,) = json.loads(report.with_suffix(".csv.meta.json").read_text())["oracle"]
+    assert list(lp) == ["variables", "rows", "profiles", "support", "feasible_sets",
+                        "simplex_rows", "ic_rows", "ir_rows", "pivots", "certified",
+                        "fallbacks", "rounds", "active_rows", "blocks", "restricted_cells"]
+    assert lp.items() <= solve.items()
+
+
 def test_compare_nonmat_reversal(capsys):
     rc = main(["compare", "--instance", str(fixture_path("nonmat1")),
                "--mechanism", "vcg-eager", "--mechanism", "gvcg-lazy",

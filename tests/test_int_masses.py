@@ -27,7 +27,6 @@ from auctionlab.mechanisms import (
     _single_sample_revenue,
     conditional_value_distribution,
     expected_revenue,
-    gvcg,
     run_realized,
     sample_realization,
 )
@@ -118,7 +117,7 @@ def test_single_sample_revenue_per_profile_is_exact(inst):
     """Each generalized-VCG winner is served at the higher of its threshold
     and a reserve drawn from its column law, when its value reaches it."""
     for s, _ in inst.dist.enumerate_support():
-        base, expect = gvcg(inst, s), Fraction(0)
+        base, expect = run_realized(inst, MechanismSpec("gvcg"), s, None), Fraction(0)
         for a in base.tentative:
             i = inst.agents.index(a)
             for t, q in column_law(inst, a, s):

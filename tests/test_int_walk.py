@@ -91,9 +91,9 @@ def test_fractional_reserves_stay_fractions_in_table_units():
     inst = load_fixture("gap3")
     assert inst.value_scale == 10
     spec = fractional_fixed(inst)
-    r = mechanisms._reserves(inst, 0, inst.everyone, spec.reserve_source, inst.everyone,
-                             "winner_conditioned")
-    assert list(r.values()) == [Fraction(10, 3), Fraction(40, 3)]
+    reserve = mechanisms._reserve_rule(inst, 0, spec.reserve_source, inst.everyone,
+                                       "winner_conditioned")
+    assert [reserve(i) for i in range(len(inst.agents))] == [Fraction(10, 3), Fraction(40, 3)]
 
 
 @pytest.mark.parametrize("name", corpus_names())
@@ -104,13 +104,15 @@ def test_agents_outside_the_admitted_set_are_never_served_and_pay_nothing(name):
     for mech in ("rand-single", "rand-matroid"):
         for mode in ("winner_conditioned", "unconditioned"):
             spec = MechanismSpec(mech, event_mode=mode)
+            try:
+                mechanisms.MECHANISMS[mech].check(inst, spec)
+            except WrongVariantError:
+                continue
+            prices = {}
             for realization, _ in realizations(inst, spec):
                 z = inst.mask(realization)
                 for k in range(math.prod(inst.grid.sizes)):
-                    try:
-                        served, pay = mechanisms._core(inst, spec, k, z)
-                    except WrongVariantError:
-                        continue
+                    served, pay = mechanisms._core(inst, spec, k, z, prices)
                     assert served & ~z == 0, (spec, realization, k)
                     assert all(pay[i] == 0 for i in range(len(inst.agents))
                                if not z >> i & 1), (spec, realization, k)

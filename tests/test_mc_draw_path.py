@@ -152,14 +152,16 @@ def test_a_deterministic_mechanism_draws_nothing():
 def reference_monte_carlo(inst, spec, trials, seed):
     """(mean, standard error) of the draws, each ``float(Fraction(x, L))``
     of the core's revenue x at the drawn profile and reference admission."""
-    rng, law = random.Random(seed), MECHANISMS[spec.mech_id].admission
+    rng, mech = random.Random(seed), MECHANISMS[spec.mech_id]
     support = inst.dist.numbered_support()
-    draws = []
+    mech.check(inst, spec)
+    draws, prices = [], {}
     for _ in range(trials):
         k = support[inst.dist.draw(rng)][1]
-        z = None if law is None else inst.mask(reference_realization(inst, law, rng))
-        draws.append(float(Fraction(_revenue(*_core(inst, spec, k, z)), inst.value_scale)))
-    inst._release_prices()
+        z = None if mech.admission is None else inst.mask(
+            reference_realization(inst, mech.admission, rng))
+        draws.append(float(Fraction(_revenue(*_core(inst, spec, k, z, prices)),
+                                    inst.value_scale)))
     mean = sum(draws) / trials
     var = sum((x - mean) ** 2 for x in draws) / max(trials - 1, 1)
     return mean, math.sqrt(var / trials)

@@ -9,6 +9,7 @@ from auctionlab.distributions import JointDistribution, ScalarDistribution, Sign
 from auctionlab.instances import load_fixture
 from auctionlab.matroid import FeasibilitySystem
 from auctionlab.mechanisms import (
+    MECHANISMS,
     AssumptionError,
     Instance,
     MechanismError,
@@ -18,24 +19,24 @@ from auctionlab.mechanisms import (
     conditional_monopoly_reserve,
     conditional_value_distribution,
     expected_revenue,
-    gvcg,
     gvcg_lazy,
     ic_ir_audit,
-    lookahead,
     opt_upper_bound,
-    randomized_matroid,
-    randomized_single_item,
     realizations,
     resolve_reserves,
     run_realized,
     threshold_matching,
-    vcg_eager,
     winner_set,
 )
 from auctionlab.valuations import private, table, value, weighted_sum
 
 F = Fraction
 H = F(1, 2)
+
+
+def auction(inst, mech_id, s, z=None, reserves="none"):
+    """The outcome of mechanism ``mech_id`` at profile s under admitted set z."""
+    return run_realized(inst, MechanismSpec(mech_id, reserves), s, z)
 
 
 def make_instance(axes, feas, vp=None, dist=None, name=""):
@@ -92,7 +93,7 @@ def gap_instance(k):
 def test_gvcg_second_price():
     axes = {1: (1, 2, 3), 2: (1, 2, 3), 3: (1, 2, 3)}
     inst = make_instance(axes, FeasibilitySystem.uniform(1, [1, 2, 3]))
-    out = gvcg(inst, (3, 1, 2))
+    out = auction(inst, "gvcg", (3, 1, 2))
     assert out.served == {1}
     assert out.threshold_value[1] == 2  # second-highest value
     assert out.payment == {1: 2, 2: 0, 3: 0}
@@ -101,18 +102,36 @@ def test_gvcg_second_price():
 def test_gvcg_nonmat_thresholds():
     inst = nonmat1()
     s = (1, H, F(6, 5))
-    out = gvcg(inst, s)
+    out = auction(inst, "gvcg", s)
     assert out.tentative == {1, 2}
     assert out.threshold_value[1] == F(7, 10)
     # with agent 2 removed the same agent's threshold jumps
-    out13 = gvcg(inst, s, active=frozenset({1, 3}))
+    out13 = gvcg_lazy(inst, s, "none", frozenset({1, 3}))
     assert out13.threshold_value[1] == F(6, 5)
+
+
+@pytest.mark.parametrize("mech_id", [m for m, mech in MECHANISMS.items()
+                                     if mech.admission is None])
+def test_a_deterministic_mechanism_refuses_an_admitted_set(mech_id):
+    """An admitted set is not read silently as no admission stage: the
+    active-set auction is ``gvcg_lazy``'s."""
+    inst = nonmat1()
+    s = (1, H, F(6, 5))
+    with pytest.raises(MechanismError, match="no admission stage"):
+        run_realized(inst, MechanismSpec(mech_id), s, {1, 3})
+    assert auction(inst, mech_id, s).admitted is None
+
+
+@pytest.mark.parametrize("mech_id", ["rand-single", "rand-matroid"])
+def test_a_randomized_mechanism_needs_an_admitted_set(mech_id):
+    with pytest.raises(MechanismError, match="need an explicit admission set"):
+        run_realized(tiny1(), MechanismSpec(mech_id), (1, 2), None)
 
 
 def test_gvcg_never_wins_marker():
     axes = {1: (1, 2), 2: (5,)}
     inst = make_instance(axes, FeasibilitySystem.uniform(1, [1, 2]))
-    out = gvcg(inst, (2, 5))
+    out = auction(inst, "gvcg", (2, 5))
     assert out.threshold_signal[1] is None
     assert out.threshold_value[1] == math.inf
     assert out.alloc[1] == 0 and out.payment[1] == 0
@@ -152,7 +171,7 @@ def test_threshold_scan_matches_enumeration_oracle():
         ])
         inst = make_instance(axes, feas)
         for s in inst.grid.profiles():
-            out = gvcg(inst, s)
+            out = auction(inst, "gvcg", s)
             for a in inst.agents:
                 expect = enum_threshold_tie_free(inst, tuple(s), a, set(inst.agents))
                 if expect != "tie":
@@ -166,7 +185,7 @@ def test_threshold_is_minimal_winning_grid_point():
         inst = make_instance(axes, feas)
         all_agents = frozenset(inst.agents)
         for s in inst.grid.profiles():
-            out = gvcg(inst, s)
+            out = auction(inst, "gvcg", s)
             for a in inst.agents:
                 idx = inst.grid.index_of(a)
                 wins = [t for t in inst.grid.axis(a)
@@ -188,7 +207,7 @@ def test_threshold_correctness_invariant():
                  FeasibilitySystem.partition([[1, 3], [2]], [1, 1])):
         inst = make_instance(axes, feas)
         for s in inst.grid.profiles():
-            out = gvcg(inst, s)
+            out = auction(inst, "gvcg", s)
             for a in inst.agents:
                 v = value(inst.vp, a, s)
                 assert (a in out.tentative) == (v >= out.threshold_value[a])
@@ -251,7 +270,7 @@ def test_fixed_reserves_follow_agent_order():
 def test_lazy_zero_reserves_equals_gvcg():
     inst = tiny1()
     for s in inst.grid.profiles():
-        a = gvcg(inst, s)
+        a = auction(inst, "gvcg", s)
         b = gvcg_lazy(inst, s, "none")
         assert a.served == b.served and a.payment == b.payment
 
@@ -268,7 +287,8 @@ def test_lazy_examples():
 
 def test_lookahead_tiny1_profiles_and_revenue():
     inst = tiny1()
-    per_profile = {s: lookahead(inst, s).revenue for s, _ in inst.dist.enumerate_support()}
+    per_profile = {s: auction(inst, "lookahead", s).revenue
+                   for s, _ in inst.dist.enumerate_support()}
     assert per_profile == {(1, 1): 1, (1, 2): 2, (2, 1): 1, (2, 2): 2}
     est = expected_revenue(inst, MechanismSpec("lookahead"))
     assert est.value == F(3, 2)
@@ -285,7 +305,7 @@ def test_gvcg_tiny1_revenue():
 def test_lookahead_point_mass_extracts_surplus():
     axes = {1: (3,), 2: (5,)}
     inst = make_instance(axes, FeasibilitySystem.uniform(1, [1, 2]))
-    out = lookahead(inst, (3, 5))
+    out = auction(inst, "lookahead", (3, 5))
     assert out.served == {2} and out.payment[2] == 5
 
 
@@ -328,14 +348,14 @@ def test_lookahead_dominates_gvcg():
 def test_rand_single_full_admission_is_lookahead():
     inst = tiny1()
     for s in inst.grid.profiles():
-        a = randomized_single_item(inst, s, {1, 2})
-        b = lookahead(inst, s)
+        a = auction(inst, "rand-single", s, {1, 2})
+        b = auction(inst, "lookahead", s)
         assert a.served == b.served and a.payment == b.payment
 
 
 def test_rand_single_empty_admission():
     inst = tiny1()
-    out = randomized_single_item(inst, (2, 2), frozenset())
+    out = auction(inst, "rand-single", (2, 2), frozenset())
     assert out.revenue == 0 and out.served == frozenset()
 
 
@@ -343,13 +363,13 @@ def test_rand_single_needs_single_item():
     axes = {1: (1, 2), 2: (1, 2)}
     inst = make_instance(axes, FeasibilitySystem.uniform(2, [1, 2]))
     with pytest.raises(WrongVariantError):
-        randomized_single_item(inst, (1, 1), {1})
+        auction(inst, "rand-single", (1, 1), {1})
 
 
 def test_rand_single_gap_full_extraction_when_shadow_admitted_alone():
     inst = gap_instance(3)
     for s1 in (1, 2, 4, 8):
-        out = randomized_single_item(inst, (s1, 0), {2})
+        out = auction(inst, "rand-single", (s1, 0), {2})
         assert out.served == {2}
         assert out.payment[2] == F(s1) - F(1, 10)
 
@@ -365,13 +385,13 @@ def test_rand_matroid_branches():
     axes = {1: (1, 3), 2: (1, 2), 3: (2, 4)}
     inst = make_instance(axes, FeasibilitySystem.uniform(2, [1, 2, 3]))
     s = (3, 2, 4)
-    full = randomized_matroid(inst, s, frozenset(inst.agents))
-    look = lookahead(inst, s)
+    full = auction(inst, "rand-matroid", s, frozenset(inst.agents))
+    look = auction(inst, "lookahead", s)
     assert full.served == look.served and full.payment == look.payment
-    empty = randomized_matroid(inst, s, frozenset())
+    empty = auction(inst, "rand-matroid", s, frozenset())
     assert empty.revenue == 0
     z = frozenset({2, 3})
-    out = randomized_matroid(inst, s, z)
+    out = auction(inst, "rand-matroid", s, z)
     assert out.tentative == {2, 3}
     assert out.admitted == z
 
@@ -379,7 +399,7 @@ def test_rand_matroid_branches():
 def test_rand_matroid_needs_matroid():
     inst = nonmat1()
     with pytest.raises(WrongVariantError):
-        randomized_matroid(inst, (1, H, F(6, 5)), frozenset(inst.agents))
+        auction(inst, "rand-matroid", (1, H, F(6, 5)), frozenset(inst.agents))
 
 
 def test_realization_weights_sum_to_one():
@@ -412,8 +432,8 @@ def test_realizations_are_admitted_sets():
 def test_vcg_eager_zero_reserves_is_gvcg():
     inst = tiny1()
     for s in inst.grid.profiles():
-        a = gvcg(inst, s)
-        b = vcg_eager(inst, s, "none")
+        a = auction(inst, "gvcg", s)
+        b = auction(inst, "vcg-eager", s, reserves="none")
         assert a.served == b.served and a.payment == b.payment
 
 
@@ -421,7 +441,7 @@ def test_vcg_eager_nonmat_reversal():
     inst = nonmat1()
     s = (1, H, F(6, 5))
     reserves = {1: F(0), 2: F(3, 5), 3: F(0)}
-    eager = vcg_eager(inst, s, reserves)
+    eager = auction(inst, "vcg-eager", s, reserves=reserves)
     lazy = gvcg_lazy(inst, s, reserves)
     assert lazy.threshold_value[1] == F(7, 10)
     assert eager.threshold_value[1] == F(6, 5)
@@ -431,7 +451,7 @@ def test_vcg_eager_nonmat_reversal():
 def test_vcg_eager_removed_bidder_example():
     axes = {1: (1, 2, 3), 2: (1, 2, 3)}
     inst = make_instance(axes, FeasibilitySystem.uniform(1, [1, 2]))
-    out = vcg_eager(inst, (3, 1), {1: 2, 2: 2})
+    out = auction(inst, "vcg-eager", (3, 1), reserves={1: 2, 2: 2})
     assert out.served == {1}
     assert out.payment[1] == 2  # max(reserve, threshold within survivors)
 
@@ -441,7 +461,7 @@ def test_vcg_eager_requires_private():
     inst = make_instance(axes, FeasibilitySystem.uniform(1, [1, 2]),
                          vp=weighted_sum((1, 2), H))
     with pytest.raises(AssumptionError):
-        vcg_eager(inst, (1, 1), "none")
+        auction(inst, "vcg-eager", (1, 1), reserves="none")
 
 
 def test_eager_thresholds_below_lazy_on_matroids():
@@ -453,7 +473,7 @@ def test_eager_thresholds_below_lazy_on_matroids():
         inst = make_instance(axes, feas)
         reserves = {a: F(rng.randint(0, 4)) for a in inst.agents}
         for s in inst.grid.profiles():
-            eager = vcg_eager(inst, s, reserves)
+            eager = auction(inst, "vcg-eager", s, reserves=reserves)
             lazy = gvcg_lazy(inst, s, reserves)
             vals = inst.values_at(s)
             u = {a for a in inst.agents if vals[a] >= reserves[a]}
@@ -487,7 +507,7 @@ def test_threshold_matching_two_uniform():
     assert w == {1, 2}
     f = threshold_matching(inst, s, w, frozenset({3}))
     assert set(f) == {3} and f[3] in w
-    out = gvcg(inst, s)
+    out = auction(inst, "gvcg", s)
     i = f[3]
     idx = inst.grid.index_of(i)
     st = s[:idx] + (out.threshold_signal[i],) + s[idx + 1:]
@@ -511,7 +531,7 @@ def test_threshold_matching_defining_inequality_randomized():
         f = threshold_matching(inst, s, w, tp)
         assert sorted(f) == sorted(tp)
         assert len(set(f.values())) == len(f)
-        out = gvcg(inst, s)
+        out = auction(inst, "gvcg", s)
         for j, i in f.items():
             idx = inst.grid.index_of(i)
             st = s[:idx] + (out.threshold_signal[i],) + s[idx + 1:]
@@ -536,7 +556,7 @@ def test_expected_revenue_brute_force_agreement():
     for s, p in inst.dist.enumerate_support():
         for z in [frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2})]:
             w = (F(2, 3) ** len(z)) * (F(1, 3) ** (2 - len(z)))
-            direct += p * w * randomized_single_item(inst, s, z).revenue
+            direct += p * w * auction(inst, "rand-single", s, z).revenue
     assert expected_revenue(inst, spec).value == direct
 
 
@@ -551,9 +571,9 @@ def test_rand_matroid_brute_force_agreement():
                    for c in itertools.combinations(inst.agents, r)]
         direct = F(0)
         for s, p in inst.dist.enumerate_support():
-            direct += p * H * randomized_matroid(inst, s, frozenset(inst.agents)).revenue
+            direct += p * H * auction(inst, "rand-matroid", s, frozenset(inst.agents)).revenue
             for z in subsets:
-                direct += p * H * H ** n * randomized_matroid(inst, s, z).revenue
+                direct += p * H * H ** n * auction(inst, "rand-matroid", s, z).revenue
         assert expected_revenue(inst, MechanismSpec("rand-matroid")).value == direct
 
 
@@ -666,7 +686,7 @@ def test_gvcg_refuses_single_crossing_failure():
     inst = make_instance(axes, FeasibilitySystem.uniform(1, [1, 2]),
                          vp=weighted_sum((1, 2), 1))
     with pytest.raises(AssumptionError):
-        gvcg(inst, (0, 1))
+        auction(inst, "gvcg", (0, 1))
 
 
 def test_reserves_and_upper_bound_refuse_flat_own_values():
@@ -676,7 +696,7 @@ def test_reserves_and_upper_bound_refuse_flat_own_values():
     inst = make_instance(axes, FeasibilitySystem.uniform(1, [1]),
                          vp=table((1,), {1: {(0,): 0, (1,): 0}}))
     with pytest.raises(AssumptionError):
-        lookahead(inst, (0,))
+        auction(inst, "lookahead", (0,))
     with pytest.raises(AssumptionError):
         conditional_monopoly_reserve(inst, 1, (0,))
     with pytest.raises(AssumptionError):
@@ -690,7 +710,7 @@ def test_gvcg_refuses_interdependent_on_non_matroid():
     feas = FeasibilitySystem.explicit([[], [1], [2], [1, 2], [3]], ground=[1, 2, 3])
     inst = make_instance(axes, feas, vp=weighted_sum((1, 2, 3), H))
     with pytest.raises(WrongVariantError, match="matroid"):
-        gvcg(inst, (1, 0, 1))
+        auction(inst, "gvcg", (1, 0, 1))
 
 
 def test_outcome_invariants_across_mechanisms():
@@ -830,7 +850,7 @@ def test_reserve_fallback_labels():
     assert conditional_monopoly_reserve(inst, 1, (1, 2),
                                         event_mode="unconditioned").fallback == ""
     # at (2, 2) agent 1 wins the tie and is quoted through the same fallback
-    assert lookahead(inst, (2, 2)).reserve[1] == 1
+    assert auction(inst, "lookahead", (2, 2)).reserve[1] == 1
     # the agent never wins: an empty winner event as well
     never = make_instance({1: (1, 2), 2: (5,)}, FeasibilitySystem.uniform(1, [1, 2]))
     q = conditional_monopoly_reserve(never, 1, (2, 5))

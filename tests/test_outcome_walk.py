@@ -51,6 +51,7 @@ def test_core_matches_public_outcomes(name):
     grid = inst.grid
     checked = 0
     for spec in specs(inst):
+        prices = {}
         for realization, _ in realizations(inst, spec):
             z = None if realization is None else inst.mask(realization)
             for k in range(len(list(grid.profiles()))):
@@ -60,19 +61,25 @@ def test_core_matches_public_outcomes(name):
                     out = run_realized(inst, spec, grid.profile_at(k), realization)
                     return inst.mask(out.served), [inst.value_scale * out.payment[a]
                                                    for a in inst.agents]
-                core = result(lambda: mechanisms._core(inst, spec, k, z))
+                core = result(lambda: checked_core(inst, spec, k, z, prices))
                 assert core == result(public), (spec, realization, k)
                 checked += isinstance(core[0], int)
     assert checked > 0
+
+
+def checked_core(inst, spec, k, z, prices):
+    """The core's outcome after the mechanism's check, as a walk runs them."""
+    mechanisms.MECHANISMS[spec.mech_id].check(inst, spec)
+    return mechanisms._core(inst, spec, k, z, prices)
 
 
 def counting_core(monkeypatch):
     built = Counter()
     core = mechanisms._core
 
-    def counted(instance, spec, k, z):
+    def counted(instance, spec, k, z, prices):
         built[z, k] += 1
-        return core(instance, spec, k, z)
+        return core(instance, spec, k, z, prices)
 
     monkeypatch.setattr(mechanisms, "_core", counted)
     return built

@@ -77,8 +77,8 @@ def walked(inst, spec):
     order built, and the error that stopped the walk, or None)."""
     built, core = {}, mechanisms._core
 
-    def record(instance, spec, k, z):
-        built[z, k] = core(instance, spec, k, z)
+    def record(instance, spec, k, z, prices):
+        built[z, k] = core(instance, spec, k, z, prices)
         return built[z, k]
 
     with pytest.MonkeyPatch.context() as patch:
@@ -96,7 +96,6 @@ def check_walk_equals_fresh_runs(inst):
         fresh = copy.deepcopy(inst)
         fresh.release_tables()
         built, stopped = walked(inst, spec)
-        assert inst._prices == {}, spec
         # the walk's order: realizations, then profile numbers
         order = [(realization, None if realization is None else fresh.mask(realization), k)
                  for realization, _ in realizations(fresh, spec)
@@ -133,7 +132,6 @@ def test_columns_share_prices_and_the_walk_frees_them(name, mech):
     found = walk(inst, MechanismSpec(mech))
     assert 0 < found.prices < found.outcomes
     assert found.revenue.prices == found.prices
-    assert inst._prices == {} and inst._priced is None
 
 
 def test_the_canary_and_the_eager_auction_price_per_profile():
@@ -160,7 +158,6 @@ def test_a_callback_that_reads_its_own_signal_is_refused(mech):
                  lambda: expected_revenue(inst, spec, "monte_carlo", trials=5)):
         with pytest.raises(ReserveAuditError):
             call()
-        assert inst._prices == {}
 
 
 def test_the_assumptions_are_checked_once_per_walk_or_run(monkeypatch):
@@ -180,13 +177,11 @@ def test_the_assumptions_are_checked_once_per_walk_or_run(monkeypatch):
 
 def test_release_tables_frees_both_memos():
     inst = load_fixture("partition")
-    spec = MechanismSpec("lookahead")
-    mechanisms._core(inst, spec, 0, None)
-    assert inst._priced is spec and inst._prices
+    run_realized(inst, MechanismSpec("lookahead"), inst.grid.profile_at(0), None)
     independence = len(inst._independent)
     held = inst.release_tables()
     assert held["independence"] == independence > 0
-    assert inst._prices == {} and inst._priced is None and inst._independent == {}
+    assert inst._independent == {}
 
 
 def test_the_sidecar_counts_both_memos():

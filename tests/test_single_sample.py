@@ -13,8 +13,8 @@ from auctionlab.mechanisms import (
     SizeError,
     conditional_value_distribution,
     expected_revenue,
-    gvcg,
     ic_ir_audit,
+    run_realized,
     walk,
 )
 from auctionlab.runner import ExperimentSpec, run
@@ -29,7 +29,7 @@ def reference_revenue(instance):
     distribution given the others' signals, when its value reaches it."""
     total = F(0)
     for s, p in instance.dist.enumerate_support():
-        base = gvcg(instance, s)
+        base = run_realized(instance, MechanismSpec("gvcg"), s, None)
         vals = instance.values_at(s)
         for a in base.tentative:
             for rho, q in conditional_value_distribution(instance, a, s):

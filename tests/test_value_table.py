@@ -13,8 +13,9 @@ from auctionlab.mechanisms import (
     AssumptionError,
     Instance,
     MechanismError,
-    gvcg,
+    MechanismSpec,
     resolve_reserves,
+    run_realized,
     winner_set,
 )
 from auctionlab.runner import ExperimentSpec, run
@@ -69,7 +70,7 @@ def test_a_profile_of_the_wrong_length_or_off_the_grid_is_refused():
         with pytest.raises(DistributionError, match="signals for 2 agents"):
             grid.number(profile)
     with pytest.raises(DistributionError, match="signals for 2 agents"):
-        gvcg(inst, (2,))
+        run_realized(inst, MechanismSpec("gvcg"), (2,), None)
     with pytest.raises(DistributionError, match="off the grid"):
         grid.number((1, 3))
     assert grid.number((1, 2)) == 1
