@@ -39,6 +39,8 @@ def generate_instances(name: str, params: dict | None = None, seed: int = 0) -> 
     """Build ``count`` instances from the named generator, deterministically."""
     params = dict(params or {})
     count = _number(params, "count", 1, int)
+    if count < 1:
+        raise GeneratorError(f"count must be at least 1, got {count}")
     rng = random.Random(seed)
     maker = _MAKERS.get(name)
     if maker is None:

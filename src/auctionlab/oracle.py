@@ -186,7 +186,7 @@ def solve_lp(rlp: RevenueLP) -> SimplexResult:
     A couples two profiles of one agent's column, so the restricted LP is
     block-diagonal: its blocks are the connected components of A over P,
     each with its profiles' columns and lottery rows and its rows of A, and
-    :func:`solve` solves each apart, in instance units.  The full LP's x and
+    :func:`solve` solves each apart, in table units.  The full LP's x and
     y take their solutions and duals there and zeros on the inactive rows.
     So y is dual feasible, c.x = b.y, and x meets every row but the
     inactive monotonicity rows: each round scans those, and the rows x
@@ -194,10 +194,9 @@ def solve_lp(rlp: RevenueLP) -> SimplexResult:
     and y on the full LP in table units, once; a failure raises.  The first
     round has A empty and solves nothing, which is the whole solve when the
     pointwise maximiser is monotone (Myerson 1981).  y is in table units;
-    ``pivots`` and ``fallbacks`` sum over the rounds' blocks, ``blocks``
-    counts the last round's and ``restricted_cells`` is the largest block's
-    tableau."""
-    lp, n_f, n_s, scale = rlp.table_lp, len(rlp.feasible), len(rlp.support), rlp.scale
+    ``pivots`` sums over the rounds' blocks, ``blocks`` counts the last
+    round's and ``restricted_cells`` is the largest block's tableau."""
+    lp, n_f, n_s = rlp.table_lp, len(rlp.feasible), len(rlp.support)
     c, rows = lp.objective, lp.rows
     x, y = [0] * lp.n_vars, [0] * len(rows)
     for i in range(n_s):
@@ -206,7 +205,7 @@ def solve_lp(rlp: RevenueLP) -> SimplexResult:
         if best > 0:
             x[i * n_f + quotes.index(best)] = 1
             y[i] = best
-    active, pivots, fallbacks, rounds, blocks, cells = set(), 0, 0, 0, [], 0
+    active, pivots, rounds, blocks, cells = set(), 0, 0, [], 0
     while True:
         rounds += 1
         violated = {r for r in range(n_s, len(rows)) if r not in active
@@ -217,8 +216,8 @@ def solve_lp(rlp: RevenueLP) -> SimplexResult:
         blocks = _blocks(rows, active, n_f)
         for profiles, block_rows in blocks:
             place = {i: p * n_f for p, i in enumerate(profiles)}
-            sub = LinearProgram(len(profiles) * n_f, [Fraction(c[i * n_f + f], scale)
-                                                      for i in profiles for f in range(n_f)])
+            sub = LinearProgram(len(profiles) * n_f,
+                                [c[i * n_f + f] for i in profiles for f in range(n_f)])
             block_rows = profiles + block_rows   # lottery rows, then rows of A
             for r in block_rows:
                 sub.add_le({place[j // n_f] + j % n_f: a for j, a in rows[r].coeffs.items()},
@@ -227,21 +226,20 @@ def solve_lp(rlp: RevenueLP) -> SimplexResult:
             if res.status != "optimal":
                 raise SimplexError(f"a restricted revenue LP terminated {res.status}")
             pivots += res.pivots
-            fallbacks += res.fallbacks
             cells = max(cells, (len(block_rows) + 1) * (sub.n_vars + len(block_rows) + 1))
             for p, i in enumerate(profiles):
                 x[i * n_f:(i + 1) * n_f] = res.x[p * n_f:(p + 1) * n_f]
             for r, dual in zip(block_rows, res.y):
-                y[r] = dual * scale
+                y[r] = dual
     start = time.perf_counter()
     problems = verify_certificate(lp, x, y)
     certify_s = time.perf_counter() - start
     if problems:
         raise SimplexError(f"the revenue LP's certificate failed: {problems[0]}")
-    objective = Fraction(sum(cj * v for cj, v in zip(c, x) if v), scale)
-    return SimplexResult("optimal", objective, x, pivots, y, certified=True,
-                         fallbacks=fallbacks, rounds=rounds, active_rows=tuple(sorted(active)),
-                         blocks=len(blocks), restricted_cells=cells, certify_s=certify_s)
+    objective = Fraction(sum(cj * v for cj, v in zip(c, x) if v), rlp.scale)
+    return SimplexResult("optimal", objective, x, pivots, y, certified=True, rounds=rounds,
+                         active_rows=tuple(sorted(active)), blocks=len(blocks),
+                         restricted_cells=cells, certify_s=certify_s)
 
 
 def _blocks(rows, active, n_f) -> list:
@@ -340,7 +338,7 @@ def lp_record(res: OptResult) -> dict:
             "support": stats.support, "feasible_sets": stats.feasible_sets,
             "simplex_rows": stats.simplex_rows, "ic_rows": stats.ic_rows,
             "ir_rows": stats.ir_rows, "pivots": sol.pivots, "certified": sol.certified,
-            "fallbacks": sol.fallbacks, "rounds": sol.rounds,
+            "rounds": sol.rounds,
             "active_rows": len(sol.active_rows), "blocks": sol.blocks,
             "restricted_cells": sol.restricted_cells}
 

@@ -1,4 +1,4 @@
-"""Dense simplex for small LPs, with exact results.
+"""Dense exact simplex for small LPs.
 
 Problems are maximisations over nonnegative variables with ``<=`` rows; row
 i gets a slack at column n + i.  All right-hand sides must be nonnegative,
@@ -7,31 +7,20 @@ An equality whose zero-cost variable appears in no other row is that row's
 slack: the revenue oracle states each lottery row over the nonempty feasible
 sets only and leaves the empty allocation to the slack.
 
-:func:`solve` is a certified floating-point solve (Applegate, Cook, Dash &
-Espinoza, "Exact solutions to linear programming problems", Oper. Res. Lett.
-2007); its result is always exact.  The double kernel is only its first
-stage.  A double pivot reads its entering column once, runs the ratio test
-over the rows that column reaches and updates only those rows: any other
-row would have +-0.0 subtracted, which leaves it the same number.  At an
-optimal basis the double kernel reads the row duals y from row 0 at the
-slack columns n..n+m-1: a slack is a unit column with zero cost, so its
-reduced cost is its row's dual.  x and y are rounded to rationals with
-denominators at most ``DENOMINATOR_LIMIT`` and accepted only if
-:func:`verify_certificate` proves, in integer arithmetic, that x is
-feasible, y >= 0, y^T A >= c and c.x = b.y; weak duality then makes x
-optimal.  Otherwise (or when the double kernel reports
-``NumericalInstability`` or unboundedness) the fraction-free rational
-simplex solves the LP and the result counts one fallback.  It reads its
-duals from row 0's slack columns too, each exact, so a caller can check a
-certificate of its own on them.
-
-The fraction-free kernel keeps the tableau integral via Gauss-Jordan
-pivoting: the true tableau is M / d where d is the previous pivot element,
-and every division is exact.  Both kernels hold the tableau as Python lists,
-one list per row, of floats or of ints, and import nothing: the revenue
-oracle hands them small blocks (see :func:`auctionlab.oracle.solve_lp`).
-Both price by Dantzig's rule, falling back to Bland's rule during degenerate
-stalls so cycling is impossible.
+:func:`solve` is a fraction-free simplex: it scales each row and the
+objective to integers and keeps the tableau integral via Gauss-Jordan
+pivoting, where the true tableau is M / d, d the previous pivot element, and
+every division is exact.  At an optimal basis it reads the row duals y from
+row 0 at the slack columns n..n+m-1: a slack is a unit column with zero
+cost, so its reduced cost is its row's dual.  x and y are exact, so a caller
+can check them with :func:`verify_certificate`, which proves in integer
+arithmetic that x is feasible, y >= 0, y^T A >= c and c.x = b.y; weak
+duality then makes x optimal.  The tableau is held as Python lists of ints,
+one list per row, and the module imports nothing: the revenue oracle hands
+it small blocks (see :func:`auctionlab.oracle.solve_lp`).  It prices by
+Dantzig's rule, its ratio test breaking ties by the first row, and falls
+back to Bland's rule during degenerate stalls, ties then going to the
+smallest basic index, so cycling is impossible.
 """
 from __future__ import annotations
 
@@ -41,24 +30,15 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 STALL_LIMIT = 40
-# The double kernel's zero in pricing, the ratio test and the stall test.
-EPS = 1e-9
 MAX_PIVOTS = 100_000
-# Tableau cells either kernel may allocate: a cell is an 8-byte list pointer
-# to a 24-byte float, or to an int of 28 bytes or more, so 2**23 cells are at
-# least 256 MiB.
+# Tableau cells the kernel may allocate: a cell is an 8-byte list pointer, to
+# a shared small int or to an int of 28 bytes or more, so 2**23 cells take at
+# least 64 MiB and, once the entries grow, several times that.
 MAX_TABLEAU_CELLS = 2 ** 23
-# Largest denominator of the rationals a double solution is rounded to before
-# its certificate is checked.
-DENOMINATOR_LIMIT = 10 ** 6
 
 
 class SimplexError(RuntimeError):
     pass
-
-
-class NumericalInstability(SimplexError):
-    """Double-precision run went sour; :func:`solve` falls back by itself."""
 
 
 @dataclass
@@ -86,10 +66,9 @@ class SimplexResult:
     status: str                   # "optimal" | "unbounded"
     objective: object
     x: list
-    pivots: int                   # of every kernel that ran
-    y: list | None = None         # row duals, when a kernel reports them
+    pivots: int
+    y: list | None = None         # row duals, at an optimum
     certified: bool = False       # x and y passed verify_certificate
-    fallbacks: int = 0            # solves the fraction-free kernel redid
     # row generation (oracle.solve_lp): its rounds, the rows its last round
     # held and the blocks they fell into, the cells of its largest block's
     # tableau, and the seconds of its one full-LP certificate
@@ -101,47 +80,30 @@ class SimplexResult:
 
 
 def solve(lp: LinearProgram) -> SimplexResult:
-    """The exact optimum: the double kernel's, when its rounded certificate
-    holds, else the fraction-free kernel's."""
-    if lp.n_vars == 0 and not lp.rows:
-        return SimplexResult("optimal", Fraction(0), [], 0, [], certified=True)
+    """The exact optimum, with its row duals, by the fraction-free kernel."""
     rows = len(lp.rows) + 1
     cols = lp.n_vars + len(lp.rows) + 1
     if rows * cols > MAX_TABLEAU_CELLS:
         raise SimplexError(f"a {rows} x {cols} tableau has {rows * cols} cells "
                            f"(cap {MAX_TABLEAU_CELLS})")
-    try:
-        approx = _solve_double(lp)
-    except NumericalInstability:
-        approx = None
-    if approx is not None and approx.status == "optimal":
-        seen = {0.0: Fraction(0)}
-        x = [_rational(v, seen) for v in approx.x]
-        y = [_rational(v, seen) for v in approx.y]
-        if not verify_certificate(lp, x, y):
-            objective = sum((_exact(c) * v for c, v in zip(lp.objective, x) if v),
-                            Fraction(0))
-            return SimplexResult("optimal", objective, x, approx.pivots, y, certified=True)
-    exact = _solve_rational(lp)
-    exact.pivots += approx.pivots if approx is not None else 0
-    exact.fallbacks = 1
-    return exact
+    _check_indices(lp)
+    return _solve_rational(lp)
+
+
+def _check_indices(lp: LinearProgram) -> None:
+    """Refuse an objective whose length is not n_vars and a coefficient key
+    off the variables: the kernel would read them onto a slack column, wrap
+    them around or leave variables unpriced."""
+    n = lp.n_vars
+    if len(lp.objective) != n:
+        raise SimplexError(f"{len(lp.objective)} objective entries for {n} variables")
+    for i, row in enumerate(lp.rows):
+        if row.coeffs and (min(row.coeffs) < 0 or max(row.coeffs) >= n):
+            raise SimplexError(f"row {i} has a coefficient key outside 0..{n - 1}")
 
 
 # ----------------------------------------------------------------------
 # certificate
-
-
-def _exact(v):
-    """A float at its exact binary value; ints and Fractions as they are."""
-    return Fraction(v) if isinstance(v, float) else v
-
-
-def _rational(v: float, seen: dict) -> Fraction:
-    # one Fraction per distinct float in a solve: x and y repeat a few values
-    if v not in seen:
-        seen[v] = Fraction(v).limit_denominator(DENOMINATOR_LIMIT)
-    return seen[v]
 
 
 def _integral(values: list) -> tuple[list, int]:
@@ -164,6 +126,7 @@ def verify_certificate(lp: LinearProgram, x: Sequence, y: Sequence) -> list[str]
     denominator, row i times the lcm lam_i of its denominators, and y_i / lam_i
     over one common denominator; only a problem's message builds Fractions.
     """
+    _check_indices(lp)
     if len(x) != lp.n_vars or len(y) != len(lp.rows):
         return [f"need {lp.n_vars} primal and {len(lp.rows)} dual values, "
                 f"got {len(x)} and {len(y)}"]
@@ -211,7 +174,7 @@ def _solve_rational(lp: LinearProgram) -> SimplexResult:
     M = [[0] * (n + m + 1) for _ in range(m + 1)]
 
     objective, obj_scale = _integral(list(lp.objective))
-    M[0][:len(objective)] = [-c for c in objective]
+    M[0][:n] = [-c for c in objective]
 
     basis = list(range(n, n + m))
     lams = []
@@ -229,10 +192,11 @@ def _solve_rational(lp: LinearProgram) -> SimplexResult:
     stall = 0
     last_obj = (0, 1)
     while True:
-        col = _enter_rational(M[0], bland=stall >= STALL_LIMIT)
+        bland = stall >= STALL_LIMIT
+        col = _enter_rational(M[0], bland=bland)
         if col is None:
             break
-        pr = _leave_rational(M, basis, col)
+        pr = _leave_rational(M, basis, col, bland=bland)
         if pr is None:
             return SimplexResult("unbounded", None, [], pivots)
         d = _pivot_int(M, d, pr, col)
@@ -266,15 +230,17 @@ def _enter_rational(row0, *, bland: bool):
     return costs.index(least) if least < 0 else None
 
 
-def _leave_rational(M, basis, col):
+def _leave_rational(M, basis, col, *, bland: bool):
+    """The ratio test's row: of equal ratios the first row, or under Bland's
+    rule the row of the smallest basic index."""
     best = None
     best_num = best_den = None
     for i in range(1, len(M)):
         a = M[i][col]
         if a > 0:
             b = M[i][-1]
-            if best is None or b * best_den < best_num * a or (
-                    b * best_den == best_num * a and basis[i - 1] < basis[best - 1]):
+            if best is None or b * best_den < best_num * a or (bland and (
+                    b * best_den == best_num * a and basis[i - 1] < basis[best - 1])):
                 best, best_num, best_den = i, b, a
     return best
 
@@ -293,77 +259,3 @@ def _pivot_int(M, d, pr, pc):
         else:
             M[r] = [a * p // d for a in row]
     return p
-
-
-# ----------------------------------------------------------------------
-# double kernel
-
-
-def _solve_double(lp: LinearProgram) -> SimplexResult:
-    m = len(lp.rows)
-    n = lp.n_vars
-    M = [[0.0] * (n + m + 1) for _ in range(m + 1)]
-    for j, c in enumerate(lp.objective):
-        M[0][j] = -float(c)
-    basis = list(range(n, n + m))
-    for i, row in enumerate(lp.rows, start=1):
-        for j, v in row.coeffs.items():
-            M[i][j] = float(v)
-        M[i][-1] = float(row.rhs)
-        M[i][n + i - 1] = 1.0
-
-    pivots = 0
-    stall = 0
-    last_obj = 0.0
-    while True:
-        costs = M[0][:-1]
-        if stall >= STALL_LIMIT:
-            col = next((j for j, v in enumerate(costs) if v < -EPS), None)
-        else:
-            least = min(costs)
-            col = costs.index(least) if least < -EPS else None
-        if col is None:
-            break
-        column = [row[col] for row in M]
-        rows = [r for r, a in enumerate(column) if a]  # row 0 among them: its entry is < -EPS
-        pr, ratio = None, math.inf
-        for r in rows:
-            if column[r] > EPS and M[r][-1] / column[r] < ratio:
-                pr, ratio = r, M[r][-1] / column[r]
-        if pr is None:
-            return SimplexResult("unbounded", None, [], pivots)
-        _pivot_double(M, rows, column, pr)
-        basis[pr - 1] = col
-        pivots += 1
-        if pivots > MAX_PIVOTS:
-            raise NumericalInstability("pivot limit exceeded in the double kernel")
-        obj = M[0][-1]
-        if abs(obj - last_obj) <= EPS * max(1.0, abs(last_obj)):
-            stall += 1
-        else:
-            stall = 0
-            last_obj = obj
-        # a pivot row holds no nan, and any nan elsewhere needs an inf in
-        # it, so a row's min and max see every entry that is not finite
-        if not all(math.isfinite(min(M[r])) and math.isfinite(max(M[r])) for r in rows):
-            raise NumericalInstability("the double kernel's tableau lost finiteness")
-
-    if m and min(row[-1] for row in M[1:]) < -1e-6:
-        raise NumericalInstability("the double kernel ended at an infeasible basic solution")
-    x = [0.0] * n
-    for i in range(1, m + 1):
-        if basis[i - 1] < n:
-            x[basis[i - 1]] = M[i][-1]
-    return SimplexResult("optimal", M[0][-1], x, pivots, M[0][n:n + m])
-
-
-def _pivot_double(M, rows, column, pr):
-    """Divide row pr by its entry in the entering column and subtract that
-    row, times their entry, from the other rows the column reaches; the rows
-    it does not reach are not read."""
-    top = [v / column[pr] for v in M[pr]]
-    for r in rows:
-        if r != pr:
-            c = column[r]
-            M[r] = [a - c * b for a, b in zip(M[r], top)]
-    M[pr] = top

@@ -54,7 +54,6 @@ def test_oracle_command(tmp_path, capsys):
     assert payload["tiny1"]["optimal_revenue"] == "3/2"
     assert payload["tiny1"]["lp"]["variables"] == 8
     assert payload["tiny1"]["lp"]["certified"] is True
-    assert payload["tiny1"]["lp"]["fallbacks"] == 0
     witness = payload["tiny1"]["witness"]
     assert sorted(witness) == ["(1, 1)", "(1, 2)", "(2, 1)", "(2, 2)"]
     assert all(set(cell["payments"]) == {"1", "2"} for cell in witness.values())
@@ -71,7 +70,7 @@ def test_oracle_lp_record_is_part_of_the_sidecar_oracle_record(tmp_path, capsys)
     (solve,) = json.loads(report.with_suffix(".csv.meta.json").read_text())["oracle"]
     assert list(lp) == ["variables", "rows", "profiles", "support", "feasible_sets",
                         "simplex_rows", "ic_rows", "ir_rows", "pivots", "certified",
-                        "fallbacks", "rounds", "active_rows", "blocks", "restricted_cells"]
+                        "rounds", "active_rows", "blocks", "restricted_cells"]
     assert lp.items() <= solve.items()
 
 
@@ -170,6 +169,15 @@ def test_refused_gen_leaves_no_out_directory(tmp_path, param):
     out = tmp_path / "gen"
     with pytest.raises(SystemExit):
         main(["gen", "--generator", "correlated-private", "--param", param, "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_gen_refuses_a_count_below_one(tmp_path, count):
+    out = tmp_path / "gen"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--generator", "correlated-private", "--count", count, "--out", str(out)])
+    assert str(exc.value.code) == f"count must be at least 1, got {count}"
     assert not out.exists()
 
 

