@@ -21,6 +21,8 @@ from typing import Iterator, Mapping, Sequence
 
 # The one arithmetic: exact rationals.  The benchmark's tracing reads it.
 RATIONAL = "rational"
+# what looking up a coordinate that SignalGrid.positions does not hold raises
+_OFF_AXIS = (KeyError, AttributeError, ValueError, OverflowError)
 
 
 class DistributionError(ValueError):
@@ -55,7 +57,8 @@ class SignalGrid:
     Profile number k (row-major) has agent i's grid index k // strides[i] %
     sizes[i]; the numbering is built on first use and keyed by each value's
     integer ratio (n, d), so numbering a profile hashes pairs of ints and no
-    ``Fraction``.  :meth:`column` is the one place a profile number is split
+    ``Fraction``.  A table distribution numbers its entries once, to check
+    its support.  :meth:`column` is the one place a profile number is split
     into the agent's column and own index."""
 
     agents: tuple
@@ -103,7 +106,7 @@ class SignalGrid:
         try:
             for pos, x in zip(positions, profile):
                 k = k * len(pos) + pos[x.as_integer_ratio()]
-        except (KeyError, AttributeError, ValueError, OverflowError):
+        except _OFF_AXIS:
             raise DistributionError(f"profile {tuple(profile)} is off the grid") from None
         return k
 
@@ -118,15 +121,6 @@ class SignalGrid:
     def profile_at(self, k: int) -> tuple:
         return tuple(self.values[a][k // st % n]
                      for a, st, n in zip(self.agents, self.strides, self.sizes))
-
-    def on_axis(self, agent, v) -> bool:
-        """Whether :meth:`number` numbers v as one of the agent's signals: v
-        equals a grid value and has an integer ratio (a numpy integer has
-        none)."""
-        return hasattr(v, "as_integer_ratio") and v in self.values[agent]
-
-    def on_grid(self, profile: Sequence) -> bool:
-        return len(profile) == len(self.agents) and all(map(self.on_axis, self.agents, profile))
 
 
 class ScalarDistribution:
@@ -243,31 +237,37 @@ class JointDistribution:
     def _init_table(self, table):
         if table is None:
             raise DistributionError("table form needs entries")
+        # keyed by profile number: row-major order is the profiles' sort order
         seen = {}
         for profile, prob in table:
             profile = tuple(profile)
-            if not self.grid.on_grid(profile):
-                raise DistributionError(f"support point {profile} is off the grid")
-            if profile in seen:
+            try:
+                k = self.grid.number(profile)
+            except DistributionError:
+                raise DistributionError(f"support point {profile} is off the grid") from None
+            if k in seen:
                 raise DistributionError(f"duplicate profile {profile}")
             if prob < 0:
                 raise DistributionError("negative probability")
-            seen[profile] = prob
-        _check_total(sum(seen.values()))
-        self._table = {p: q for p, q in sorted(seen.items()) if q > 0}
+            seen[k] = profile, prob
+        _check_total(sum(q for _, q in seen.values()))
+        self._table = {p: q for _, (p, q) in sorted(seen.items()) if q > 0}
 
     def _init_product(self, marginals):
         if marginals is None:
             raise DistributionError("product form needs per-agent marginals")
         self.marginals = {}
-        for a in self.grid.agents:
+        for a, pos in zip(self.grid.agents, self.grid.positions):
             if a not in marginals:
                 raise DistributionError(f"missing marginal for agent {a!r}")
             m = marginals[a]
             if not isinstance(m, ScalarDistribution):
                 m = ScalarDistribution(m)
-            if not all(self.grid.on_axis(a, v) for v in m.support):
-                raise DistributionError(f"marginal support off the grid for agent {a!r}")
+            try:
+                for v in m.support:
+                    pos[v.as_integer_ratio()]
+            except _OFF_AXIS:
+                raise DistributionError(f"marginal support off the grid for agent {a!r}") from None
             self.marginals[a] = m
         axes = [[(v, p) for v, p in self.marginals[a] if p > 0] for a in self.grid.agents]
         self._table = {tuple(v for v, _ in combo): math.prod(p for _, p in combo)

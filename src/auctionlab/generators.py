@@ -87,10 +87,16 @@ def _number(params, key, default, convert):
 
 def _grid(rng, params, *, lo=0, hi=9):
     """Agents 1..n, each with 2..``grid`` distinct signals from [lo, hi]
-    (one signal when ``grid`` is 1)."""
-    max_points = _number(params, "grid", 3, int)
+    (one signal when ``grid`` is 1); n below 1 or a ``grid`` outside
+    [1, hi - lo + 1] is refused."""
+    max_points, n = _number(params, "grid", 3, int), _number(params, "n", 2, int)
+    if n < 1:
+        raise GeneratorError(f"generator parameter n={n} must be at least 1")
+    if not 1 <= max_points <= hi - lo + 1:
+        raise GeneratorError(f"generator parameter grid={max_points} must lie in "
+                             f"[1, {hi - lo + 1}]: the signals are drawn from [{lo}, {hi}]")
     axes = {}
-    for a in range(1, _number(params, "n", 2, int) + 1):
+    for a in range(1, n + 1):
         size = rng.randint(2, max_points) if max_points > 1 else 1
         axes[a] = tuple(Fraction(v) for v in sorted(rng.sample(range(lo, hi + 1), size)))
     return SignalGrid(agents=tuple(axes), values=axes)

@@ -19,9 +19,9 @@ index) at a profile number and an admitted bitmask; :func:`_core` settles it
 into the served bitmask and the payments by agent index.  A winner's
 take-it-or-leave-it price, max(reserve, threshold value), reads only the
 others' signals, so a walk's or Monte Carlo run's own price memo keys it by
-(agent, column, scan mask); the ``unsafe-own-value`` canary's and the eager
-auction's prices read the own signal (the eager survivor set does, through
-the others' reserves) and are keyed by the profile number.
+(agent, column, scan mask), the eager auction's too, as its scan mask
+carries how its survivor set reads the own signal; the ``unsafe-own-value``
+canary's prices read it and are keyed by the profile number.
 :func:`run_realized` and :func:`gvcg_lazy` build an :class:`AuctionOutcome`
 from the same offer; :func:`walk` builds each (realization, profile) outcome
 once through the core and reads both the IC/IR audit and the exact revenue.
@@ -112,15 +112,15 @@ class Instance:
     """A complete auction environment; immutable once constructed.
 
     Construction evaluates every value once (:func:`valuations.grid_values`),
-    keeps their assumption report and tables them by profile number k as
-    ints v·L, :attr:`value_scale` L the lcm of their denominators; a value
-    that is not finite is refused.  The auctions table winner sets per
-    (profile, active set), thresholds per (agent, column, active set) and
-    reserve quotes per (agent, column, event mode, critical signal) on first
-    use, in table units too, keyed by ints: k, agent index, agent bitmask
-    (:meth:`mask`), and column number, k less the agent's own grid index
-    times its stride; and each agent's prior marginal as int masses.  A
-    winner set is greedy over the active agents in the profile's value
+    tables them by profile number k as ints v·L, :attr:`value_scale` L the
+    lcm of their denominators (a value that is not finite is refused), and
+    walks that table for the assumption report.  The auctions table winner
+    sets per (profile, active set), thresholds per (agent, column, active
+    set) and reserve quotes per (agent, column, event mode, critical signal)
+    on first use, in table units too, keyed by ints: k, agent index, agent
+    bitmask (:meth:`mask`), and column number, k less the agent's own grid
+    index times its stride; and each agent's prior marginal as int masses.
+    A winner set is greedy over the active agents in the profile's value
     order, ties by :attr:`tie_break`, on the full system, whose independence
     answers are tabled per bitmask.  :meth:`value` and :meth:`values_at`
     divide back.  The tables rely on the instance not changing;
@@ -151,14 +151,16 @@ class Instance:
         self.everyone = (1 << len(agents)) - 1
         self._winners, self._thresholds, self._quotes, self._independent = {}, {}, {}, {}
         self._marginals = {}
-        values = valuations.grid_values(self.vp, self.grid)
-        self._checks = valuations.assumption_violations(self.grid, values)
         try:
-            rows = [[v.as_integer_ratio() for v in row] for row in values]
+            rows = [[v.as_integer_ratio() for v in row]
+                    for row in valuations.grid_values(self.vp, self.grid)]
         except (OverflowError, ValueError):  # an infinite or a NaN float
             raise AssumptionError(f"{self.name or 'instance'}: a value is not finite") from None
         scale = self.value_scale = math.lcm(*(d for row in rows for _, d in row))
         self._values = [tuple(n * (scale // d) for n, d in row) for row in rows]
+        checks = self._checks = valuations.assumption_violations(self.grid, self._values)
+        checks["cross_responsiveness"] = [(a, b, s, self._unit(lo), self._unit(hi))
+                                          for a, b, s, lo, hi in checks["cross_responsiveness"]]
 
     def mask(self, agents) -> int:
         """The bitmask of an agent set: bit i stands for ``agents[i]``.  An
@@ -575,13 +577,13 @@ def _eager_offer(instance: Instance, k: int, reserves) -> tuple:
     agent is posted its reserve within everyone first, and the winners are
     drawn from the agents u at or above theirs, each agent's threshold
     scanned within u plus itself.  u reads the own signal through the other
-    agents' reserves, so the prices do."""
+    agents' reserves, which the scan mask u|{i} carries."""
     everyone = instance.everyone
     reserve = _reserve_rule(instance, k, reserves, everyone, "winner_conditioned")
     r = [reserve(i) for i in range(len(instance.agents))]
     u = sum(1 << i for i, x in enumerate(r) if instance._value(i, k) >= x)
     return (_winners(instance, k, u), tuple(u | 1 << i for i in range(len(r))),
-            lambda i, crit=None: r[i], True, everyone)
+            lambda i, crit=None: r[i], reserves == "unsafe-own-value", everyone)
 
 
 def _settle(instance: Instance, k: int, offer: tuple, prices: dict) -> tuple:

@@ -3,7 +3,7 @@
 ``value(vp, i, s)`` evaluates agent i's worth of the service at a signal
 profile, and :func:`grid_values` evaluates every agent at every grid profile
 once, by profile number; ``Instance`` calls it once, when it is built, and
-keeps the result.  Built-in families:
+keeps the values as ints v·L.  Built-in families:
 
 * ``private``            -- v_i(s) = s_i
 * ``weighted_sum``       -- v_i(s) = s_i + beta * sum of the other signals
@@ -11,12 +11,12 @@ keeps the result.  Built-in families:
 * ``concave_additive``   -- a concave piecewise-linear map of an additive form
 * ``table``              -- explicit v_i per grid profile
 
-:func:`assumption_violations` walks that table and checks monotonicity with
-strict own-signal increase, the single-crossing condition, and the
-concavity-type condition that an agent's value responds less to others'
-signals as its own signal grows, each between profiles one grid step apart.
-Mechanisms consult it, through ``Instance.assumption_report``, before running
-interdependent variants.
+:func:`assumption_violations` walks that table, as the ints v·L when
+``Instance`` calls it, and checks monotonicity with strict own-signal
+increase, the single-crossing condition, and the concavity-type condition
+that an agent's value responds less to others' signals as its own signal
+grows, each between profiles one grid step apart.  Mechanisms consult it,
+through ``Instance.assumption_report``, before running interdependent variants.
 """
 from __future__ import annotations
 
@@ -150,13 +150,13 @@ def grid_values(vp: ValuationProfile, grid: SignalGrid) -> list:
 
 def assumption_violations(grid: SignalGrid, vals: list) -> dict:
     """One walk over the grid for the three valuation assumptions, reading
-    the values ``vals`` of :func:`grid_values`.
+    ``vals`` as :func:`grid_values` lays them out (``Instance`` passes ints v·L).
 
     Returns lists of violating tuples under ``monotonicity`` (agent,
     coordinate, profile, bumped profile; or agent, "nonnegative", profile,
     None), ``single_crossing`` (i, j, profile, next own signal) and
-    ``cross_responsiveness`` (i, j, profile, low difference, high
-    difference).  Every condition compares profiles one grid step apart:
+    ``cross_responsiveness`` (i, j, profile, low and high difference in the
+    units of ``vals``).  Every condition compares profiles one grid step apart:
 
     * monotonicity -- values are nonnegative and finite, nondecreasing in
       every signal and strictly increasing in one's own;
@@ -168,32 +168,30 @@ def assumption_violations(grid: SignalGrid, vals: list) -> dict:
     * cross-responsiveness -- for i != j the forward difference of v_i along
       s_j does not grow when s_i rises one step.
     """
-    agents = grid.agents
+    agents, at = grid.agents, grid.profile_at
     # profiles go by the grid's row-major numbers, so no Fraction tuple is
     # hashed; ups[k][j] numbers profile k with signal j one grid step up
-    profiles = list(grid.profiles())
     ups = [tuple(k + st if k // st % n + 1 < n else None
                  for st, n in zip(grid.strides, grid.sizes))
-           for k in range(len(profiles))]
+           for k in range(len(vals))]
     monotonicity, single_crossing, cross_responsiveness = [], [], []
     for i, a in enumerate(agents):
-        for k, s in enumerate(profiles):
-            v, up = vals[k][i], ups[k]
-            if v < 0 or (isinstance(v, float) and not math.isfinite(v)):
-                monotonicity.append((a, "nonnegative", s, None))
-            own = up[i]
+        for k, (row, up) in enumerate(zip(vals, ups)):
+            v, own = row[i], up[i]
+            if not 0 <= v < math.inf:  # negative, infinite or NaN
+                monotonicity.append((a, "nonnegative", at(k), None))
             for j, b in enumerate(agents):
                 if up[j] is not None:
                     dv = vals[up[j]][i] - v
                     if (not dv > 0) if i == j else dv < 0:
-                        monotonicity.append((a, b, s, profiles[up[j]]))
+                        monotonicity.append((a, b, at(k), at(up[j])))
                 if i == j or own is None:
                     continue
-                if not v < vals[k][j] and not vals[own][i] > vals[own][j]:
-                    single_crossing.append((a, b, s, profiles[own][i]))
+                if not v < row[j] and not vals[own][i] > vals[own][j]:
+                    single_crossing.append((a, b, at(k), at(own)[i]))
                 if up[j] is not None:
                     high = vals[ups[up[j]][i]][i] - vals[own][i]
                     if high > dv:
-                        cross_responsiveness.append((a, b, s, dv, high))
+                        cross_responsiveness.append((a, b, at(k), dv, high))
     return {"monotonicity": monotonicity, "single_crossing": single_crossing,
             "cross_responsiveness": cross_responsiveness}

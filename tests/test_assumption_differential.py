@@ -3,7 +3,9 @@
 The references below state the three conditions by brute force over the
 grid; single-crossing compares against every higher own grid value, not
 only the next one.  ``Instance.assumption_report()`` must agree with them on
-table valuations that are often negative, flat or crossing.
+table valuations that are often negative, flat or crossing.  The values are
+ints and Fractions of small denominators, so the instance's int table is
+scaled by L > 1 and the report's differences are divided back by L.
 """
 import math
 from fractions import Fraction
@@ -90,8 +92,8 @@ def table_instances(draw):
     profiles = list(grid.profiles())
     dist = JointDistribution(grid, form="table",
                              table=[(s, F(1, len(profiles))) for s in profiles])
-    vp = table(agents, {a: {s: draw(st.integers(-1, 6)) for s in profiles}
-                        for a in agents})
+    numbers = st.integers(-1, 6) | st.builds(F, st.integers(-3, 18), st.sampled_from((2, 3)))
+    vp = table(agents, {a: {s: draw(numbers) for s in profiles} for a in agents})
     return Instance(grid=grid, dist=dist, vp=vp,
                     feas=FeasibilitySystem.uniform(1, agents))
 
@@ -106,3 +108,19 @@ def test_assumption_report_matches_brute_force(inst):
     crossing = reference_single_crossing(inst.vp, inst.grid)
     assert bool(report["single_crossing"]) == bool(crossing)
     assert set(report["single_crossing"]) <= set(crossing)
+
+
+def test_a_fractional_table_reports_its_differences_in_instance_units():
+    grid = SignalGrid(agents=(1, 2), values={1: (0, 1), 2: (0, 1)})
+    profiles = list(grid.profiles())
+    vp = table((1, 2), {1: {(0, 0): 0, (0, 1): F(1, 2), (1, 0): 1, (1, 1): F(7, 3)},
+                        2: {s: s[1] + F(1, 3) for s in profiles}})
+    inst = Instance(grid=grid, vp=vp, feas=FeasibilitySystem.uniform(1, (1, 2)),
+                    dist=JointDistribution(grid, form="table",
+                                           table=[(s, F(1, 4)) for s in profiles]))
+    assert inst.value_scale == 6
+    # agent 1's rise along s_2 is 1/2 at s_1 = 0 and 7/3 - 1 = 4/3 at s_1 = 1
+    assert inst.assumption_report() == {
+        "monotonicity": [], "single_crossing": [],
+        "cross_responsiveness": [(1, 2, (0, 0), F(1, 2), F(4, 3))]}
+    assert reference_cross_responsiveness(vp, grid) == [(1, 2, (0, 0), F(1, 2), F(4, 3))]

@@ -155,8 +155,10 @@ def test_gen_roundtrip(tmp_path, capsys):
     ("correlated-private", "sparsity=x", "generator parameter sparsity='x' is not a number"),
     ("weighted-sum", "beta=abc", "generator parameter beta='abc' is not a number"),
     ("weighted-sum", "count=0", "--param count is not a generator parameter; use --count"),
+    ("correlated-private", "grid=15", "generator parameter grid=15 must lie in [1, 10]"),
+    ("correlated-private", "n=0", "generator parameter n=0 must be at least 1"),
 ], ids=["unknown-kind", "beta-out-of-range", "grid-not-a-number", "sparsity-not-a-number",
-        "beta-not-a-number", "count-as-param"])
+        "beta-not-a-number", "count-as-param", "grid-above-the-axis", "no-agents"])
 def test_bad_generator_parameter_exits_with_one_line(tmp_path, generator, param, message):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--generator", generator, "--param", param, "--out", str(tmp_path)])
@@ -164,7 +166,7 @@ def test_bad_generator_parameter_exits_with_one_line(tmp_path, generator, param,
     assert "\n" not in str(exc.value.code)
 
 
-@pytest.mark.parametrize("param", ["grid=abc", "kind=bogus"])
+@pytest.mark.parametrize("param", ["grid=abc", "kind=bogus", "grid=15", "n=0"])
 def test_refused_gen_leaves_no_out_directory(tmp_path, param):
     out = tmp_path / "gen"
     with pytest.raises(SystemExit):

@@ -318,7 +318,9 @@ def test_numpy_integer_coordinates_are_refused_at_construction():
     np = pytest.importorskip("numpy")
     grid = SignalGrid(agents=(1, 2), values={1: (1, 2), 2: (1, 2)})
     one, two = np.int64(1), np.int64(2)
-    assert grid.on_grid((1, 2)) and not grid.on_grid((one, two))
+    assert grid.number((1, 2)) == 1
+    with pytest.raises(DistributionError, match=r"profile .* is off the grid"):
+        grid.number((one, two))
     with pytest.raises(DistributionError, match=r"support point .* is off the grid"):
         JointDistribution(grid, form="table", table=[((one, one), Fraction(1, 2)), ((two, two), Fraction(1, 2))])
     with pytest.raises(DistributionError, match="marginal support off the grid for agent 1"):

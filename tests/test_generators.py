@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -43,6 +44,26 @@ def test_regular_marginals():
 def test_unknown_generator():
     with pytest.raises(GeneratorError, match="unknown generator"):
         generate_instances("nope", {}, seed=0)
+
+
+@pytest.mark.parametrize("name, params, message", [
+    ("correlated-private", {"n": 0}, "n=0 must be at least 1"),
+    ("additive", {"n": -1}, "n=-1 must be at least 1"),
+    ("correlated-private", {"grid": 0}, "grid=0 must lie in [1, 10]"),
+    ("correlated-private", {"n": 2, "grid": 15}, "grid=15 must lie in [1, 10]"),
+    ("weighted-sum", {"grid": 11}, "grid=11 must lie in [1, 10]"),
+    ("regular-marginals", {"grid": 13}, "grid=13 must lie in [1, 12]"),
+])
+def test_agent_counts_and_grids_outside_the_axis_are_refused(name, params, message):
+    for seed in range(4):
+        with pytest.raises(GeneratorError, match=re.escape(message)):
+            generate_instances(name, params, seed)
+
+
+def test_the_largest_grid_fits_the_axis():
+    sizes = [len(generate_instances("correlated-private", {"n": 1, "grid": 10}, seed)[0]
+                 .grid.axis(1)) for seed in range(20)]
+    assert min(sizes) >= 2 and 10 in sizes
 
 
 def test_generated_instances_round_trip_through_files(tmp_path):

@@ -2,10 +2,10 @@
 
 A walk or a Monte Carlo run reads each tentative winner's take-it-or-leave-it
 price from a memo keyed by (agent, column, scan mask), or by the profile when
-the price reads the agent's own signal (the ``unsafe-own-value`` canary and
-the eager auction).  Every outcome a walk builds must equal a fresh
-``run_realized`` of the same profile on a copy of the instance whose tables
-are empty, which prices every winner on its own.  A key that shares a price
+the price reads the agent's own signal (the ``unsafe-own-value`` canary).
+Every outcome a walk builds must equal a fresh ``run_realized`` of the same
+profile on a copy of the instance whose tables are empty, which prices every
+winner on its own.  A key that shares a price
 down a column where the price reads the own signal shows up as a difference.
 """
 import copy
@@ -134,14 +134,18 @@ def test_columns_share_prices_and_the_walk_frees_them(name, mech):
     assert found.revenue.prices == found.prices
 
 
-def test_the_canary_and_the_eager_auction_price_per_profile():
+def test_the_canary_prices_per_profile_and_the_eager_auction_per_column():
     inst = load_fixture("partition")
     # one entry per winner per profile, against one per winner per column
     reads = sum(len(winner_set(inst, s, frozenset(inst.agents))) for s in inst.grid.profiles())
     assert walk(inst, MechanismSpec("gvcg-lazy")).prices < reads
-    for spec in (MechanismSpec("gvcg-lazy", reserve_source="unsafe-own-value"),
-                 MechanismSpec("vcg-eager")):
-        assert walk(inst, spec).prices == reads
+    canary = MechanismSpec("gvcg-lazy", reserve_source="unsafe-own-value")
+    assert walk(inst, canary).prices == reads
+    # the eager survivor set reads the own signal, but the scan mask keys it
+    eager = [walk(inst, MechanismSpec("vcg-eager", reserve_source=source)).prices
+             for source in ("none", "monopoly")]
+    assert eager[0] == walk(inst, MechanismSpec("gvcg-lazy")).prices
+    assert 0 < eager[1] < reads
 
 
 def test_the_canary_still_fails_the_audit():

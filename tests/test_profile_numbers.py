@@ -65,8 +65,10 @@ def test_numbering_is_built_on_first_use():
     grid = SignalGrid(agents=(1, 2), values={1: (1, 2), 2: (1, 2, 3)})
     assert set(vars(grid)) == {"agents", "values"}
     assert grid.number((2, 3)) == 5 and grid.profile_at(5) == (2, 3)
-    # the assumption walk at loading builds the sizes and strides only
-    assert set(vars(load_fixture("tiny1").grid)) == {"agents", "values", "sizes", "strides"}
+    # at loading the support check builds the positions, and the assumption
+    # walk the sizes and strides
+    assert set(vars(load_fixture("tiny1").grid)) == {"agents", "values", "positions",
+                                                     "sizes", "strides"}
 
 
 @pytest.mark.parametrize("name", corpus_names())
